@@ -4,7 +4,9 @@ seeding, and CSV/plot-data emission.
 Configuration is a single YAML document (reproducibility lives in one
 artifact); the only environment override is the output directory.  CSV bodies
 use fixed 17-significant-digit formatting so identical configurations diff
-byte-for-byte; timestamps appear only in comment headers.
+byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
+fraction and mean weight) appear only in comment headers.  Functionals and the
+evaluation time are checked when the configuration loads.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ _SCHEMA = {
                  "pairs of (truncation level, mollifier width)"),
     "x0": (list, [0.0], "initial point coordinates"),
     "output_dir": (str, "out", None),
-    "threads": (int, 1, "results do not depend on the worker count"),
 }
 
 
@@ -88,10 +89,9 @@ class RunConfig:
         return self.entries["command"]
 
     def config_hash(self) -> str:
-        """Hash of the numerically relevant entries; worker count and output
-        location cannot change results and stay out of the hash."""
-        relevant = {k: v for k, v in self.entries.items()
-                    if k not in ("threads", "output_dir")}
+        """Hash of the numerically relevant entries; the output location
+        cannot change results and stays out of the hash."""
+        relevant = {k: v for k, v in self.entries.items() if k != "output_dir"}
         canon = json.dumps(relevant, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -169,7 +169,36 @@ def load_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"config key grid.n_cells: must be at least {MIN_CELLS}")
     if entries["mc.n_paths"] < MIN_PATHS:
         raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
+    if entries["command"] in ("solve", "girsanov", "converge"):
+        _check_evaluation(entries)
     return RunConfig(entries=entries)
+
+
+def _check_evaluation(entries: dict) -> None:
+    """For the commands that price functionals at t_eval: reject functionals
+    that are unknown or read past the state dimension (for converge, the
+    largest schedule level) and a t_eval that is not a grid node."""
+    dim = entries["d"]
+    if entries["command"] == "converge":
+        try:
+            dim = max(int(dd) for dd, _ in entries["schedule"])
+        except (TypeError, ValueError):
+            raise ConfigError("config key schedule: expected pairs of "
+                              "(truncation level, mollifier width)") from None
+    for phi_id in entries["phis"]:
+        try:
+            girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))
+        except (fbm.DomainError, IndexError) as exc:
+            raise ConfigError(f"config key phis: {phi_id!r} does not apply to a "
+                              f"{dim}-dimensional state ({exc})") from None
+    if entries["grid.t_end"] <= 0.0:
+        raise ConfigError("config key grid.t_end: must be positive")
+    grid = fbm.TimeGrid(entries["grid.t_end"], entries["grid.n_cells"])
+    try:
+        girsanov._node_index(grid, entries["t_eval"])
+    except fbm.DomainError as exc:
+        raise ConfigError(f"config key t_eval: {exc} of {grid.n_cells} cells "
+                          f"on [0, {grid.t_end}]") from None
 
 
 def load_config_file(path) -> RunConfig:
@@ -280,7 +309,7 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
     noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, cfg["mc.n_paths"], cfg["mc.seed"])
     x = np.asarray(cfg["x0"], dtype=float)
     sol = solver.picard_solve(md, x, noise)
-    idx = int(round(cfg["t_eval"] / grid.step))
+    idx = girsanov._node_index(grid, cfg["t_eval"])
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr",
                                  "iterations", "final_residual"])
     for phi_id in cfg["phis"]:
@@ -299,31 +328,41 @@ def _cmd_girsanov(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     d = cfg["d"]
     x = np.asarray(cfg["x0"], dtype=float)
+    res = girsanov.weak_solution_estimator(
+        spec, cfg["phis"], x, cfg["t_eval"], hs, ws, d, grid,
+        cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr",
-                                 "n_paths", "seed"])
+                                 "n_paths", "seed"], provenance=_sample_provenance(res))
     for phi_id in cfg["phis"]:
-        res = girsanov.weak_solution_estimator(
-            spec, phi_id, x, cfg["t_eval"], hs, ws, d, grid,
-            cfg["mc.n_paths"], cfg["mc.seed"])
-        table.add(res.to_row())
+        estimate, stderr = res.estimates[phi_id]
+        # the reweighting target has no mollifier width
+        table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d, "eps": float("nan"),
+                   "estimate": estimate, "stderr": stderr,
+                   "n_paths": cfg["mc.n_paths"], "seed": cfg["mc.seed"]})
     return table
+
+
+def _sample_provenance(res: girsanov.EstimatorResult) -> dict:
+    """Header lines on the reliability of a weighted sample."""
+    return {"ess_fraction": res.ess_fraction, "mean_weight": res.mean_weight}
 
 
 def _cmd_converge(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     x = np.asarray(cfg["x0"], dtype=float)
-    rows = solver.converge_experiment(
+    rows, target = solver.converge_experiment(
         spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, x,
         cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["d", "eps", "t", "phi_id", "value", "stderr",
-                                 "target", "target_stderr", "gap"])
+                                 "target", "target_stderr", "gap"],
+                        provenance=_sample_provenance(target))
     for row in rows:
         table.add(row)
     return table
 
 
 def _cmd_verify(cfg: RunConfig) -> ResultTable:
-    results = verify.run_all(seed=cfg["mc.seed"], threads=cfg["threads"])
+    results = verify.run_all(seed=cfg["mc.seed"])
     table = ResultTable(columns=["check_id", "status", "measured", "bound", "slack"])
     for res in results:
         table.add(res.row())
@@ -357,11 +396,11 @@ def run(cfg: RunConfig, out_dir=None) -> int:
     except (ArithmeticError, solver.PicardConvergenceError, fbm.FactorizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    table.provenance = {
+    table.provenance.update({
         "config_hash": cfg.config_hash(),
         "seed": cfg["mc.seed"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    })
     name = "report.csv" if cfg.command == "verify-suite" else "results.csv"
     table.write_csv(out / name)
     if cfg.command == "converge":
@@ -407,7 +446,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None, help="YAML config file")
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
     parser.add_argument("--schema", action="store_true",
                         help="print the config schema and exit")
     parser.add_argument("command", nargs="?", default=None,
@@ -423,8 +461,6 @@ def main(argv=None) -> int:
             entries["command"] = args.command
         if args.seed is not None:
             entries["mc.seed"] = args.seed
-        if args.threads is not None:
-            entries["threads"] = args.threads
         nested: dict = {}
         for key, val in entries.items():
             parts = key.split(".")

@@ -201,33 +201,6 @@ def make_sequences(preset) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# basis bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def change_of_basis(x: np.ndarray) -> np.ndarray:
-    """Coordinates of x relative to the working orthonormal basis.
-
-    Both bases are orthonormal and aligned, so this is the identity on the
-    coordinate array; it exists as a named map so compositions read the same
-    way as in the construction it implements.
-    """
-    return np.asarray(x)
-
-
-def change_of_basis_inverse(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`change_of_basis` (coordinate identity)."""
-    return np.asarray(y)
-
-
-def truncate_vector(x: np.ndarray, d: int) -> np.ndarray:
-    """Project onto the first d coordinates (zero-pad semantics preserved)."""
-    out = np.zeros_like(x)
-    out[:d] = x[:d]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
 

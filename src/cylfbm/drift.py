@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .cylinder import WeightSequence, composite_scaling
+from .cylinder import WeightSequence
 from .fbm import DomainError
 
 _ENVELOPE_CUTOFF = 1e-8  # relative tail mass ignored when boxing a maximization
@@ -382,11 +382,6 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
             integral_stderr=int_se, passed=bool(ok)))
     return ClassBoundsReport(entries=tuple(entries), d_tested=d,
                              passed=all(e.passed for e in entries))
-
-
-def default_scaling(spec: DriftSpec, lnd_values, d: int) -> np.ndarray:
-    """Composite per-coordinate scaling lambda_k sqrt(K_k) from measured constants."""
-    return composite_scaling(spec.weights, list(lnd_values), d)
 
 
 # ---------------------------------------------------------------------------

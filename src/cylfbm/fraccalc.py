@@ -137,14 +137,12 @@ def _marchaud_pwl(alpha: float, values: np.ndarray, h: float) -> np.ndarray:
     fprev[1:] = values[:-1]
     xs = np.arange(N + 1) * h
     out = np.zeros_like(values)
-    rows = np.arange(1, N + 1)
     sumM0 = M0.sum(axis=1)
     out[1:] = (
         values[1:] / xs[1:] ** alpha
         + alpha * (values[1:] * sumM0[1:] - (M0 @ fprev)[1:] - (Q1 @ slopes)[1:])
         + alpha * slopes[1:] * h ** (1 - alpha) / (1 - alpha)
     )
-    del rows
     return out / special.gamma(1 - alpha)
 
 

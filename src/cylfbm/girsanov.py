@@ -1,6 +1,10 @@
-"""Measure-change machinery: shift inversion to the Wiener frame, stochastic
-exponentials, a Novikov-type finiteness bound, and the reweighting estimator
+"""Measure-change machinery: stochastic exponentials of shifts inverted to the
+Wiener frame, a Novikov-type finiteness bound, and the reweighting estimator
 that prices functionals of the drifted process from driftless samples.
+
+The estimator and the strong-solve side of the convergence experiment share
+one blocked Monte Carlo loop (:func:`mc_blocks` with :class:`RunningMoments`);
+every functional of one estimator call is priced on the same weighted sample.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from scipy import special
 from . import drift as drift_mod
 from .cylinder import HurstSequence, WeightSequence, sample_cyl_fbm
 from .fbm import DomainError, TimeGrid, as_hurst, kernel_fractional_norm
-from .fraccalc import GridFunction, kh_inverse_ac, kh_inverse_matrix
+from .fraccalc import kh_inverse_matrix
 
 DEFAULT_BLOCK_SIZE = 25_000
 LOW_ESS_FRACTION = 0.10
@@ -46,17 +50,6 @@ class GirsanovWeight:
     @property
     def values(self) -> np.ndarray:
         return np.exp(self.log_values)
-
-
-def shift_to_wiener(H, u: GridFunction) -> GridFunction:
-    """Wiener-frame integrand of a shift: the inverse transform applied to
-    the running integral of u (so the weak derivative handed over is u itself).
-
-    Unit-normalized like :func:`cylfbm.fraccalc.kh_inverse_ac`; the sampling
-    kernel's integral operator carries the extra factor
-    :func:`cylfbm.fbm.kernel_fractional_norm`.
-    """
-    return kh_inverse_ac(H, u)
 
 
 def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequence) -> np.ndarray:
@@ -137,42 +130,96 @@ def novikov_bound(spec: drift_mod.DriftSpec, hursts: HurstSequence,
 def make_functional(phi_id: str):
     """Named functionals for estimator targets.
 
-    "coordinate:<i>" picks the 1-based i-th coordinate; "clipped_norm:<cap>"
-    is the Euclidean norm clipped at cap (bounded).
+    "coordinate:<i>" picks the 1-based i-th coordinate (i >= 1);
+    "clipped_norm:<cap>" is the Euclidean norm clipped at cap (bounded).
     """
     kind, _, arg = phi_id.partition(":")
+    if kind not in ("coordinate", "clipped_norm"):
+        raise DomainError(f"unknown functional id {phi_id!r}")
+    try:
+        num = int(arg or 1) if kind == "coordinate" else float(arg or 2.0)
+    except ValueError:
+        raise DomainError(f"functional {phi_id!r}: non-numeric argument {arg!r}") from None
     if kind == "coordinate":
-        i = int(arg or 1) - 1
+        if num < 1:
+            raise DomainError(f"functional {phi_id!r}: coordinates are numbered from 1")
 
         def phi(z: np.ndarray) -> np.ndarray:
-            return z[i]
+            return z[num - 1]
 
         return phi
-    if kind == "clipped_norm":
-        cap = float(arg or 2.0)
 
-        def phi(z: np.ndarray) -> np.ndarray:
-            return np.minimum(np.sqrt(np.sum(z ** 2, axis=0)), cap)
+    def phi(z: np.ndarray) -> np.ndarray:
+        return np.minimum(np.sqrt(np.sum(z ** 2, axis=0)), num)
 
-        return phi
-    raise DomainError(f"unknown functional id {phi_id!r}")
+    return phi
 
 
 # ---------------------------------------------------------------------------
-# the reweighting estimator
+# the blocked Monte Carlo loop and the reweighting estimator
 # ---------------------------------------------------------------------------
+
+
+def mc_blocks(n_paths: int, seed, block_size: int):
+    """Yield (path count, seed) for each block of an n_paths sample.
+
+    Block b's seed is the b-th child of ``seed`` (an int or a SeedSequence),
+    equal to what a first ``spawn()`` would give; the caller's SeedSequence
+    is never mutated, so one seed always names one sample.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for b, done in enumerate(range(0, n_paths, block_size)):
+        yield min(block_size, n_paths - done), np.random.SeedSequence(
+            ss.entropy, spawn_key=ss.spawn_key + (b,), pool_size=ss.pool_size)
+
+
+class RunningMoments:
+    """Running sum and sum of squares of a per-path quantity over blocks."""
+
+    def __init__(self):
+        self.n = 0
+        self.sum = 0.0
+        self.sum_sq = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        self.n += values.size
+        self.sum += float(np.sum(values))
+        self.sum_sq += float(np.sum(values * values))
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.n
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(max(self.sum_sq / self.n - self.mean ** 2, 0.0) / self.n)
+
+
+def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
+                weights: WeightSequence, grid: TimeGrid) -> ShiftProcess:
+    """Pathwise shift -b_k(s, X_s)/(lambda_k * kernel_fractional_norm(H_k)) of
+    states X with shape (d, n_nodes, n_paths).
+
+    The drift is evaluated once per node for all d rows.  The kernel
+    normalization makes the discrete measure change reproduce the drift b
+    exactly, cell by cell.
+    """
+    d = X.shape[0]
+    U = np.empty_like(X)
+    for i, s in enumerate(grid.nodes):
+        U[:, i, :] = drift_eval(s, X[:, i, :])[:d]
+    scale = weights.head_array(d) * np.array(
+        [kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
+    U /= -scale[:, None, None]
+    return ShiftProcess(grid, U)
 
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    phi_id: str
-    t: float
-    d: int
-    eps: float
-    estimate: float
-    stderr: float
-    n_paths: int
-    seed: int
+    """(estimate, standard error) per functional id, all priced on one
+    weighted sample, with that sample's mean weight and ESS fraction."""
+
+    estimates: dict
     mean_weight: float
     ess_fraction: float
 
@@ -180,91 +227,54 @@ class EstimatorResult:
     def low_ess(self) -> bool:
         return self.ess_fraction < LOW_ESS_FRACTION
 
-    def to_row(self) -> dict:
-        return {
-            "phi_id": self.phi_id, "t": self.t, "d": self.d, "eps": self.eps,
-            "estimate": self.estimate, "stderr": self.stderr,
-            "n_paths": self.n_paths, "seed": self.seed,
-        }
-
 
 def _node_index(grid: TimeGrid, t: float) -> int:
-    idx = int(round(t / grid.step))
+    idx = int(round(t / grid.step)) if math.isfinite(t) else -1
     if not (0 <= idx <= grid.n_cells) or abs(idx * grid.step - t) > 1e-9 * max(1.0, t):
         raise DomainError(f"evaluation time {t} is not a grid node")
     return idx
 
 
-def weak_solution_estimator(spec: drift_mod.DriftSpec, phi, x, t: float,
+def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
                             hursts: HurstSequence, weights: WeightSequence,
-                            d: int, grid: TimeGrid, n_paths: int, seed: int,
-                            phi_id: str = "phi", eps: float = float("nan"),
+                            d: int, grid: TimeGrid, n_paths: int, seed,
                             block_size: int = DEFAULT_BLOCK_SIZE,
                             drift_eval=None) -> EstimatorResult:
-    """Estimate the mean of phi at time t for the drifted process by
-    reweighting driftless samples.
+    """Estimate the mean at time t of each functional in ``phi_ids`` for the
+    drifted process by reweighting one sample of driftless paths.
 
     Paths of x + ensemble are drawn under the base measure; each path gets
-    the stochastic-exponential weight whose shift is
-    -b_k(s, x + path)/(lambda_k * kernel_fractional_norm(H_k)): the kernel
-    normalization makes the discrete measure change reproduce the drift b
-    exactly, cell by cell.  Returns the weighted average, its standard error,
-    and the effective-sample-size fraction (flagged when below 10%).
+    the stochastic-exponential weight of :func:`drift_shift`.  Returns the
+    weighted average and standard error per functional, the mean weight and
+    the effective-sample-size fraction (flagged when below 10%).
     """
-    if isinstance(phi, str):
-        phi_id = phi
-        phi = make_functional(phi)
+    phis = {phi_id: make_functional(phi_id) for phi_id in phi_ids}
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) < d:
         x = np.concatenate([x, np.zeros(d - len(x))])
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else (
-        lambda tt, yy: drift_mod.evaluate(spec, tt, yy)[:d])
+        lambda tt, yy: drift_mod.evaluate(spec, tt, yy))
     # reject components whose shift b_k / lambda_k is undefined
     probe = eval_fn(0.0, np.zeros((d, 1)))
     for k in range(d):
         if lam[k] == 0.0 and (spec.c_bounds[k] > 0 or abs(float(probe[k])) > 0):
             raise DomainError(f"component {k + 1} has zero weight but non-zero drift")
     idx_t = _node_index(grid, t)
-    norm = np.array([kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
-    inv_mats = [kh_inverse_matrix(hursts.value(k + 1), grid) for k in range(d)]
-    nodes = grid.nodes
-    h = grid.step
-
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seed_label = int(seed) if isinstance(seed, (int, np.integer)) else -1
-    n_blocks = (n_paths + block_size - 1) // block_size
-    children = ss.spawn(n_blocks)
-    sum_g = 0.0
-    sum_g2 = 0.0
-    sum_w = 0.0
-    sum_w2 = 0.0
-    done = 0
-    for blk in range(n_blocks):
-        m = min(block_size, n_paths - done)
-        ens = sample_cyl_fbm(hursts, weights, d, grid, m, children[blk],
+    moments = {phi_id: RunningMoments() for phi_id in phis}
+    weight_moments = RunningMoments()
+    for m, block_seed in mc_blocks(n_paths, seed, block_size):
+        ens = sample_cyl_fbm(hursts, weights, d, grid, m, block_seed,
                              method="kernel", keep_increments=True)
-        X = x[:d, None, None] + ens.values  # (d, nodes, m)
-        log_w = np.zeros(m)
-        for k in range(d):
-            U = np.empty((grid.n_nodes, m))
-            for i in range(grid.n_nodes):
-                U[i] = eval_fn(nodes[i], X[:, i, :])[k]
-            u_eff = -U / (lam[k] * norm[k])
-            v = inv_mats[k] @ u_eff
-            dW = ens.increments[k].values
-            log_w += -np.einsum("jp,pj->p", v[:-1], dW) - 0.5 * np.sum(v[:-1] ** 2, axis=0) * h
-        w = np.exp(log_w)
-        g = phi(X[:, idx_t, :]) * w
-        sum_g += float(np.sum(g))
-        sum_g2 += float(np.sum(g * g))
-        sum_w += float(np.sum(w))
-        sum_w2 += float(np.sum(w * w))
-        done += m
-    est = sum_g / n_paths
-    var = max(sum_g2 / n_paths - est ** 2, 0.0)
-    stderr = math.sqrt(var / n_paths)
+        X = ens.values
+        X += x[:d, None, None]  # in place: a second (d, nodes, paths) array raises peak memory
+        shift = drift_shift(eval_fn, X, hursts, weights, grid)
+        w = stochastic_exponential(shift, ens.increments, hursts).values
+        weight_moments.add(w)
+        for phi_id, phi in phis.items():
+            moments[phi_id].add(phi(X[:, idx_t, :]) * w)
+    sum_w, sum_w2 = weight_moments.sum, weight_moments.sum_sq
     ess = (sum_w ** 2 / sum_w2) / n_paths if sum_w2 > 0 else 0.0
-    return EstimatorResult(phi_id=phi_id, t=t, d=d, eps=eps, estimate=est,
-                           stderr=stderr, n_paths=n_paths, seed=seed_label,
-                           mean_weight=sum_w / n_paths, ess_fraction=ess)
+    return EstimatorResult(
+        estimates={phi_id: (mom.mean, mom.stderr) for phi_id, mom in moments.items()},
+        mean_weight=weight_moments.mean, ess_fraction=ess)

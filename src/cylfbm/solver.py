@@ -4,7 +4,9 @@ Fixed-point (Picard) iteration exploits the additive noise: every iterate is
 exact in the noise, only the drift time integral is discretized.  The
 derivative of the solution map with respect to each driving component solves
 a linear integral equation forward in time; a Cameron-Martin bump re-solve
-validates it by finite differences.
+validates it by finite differences.  The convergence experiment solves in the
+blocks of :func:`cylfbm.girsanov.mc_blocks` and prices every functional's
+reweighting target on one sample.
 """
 
 from __future__ import annotations
@@ -34,49 +36,6 @@ class PicardConvergenceError(RuntimeError):
     def __init__(self, message: str, residuals):
         super().__init__(message)
         self.residuals = tuple(residuals)
-
-
-@dataclass(frozen=True)
-class PicardState:
-    """One iterate: index, current paths, and the residual history so far."""
-
-    iterate_index: int
-    paths: np.ndarray
-    residuals: tuple
-
-
-def picard_states(drift, x, noise: CylEnsemble, n_iterations: int,
-                  drift_rule: str = "trapezoid"):
-    """Yield the fixed-point iterates one by one for diagnostics.
-
-    The final state's paths coincide with a fixed-count solve; the residual
-    history is what :func:`picard_residual_curve` consumes.
-    """
-    fn = _drift_callable(drift)
-    grid = noise.grid
-    nodes = grid.nodes
-    h = grid.step
-    d, n_nodes, m = noise.values.shape
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) < d:
-        x = np.concatenate([x, np.zeros(d - len(x))])
-    base = x[:d, None, None] + noise.values
-    Y = base.copy()
-    residuals = []
-    for it in range(1, n_iterations + 1):
-        F = np.empty_like(Y)
-        for i in range(n_nodes):
-            F[:, i, :] = fn(nodes[i], Y[:, i, :])
-        integral = np.zeros_like(Y)
-        if drift_rule == "trapezoid":
-            integral[:, 1:, :] = np.cumsum(0.5 * h * (F[:, 1:, :] + F[:, :-1, :]), axis=1)
-        else:
-            integral[:, 1:, :] = np.cumsum(h * F[:, :-1, :], axis=1)
-        Ynew = base + integral
-        residuals.append(float(np.max(np.sqrt(
-            np.mean(np.sum((Ynew - Y) ** 2, axis=0), axis=-1)))))
-        Y = Ynew
-        yield PicardState(iterate_index=it, paths=Y, residuals=tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -195,18 +154,14 @@ class ResidualDiagnostics:
 def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
     """Fit the residual sequence against rate^n t^n / n! and report the decay trend.
 
-    ``history`` is a residual sequence, a solved ensemble, or an iterate
-    sequence from :func:`picard_states`.  ``super_geometric`` records whether
-    the consecutive-ratio sequence trends downward over the available range.
+    ``history`` is a residual sequence or a solved ensemble (a fixed-count
+    solve with ``exact_iterations`` keeps every residual).  ``super_geometric``
+    records whether the consecutive-ratio sequence trends downward over the
+    available range.
     """
     if isinstance(history, SolutionEnsemble):
-        residuals = history.residuals
-    elif history and isinstance(history[-1] if hasattr(history, "__getitem__")
-                                else None, PicardState):
-        residuals = history[-1].residuals
-    else:
-        residuals = history
-    residuals = tuple(float(r) for r in residuals)
+        history = history.residuals
+    residuals = tuple(float(r) for r in history)
     if len(residuals) < 3:
         raise DomainError("need at least three residuals to analyse decay")
     pos = [(n + 1, r) for n, r in enumerate(residuals) if r > 0.0]
@@ -406,52 +361,39 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     For each (truncation level, smoothing width) the smoothed drift is solved
     on the full representable space (missing components keep their noise but
     lose their drift) and the mean of each functional is compared with the
-    reweighting estimator at the largest representable level.  Rows report
-    value, target, their standard errors, and the gap, per functional; no
-    averaging across functionals.
+    reweighting estimator at the largest representable level; all targets
+    come from one weighted sample.  Returns the rows (value, target, their
+    standard errors and the gap, per functional; no averaging across
+    functionals) and the target's :class:`~cylfbm.girsanov.EstimatorResult`.
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) < d_ref:
         x = np.concatenate([x, np.zeros(d_ref - len(x))])
-    ss = np.random.SeedSequence(seed)
-    target_seed, run_seed = ss.spawn(2)
-    targets = {}
-    for phi_id in phi_ids:
-        targets[phi_id] = girsanov_mod.weak_solution_estimator(
-            spec, phi_id, x, t, hursts, weights, d_ref, grid, n_paths,
-            target_seed, block_size=block_size)
-    idx_t = int(round(t / grid.step))
+    target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
+    target = girsanov_mod.weak_solution_estimator(
+        spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,
+        target_seed, block_size=block_size)
+    idx_t = girsanov_mod._node_index(grid, t)
+    phis = {phi_id: girsanov_mod.make_functional(phi_id) for phi_id in phi_ids}
     rows = []
-    run_children = run_seed.spawn(len(schedule))
-    for run_i, (dd, ee) in enumerate(schedule):
-        md = mollify(spec, dd, ee)
-        padded = _pad_drift(md, d_ref)
-        n_blocks = (n_paths + block_size - 1) // block_size
-        blocks = run_children[run_i].spawn(n_blocks)
-        acc = {phi_id: [0.0, 0.0] for phi_id in phi_ids}
-        done = 0
-        for blk in range(n_blocks):
-            mny = min(block_size, n_paths - done)
-            noise = sample_cyl_fbm(hursts, weights, d_ref, grid, mny, blocks[blk],
+    for (dd, ee), point_seed in zip(schedule, run_seed.spawn(len(schedule))):
+        padded = _pad_drift(mollify(spec, dd, ee), d_ref)
+        moments = {phi_id: girsanov_mod.RunningMoments() for phi_id in phis}
+        for m, block_seed in girsanov_mod.mc_blocks(n_paths, point_seed, block_size):
+            noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                    method="kernel")
             sol = picard_solve(padded, x, noise, tol=tol, max_iter=120)
-            for phi_id in phi_ids:
-                phi = girsanov_mod.make_functional(phi_id)
-                g = phi(sol.paths[:, idx_t, :])
-                acc[phi_id][0] += float(np.sum(g))
-                acc[phi_id][1] += float(np.sum(g * g))
-            done += mny
+            for phi_id, phi in phis.items():
+                moments[phi_id].add(phi(sol.paths[:, idx_t, :]))
         for phi_id in phi_ids:
-            sg, sg2 = acc[phi_id]
-            val = sg / n_paths
-            se = math.sqrt(max(sg2 / n_paths - val ** 2, 0.0) / n_paths)
-            tgt = targets[phi_id]
+            val, se = moments[phi_id].mean, moments[phi_id].stderr
+            tgt, tgt_se = target.estimates[phi_id]
             rows.append({
                 "d": dd, "eps": ee, "t": t, "phi_id": phi_id,
                 "value": val, "stderr": se,
-                "target": tgt.estimate, "target_stderr": tgt.stderr,
-                "gap": val - tgt.estimate,
+                "target": tgt, "target_stderr": tgt_se,
+                "gap": val - tgt,
             })
-    return rows
+    return rows, target

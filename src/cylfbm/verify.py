@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -623,7 +622,6 @@ def haar_coefficients(cell_values: np.ndarray) -> tuple:
         detail = 2 ** (lev / 2.0) * (a - b) * cellw
         details.append(detail)
         current = 0.5 * (a + b)
-        del cellw
     details.reverse()
     c0 = float(current[0])
     return c0, details
@@ -761,9 +759,8 @@ def _random_psd(rng, n: int) -> np.ndarray:
     return A @ A.T + 0.1 * np.eye(n)
 
 
-def run_all(seed: int = 0, threads: int = 1) -> list:
-    """Run the standard battery; deterministic given the seed, and aggregated
-    in a fixed order regardless of the worker count."""
+def run_all(seed: int = 0) -> list:
+    """Run the standard battery in a fixed order; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     poly_coeffs = rng.uniform(-1, 1, size=(3, 3))
 
@@ -791,12 +788,7 @@ def run_all(seed: int = 0, threads: int = 1) -> list:
             0.3, 2 ** 14, lambda z: np.exp(-0.5 * (z - 0.2) ** 2), 0.0, 1.0,
             bins=256, seed=seed + 11),
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        results = [fn() for fn in tasks]
-    return results
+    return [fn() for fn in tasks]
 
 
 def haar_random_battery(seed: int, count: int = 20,

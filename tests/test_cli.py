@@ -9,6 +9,12 @@ def read_body(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
 
 
+def read_header(path):
+    """The ``# key: value`` comment lines as a mapping."""
+    return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
+                if ln.startswith("# "))
+
+
 class TestConfigSchema:
     def test_mentions_sup_constraint(self):
         text = cli.config_schema()
@@ -54,15 +60,38 @@ class TestRunBasics:
         assert all(ln.endswith(cfg.config_hash()) for ln in body[1:])
 
     def test_identical_configs_identical_bodies(self, tmp_path):
-        params = {"command": "girsanov", "mc": {"n_paths": 400, "seed": 9},
-                  "grid": {"n_cells": 16}, "d": 2, "phis": ["coordinate:1"]}
+        cfg = cli.load_config({"command": "girsanov", "mc": {"n_paths": 400, "seed": 9},
+                               "grid": {"n_cells": 16}, "d": 2, "phis": ["coordinate:1"]})
         bodies = []
-        for i, threads in enumerate((1, 4)):
-            cfg = cli.load_config({**params, "threads": threads})
+        for i in range(2):
             out = tmp_path / f"run{i}"
             assert cli.run(cfg, out_dir=out) == cli.EXIT_OK
             bodies.append(read_body(out / "results.csv"))
-        assert bodies[0] == bodies[1]  # byte-identical regardless of workers
+        assert bodies[0] == bodies[1]  # byte-identical across reruns
+        header = read_header(tmp_path / "run0" / "results.csv")
+        assert set(header) == {"config_hash", "ess_fraction", "mean_weight", "seed",
+                               "timestamp"}
+        assert 0.0 < float(header["ess_fraction"]) <= 1.0
+        assert float(header["mean_weight"]) > 0.0
+        assert header["config_hash"] == cfg.config_hash()
+
+    @pytest.mark.parametrize("params, field", [
+        ({"command": "girsanov", "phis": ["coordinate:0"]}, "phis"),
+        ({"command": "solve", "t_eval": 0.51}, "t_eval"),
+        ({"command": "girsanov", "d": 1, "phis": ["coordinate:2"]}, "phis"),
+        ({"command": "girsanov", "phis": ["coordinate:x"]}, "phis"),
+        ({"command": "solve", "t_eval": 3.0}, "t_eval"),
+        ({"command": "converge", "schedule": [[1, 0.1], [2, 0.05]],
+          "phis": ["coordinate:3"]}, "phis"),
+    ])
+    def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text(yaml.safe_dump({"mc": {"n_paths": 100}, "grid": {"n_cells": 16},
+                                            **params}))
+        rc = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config key {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solve_command(self, tmp_path):
         cfg = cli.load_config({"command": "solve", "mc": {"n_paths": 300, "seed": 5},
@@ -137,6 +166,9 @@ class TestConvergePlotData:
                                "schedule": [[1, 0.2], [2, 0.1], [2, 0.05]],
                                "phis": ["coordinate:1"]})
         assert cli.run(cfg, out_dir=tmp_path) == cli.EXIT_OK
+        header = read_header(tmp_path / "results.csv")
+        assert 0.0 < float(header["ess_fraction"]) <= 1.0  # of the target's sample
+        assert float(header["mean_weight"]) > 0.0
         files = sorted(p.name for p in (tmp_path / "plotdata").iterdir())
         assert files == ["gap_d1_coordinate_1.dat", "gap_d2_coordinate_1.dat"]
         two = (tmp_path / "plotdata" / "gap_d2_coordinate_1.dat").read_text()

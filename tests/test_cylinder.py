@@ -173,16 +173,3 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "component,node,time,path,value"
         assert len(lines) == 1 + 2 * 17 * 3
-
-
-class TestBasisMaps:
-    def test_change_of_basis_is_coordinate_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(cylinder.change_of_basis(x), x)
-        assert np.array_equal(
-            cylinder.change_of_basis_inverse(cylinder.change_of_basis(x)), x)
-
-    def test_truncation_operator(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = cylinder.truncate_vector(x, 2)
-        assert np.array_equal(out, [1.0, 2.0, 0.0, 0.0])

@@ -17,12 +17,12 @@ def model(sequences):
 class TestShiftToWiener:
     def test_zero(self, grid64):
         u = fraccalc.GridFunction(grid64, np.zeros(grid64.n_nodes))
-        assert np.all(girsanov.shift_to_wiener(0.1, u).values == 0.0)
+        assert np.all(fraccalc.kh_inverse_ac(0.1, u).values == 0.0)
 
     def test_constant_profile(self, grid64):
         H, c = 0.1, 0.7
         u = fraccalc.GridFunction(grid64, np.full(grid64.n_nodes, c))
-        out = girsanov.shift_to_wiener(H, u).values
+        out = fraccalc.kh_inverse_ac(H, u).values
         exact = c * grid64.nodes ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
             / special.gamma(0.5 - H)
         assert np.max(np.abs(out - exact)) < 1e-12
@@ -32,7 +32,7 @@ class TestShiftToWiener:
         rng = np.random.default_rng(0)
         u = fraccalc.GridFunction(grid64, np.clip(rng.standard_normal(grid64.n_nodes),
                                                   -cap, cap))
-        out = girsanov.shift_to_wiener(H, u).values
+        out = fraccalc.kh_inverse_ac(H, u).values
         const = grid64.t_end ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
             / special.gamma(0.5 - H)
         assert np.max(np.abs(out)) <= cap * const + 1e-12
@@ -136,13 +136,13 @@ class TestWeakSolutionEstimator:
         hs, ws = sequences
         spec = drift.zero_drift(ws, 2)
         x = np.array([0.2, -0.1])
-        res = girsanov.weak_solution_estimator(spec, "coordinate:1", x, 1.0,
+        res = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                hs, ws, 2, grid64, 2000, seed=19)
         ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 2000,
                                       np.random.SeedSequence(19).spawn(1)[0],
                                       method="kernel", keep_increments=True)
         plain = float(np.mean(x[0] + ens.values[0, -1, :]))
-        assert res.estimate == pytest.approx(plain, abs=1e-14)
+        assert res.estimates["coordinate:1"][0] == pytest.approx(plain, abs=1e-14)
         assert res.mean_weight == 1.0
 
     def test_constant_drift_oracle(self, sequences, grid128):
@@ -150,9 +150,10 @@ class TestWeakSolutionEstimator:
         c = 0.2
         spec = drift.constant_drift([c, 0.0], ws)
         x = np.array([0.1, 0.0])
-        res = girsanov.weak_solution_estimator(spec, "coordinate:1", x, 1.0,
+        res = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                hs, ws, 2, grid128, 40_000, seed=23)
-        assert abs(res.estimate - (x[0] + c)) < 3 * res.stderr
+        est, se = res.estimates["coordinate:1"]
+        assert abs(est - (x[0] + c)) < 3 * se
         assert res.ess_fraction > 0.5
         assert not res.low_ess
 
@@ -161,24 +162,61 @@ class TestWeakSolutionEstimator:
         ws = cylinder.WeightSequence(heads=(0.5, 0.0), tail_ratio=0.0)
         spec = drift.constant_drift([0.1, 0.1], cylinder.WeightSequence.geometric(0.5, 0.5, 2))
         with pytest.raises(fbm.DomainError):
-            girsanov.weak_solution_estimator(spec, "coordinate:1", [0.0, 0.0], 1.0,
+            girsanov.weak_solution_estimator(spec, ["coordinate:1"], [0.0, 0.0], 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)
 
     def test_monte_carlo_rate(self, model, grid64):
         hs, ws, spec = model
         x = np.zeros(2)
-        small = girsanov.weak_solution_estimator(spec, "coordinate:1", x, 1.0,
+        small = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                  hs, ws, 2, grid64, 4000, seed=29)
-        big = girsanov.weak_solution_estimator(spec, "coordinate:1", x, 1.0,
+        big = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                hs, ws, 2, grid64, 16000, seed=31)
-        ratio = small.stderr / big.stderr
+        ratio = small.estimates["coordinate:1"][1] / big.estimates["coordinate:1"][1]
         assert abs(ratio - 2.0) < 0.6  # halving the error costs 4x the paths
 
     def test_off_grid_time_rejected(self, model, grid64):
         hs, ws, spec = model
         with pytest.raises(fbm.DomainError):
-            girsanov.weak_solution_estimator(spec, "coordinate:1", np.zeros(2), 0.513,
+            girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(2), 0.513,
                                              hs, ws, 2, grid64, 200, seed=1)
+
+    def test_one_seed_one_sample(self, model, grid64):
+        # a SeedSequence names one sample however often it is used, and
+        # functionals priced together equal functionals priced one by one
+        hs, ws, spec = model
+        x = np.zeros(2)
+        args = (x, 1.0, hs, ws, 2, grid64, 3000)
+        phi_ids = ["coordinate:2", "clipped_norm:2"]
+        ss = np.random.SeedSequence(37)
+        first = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss, block_size=1000)
+        again = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss, block_size=1000)
+        assert first == again
+        joint = girsanov.weak_solution_estimator(spec, phi_ids, *args, 37)
+        for phi_id in phi_ids:
+            alone = girsanov.weak_solution_estimator(spec, [phi_id], *args, 37)
+            assert alone.estimates[phi_id] == joint.estimates[phi_id]
+            assert (alone.mean_weight, alone.ess_fraction) == \
+                (joint.mean_weight, joint.ess_fraction)
+
+
+class TestMonteCarloBlocks:
+    def test_blocks_are_first_spawn_children(self):
+        ss = np.random.SeedSequence(41)
+        blocks = list(girsanov.mc_blocks(2500, ss, 1000))
+        assert [m for m, _ in blocks] == [1000, 1000, 500]
+        children = np.random.SeedSequence(41).spawn(3)
+        for (_, blk), child in zip(blocks, children):
+            assert blk.generate_state(4).tolist() == child.generate_state(4).tolist()
+        assert ss.n_children_spawned == 0
+
+    def test_running_moments_match_numpy(self):
+        values = np.random.default_rng(5).standard_normal(1000)
+        mom = girsanov.RunningMoments()
+        for chunk in np.split(values, 4):
+            mom.add(chunk)
+        assert mom.mean == pytest.approx(np.mean(values), abs=1e-14)
+        assert mom.stderr == pytest.approx(np.std(values) / math.sqrt(1000), rel=1e-12)
 
 
 class TestFunctionals:
@@ -196,6 +234,12 @@ class TestFunctionals:
         with pytest.raises(fbm.DomainError):
             girsanov.make_functional("nope:1")
 
+    @pytest.mark.parametrize("phi_id", ["coordinate:0", "coordinate:-1", "coordinate:x",
+                                        "clipped_norm:big"])
+    def test_bad_argument_rejected(self, phi_id):
+        with pytest.raises(fbm.DomainError):
+            girsanov.make_functional(phi_id)
+
 
 class TestWeightsAcrossGrid:
     def test_unit_mean_at_interior_times(self, sequences):
@@ -207,14 +251,8 @@ class TestWeightsAcrossGrid:
             grid_t = fbm.TimeGrid(cells / 64.0, cells)
             ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid_t, n, seed=43,
                                           method="kernel", keep_increments=True)
-            X = ens.values
-            lam = ws.head_array(2)
-            norm = np.array([fbm.kernel_fractional_norm(hs.value(k + 1))
-                             for k in range(2)])
-            U = np.empty((2, grid_t.n_nodes, n))
-            for i in range(grid_t.n_nodes):
-                U[:, i, :] = drift.evaluate(spec, grid_t.nodes[i], X[:, i, :])[:2]
-            shifts = girsanov.ShiftProcess(grid_t, -U / (lam * norm)[:, None, None])
+            shifts = girsanov.drift_shift(lambda t, y: drift.evaluate(spec, t, y),
+                                          ens.values, hs, ws, grid_t)
             w = girsanov.stochastic_exponential(shifts, ens.increments, hs).values
             assert np.all(w > 0)
             se = np.std(w, ddof=1) / math.sqrt(n)

@@ -126,6 +126,15 @@ class TestResidualCurve:
         with pytest.raises(fbm.DomainError):
             solver.picard_residual_curve([0.1, 0.01], 1.0)
 
+    def test_fixed_count_solve_history(self, jump_md, noise2):
+        # a fixed-count solve keeps every residual, so the curve reads the
+        # ensemble and its residual sequence alike
+        sol = solver.picard_solve(jump_md, np.zeros(2), noise2, exact_iterations=6)
+        assert sol.iterations_used == 6 and len(sol.residuals) == 6
+        diag = solver.picard_residual_curve(sol, noise2.grid.t_end)
+        assert diag.residuals == sol.residuals
+        assert diag == solver.picard_residual_curve(sol.residuals, noise2.grid.t_end)
+
 
 class TestMalliavinDerivative:
     def test_zero_drift_is_weighted_kernel_column(self, sequences, grid64):
@@ -278,7 +287,7 @@ class TestConvergeExperiment:
     def test_rows_shape_and_reporting(self, sequences, grid64):
         hs, ws = sequences
         spec = drift.indicator_exponential_family(ws, 4)
-        rows = solver.converge_experiment(
+        rows, target = solver.converge_experiment(
             spec, [(1, 0.2), (2, 0.1)], 1.0, ["coordinate:1", "clipped_norm:2"],
             hs, ws, grid64, np.zeros(4), 2000, seed=31)
         assert len(rows) == 4  # one row per (schedule point, functional)
@@ -286,6 +295,8 @@ class TestConvergeExperiment:
             assert set(row) == {"d", "eps", "t", "phi_id", "value", "stderr",
                                 "target", "target_stderr", "gap"}
             assert row["gap"] == pytest.approx(row["value"] - row["target"])
+            assert (row["target"], row["target_stderr"]) == target.estimates[row["phi_id"]]
+        assert 0.0 < target.ess_fraction <= 1.0
 
 
 class TestConvergeSmoothDrift:
@@ -294,20 +305,9 @@ class TestConvergeSmoothDrift:
         # reproduces the target up to Monte Carlo noise
         hs, ws = sequences
         spec = drift.indicator_exponential_family(ws, 2, a=0.6, b=0.6)
-        rows = solver.converge_experiment(
+        rows, _ = solver.converge_experiment(
             spec, [(2, 0.05)], 1.0, ["coordinate:1"], hs, ws, grid64,
             np.zeros(2), 20_000, seed=47)
         row = rows[0]
         comb = np.hypot(row["stderr"], row["target_stderr"])
         assert abs(row["gap"]) < 3 * comb
-
-
-class TestPicardStates:
-    def test_iterates_match_fixed_count_solve(self, jump_md, noise2):
-        states = list(solver.picard_states(jump_md, np.zeros(2), noise2, 6))
-        assert [s.iterate_index for s in states] == [1, 2, 3, 4, 5, 6]
-        sol = solver.picard_solve(jump_md, np.zeros(2), noise2, exact_iterations=6)
-        assert np.array_equal(states[-1].paths, sol.paths)
-        assert states[-1].residuals == sol.residuals
-        diag = solver.picard_residual_curve(states, noise2.grid.t_end)
-        assert diag.residuals == sol.residuals
