@@ -1,6 +1,7 @@
 """Weighted cylindrical fractional Brownian motion at low Hurst indices:
-sampling, fractional calculus, measure-change estimators, Picard solvers
-with stochastic-derivative validation, and a numerical lemma-check suite.
+sampling, fractional calculus, measure-change estimators, a forward-sweep
+strong solver with stochastic-derivative validation, and a numerical
+lemma-check suite.
 """
 
 from . import cli, cylinder, drift, fbm, fraccalc, girsanov, solver, verify

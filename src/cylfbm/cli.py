@@ -5,8 +5,9 @@ Configuration is a single YAML document (reproducibility lives in one
 artifact); the only environment override is the output directory.  CSV bodies
 use fixed 17-significant-digit formatting so identical configurations diff
 byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
-fraction and mean weight) appear only in comment headers.  Functionals and the
-evaluation time are checked when the configuration loads.
+fraction, mean weight and low-ESS flag) appear only in comment headers.
+Functionals, the evaluation time and the initial point are checked when the
+configuration loads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -169,9 +171,20 @@ def load_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"config key grid.n_cells: must be at least {MIN_CELLS}")
     if entries["mc.n_paths"] < MIN_PATHS:
         raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
+    _check_x0(entries["x0"])
     if entries["command"] in ("solve", "girsanov", "converge"):
         _check_evaluation(entries)
     return RunConfig(entries=entries)
+
+
+def _check_x0(x0: list) -> None:
+    """Every coordinate of the initial point must be a finite number."""
+    try:
+        ok = all(math.isfinite(float(v)) for v in x0)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"config key x0: expected a list of finite numbers, got {x0!r}")
 
 
 def _check_evaluation(entries: dict) -> None:
@@ -344,7 +357,8 @@ def _cmd_girsanov(cfg: RunConfig) -> ResultTable:
 
 def _sample_provenance(res: girsanov.EstimatorResult) -> dict:
     """Header lines on the reliability of a weighted sample."""
-    return {"ess_fraction": res.ess_fraction, "mean_weight": res.mean_weight}
+    return {"ess_fraction": res.ess_fraction, "mean_weight": res.mean_weight,
+            "low_ess": res.low_ess}
 
 
 def _cmd_converge(cfg: RunConfig) -> ResultTable:

@@ -1,12 +1,18 @@
 """Strong solver on the truncated space and its stochastic-derivative checks.
 
-Fixed-point (Picard) iteration exploits the additive noise: every iterate is
-exact in the noise, only the drift time integral is discretized.  The
-derivative of the solution map with respect to each driving component solves
-a linear integral equation forward in time; a Cameron-Martin bump re-solve
-validates it by finite differences.  The convergence experiment solves in the
-blocks of :func:`cylfbm.girsanov.mc_blocks` and prices every functional's
-reweighting target on one sample.
+The additive noise enters exactly; only the drift time integral is
+discretized, and the trapezoid system this gives is lower-triangular in time.
+:func:`picard_solve` therefore solves it by a causal forward sweep: at each
+node a local fixed point, started from an explicit predictor, is iterated to
+tolerance before the sweep moves on (the left rule is explicit).  Global
+Picard iteration over the whole grid survives only as the contraction
+diagnostic :func:`picard_iterates`, whose residual history
+:func:`picard_residual_curve` fits.  The derivative of the solution map with
+respect to each driving component solves a linear integral equation forward
+in time; a Cameron-Martin bump re-solve validates it by finite differences.
+The convergence experiment solves in the blocks of
+:func:`cylfbm.girsanov.mc_blocks` and prices every functional's reweighting
+target on one sample.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .fbm import (
 
 
 class PicardConvergenceError(RuntimeError):
-    """Iteration hit the cap above tolerance; carries the residual history."""
+    """Iteration hit the cap above tolerance; carries the residual history
+    (of the failing node for the sweep, of the sweeps for the global iterates)."""
 
     def __init__(self, message: str, residuals):
         super().__init__(message)
@@ -43,6 +50,9 @@ class SolutionEnsemble:
     """Converged pathwise solution with its generating data.
 
     ``paths`` has shape (d, n_nodes, n_paths) and starts at x exactly.
+    ``residuals`` holds the last local update at each node after the first
+    for :func:`picard_solve`, and the update of every sweep for
+    :func:`picard_iterates`.
     """
 
     paths: np.ndarray
@@ -86,57 +96,116 @@ def _drift_callable(drift):
     raise DomainError("drift must be a MollifiedDrift or a callable (t, states) -> rows")
 
 
-def picard_solve(drift, x, noise: CylEnsemble, tol: float = 1e-9,
-                 max_iter: int = 40, drift_rule: str = "trapezoid",
-                 initial: str = "noise",
-                 exact_iterations: int | None = None) -> SolutionEnsemble:
-    """Iterate Y <- x + time-integral of drift(Y) + noise until the sup-over-grid
-    L2 residual between iterates drops below tol.
-
-    The drift time integral uses the trapezoid rule (a left-endpoint rule is
-    available for diagnosis).  ``initial`` picks the starting iterate:
-    "noise" starts from x + noise, "flat" from the constant x.  With
-    ``exact_iterations`` the loop runs that exact count and skips the
-    tolerance check (each iterate is causal in the noise, so fixed-count runs
-    are prefix-comparable across truncated inputs).
-    """
-    if drift_rule not in ("trapezoid", "left"):
-        raise DomainError(f"unknown drift rule {drift_rule!r}")
+def _prepare(drift, x, noise: CylEnsemble):
+    """The drift as a callable and the start point padded (or cut) to the
+    noise dimension; a smoothed drift must have a finite Lipschitz estimate."""
     if isinstance(drift, MollifiedDrift):
         L, M, _ = lipschitz_estimate(drift)
         if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
             raise DomainError("drift Lipschitz estimate is not finite")
-    fn = _drift_callable(drift)
-    grid = noise.grid
-    nodes = grid.nodes
-    h = grid.step
-    d, n_nodes, m = noise.values.shape
+    d = noise.values.shape[0]
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) < d:
         x = np.concatenate([x, np.zeros(d - len(x))])
-    xcol = x[:d, None, None]
-    base = xcol + noise.values
-    Y = base.copy() if initial == "noise" else np.broadcast_to(xcol, base.shape).copy()
+    return _drift_callable(drift), x[:d]
+
+
+def _rms(diff: np.ndarray) -> np.ndarray:
+    """Root mean square over paths (last axis) of the state norm (first axis)."""
+    return np.sqrt(np.mean(np.sum(diff ** 2, axis=0), axis=-1))
+
+
+def picard_solve(drift, x, noise: CylEnsemble, tol: float = 1e-9,
+                 max_iter: int = 40, drift_rule: str = "trapezoid") -> SolutionEnsemble:
+    """Solve Y_i = x + B_i + (drift time integral of Y up to t_i) node by node.
+
+    The discrete system is lower-triangular in time.  With the trapezoid rule
+    node i needs Y_i = r_i + h/2 F(t_i, Y_i), where r_i = x + B_i + S_{i-1}
+    + h/2 F_{i-1} and S_{i-1} is the drift integral up to node i-1; starting
+    from the explicit predictor r_i + h/2 F_{i-1}, the local fixed point is
+    iterated until the update's RMS over paths is at most ``tol``.  The left
+    rule is explicit: one drift evaluation per node.  ``iterations_used`` is
+    the largest local iteration count, ``residuals`` the last local update
+    at each node after the first and ``final_residual`` their maximum.
+    """
+    if drift_rule not in ("trapezoid", "left"):
+        raise DomainError(f"unknown drift rule {drift_rule!r}")
+    fn, x = _prepare(drift, x, noise)
+    nodes = noise.grid.nodes
+    h = noise.grid.step
+    xcol = x[:, None]
+    paths = np.empty_like(noise.values)
+    y = xcol + noise.values[:, 0, :]
+    paths[:, 0, :] = y
+    f_prev = fn(nodes[0], y)
+    integral = np.zeros_like(y)  # S_{i-1}
+    last, most = [], 1
+    for i in range(1, len(nodes)):
+        if drift_rule == "left":
+            integral = integral + h * f_prev
+            y = xcol + noise.values[:, i, :] + integral
+            f_prev = fn(nodes[i], y)
+            paths[:, i, :] = y
+            last.append(0.0)
+            continue
+        r = xcol + noise.values[:, i, :] + integral + 0.5 * h * f_prev
+        y = r + 0.5 * h * f_prev
+        history = []
+        while True:
+            f = fn(nodes[i], y)
+            y_new = r + 0.5 * h * f
+            history.append(float(_rms(y_new - y)))
+            y = y_new
+            if history[-1] <= tol:
+                break
+            if len(history) == max_iter:
+                raise PicardConvergenceError(
+                    f"node {i}: no convergence after {max_iter} local iterations "
+                    f"(residual {history[-1]:.3e})", history)
+        integral = integral + 0.5 * h * (f_prev + f)
+        f_prev = f
+        paths[:, i, :] = y
+        last.append(history[-1])
+        most = max(most, len(history))
+    return SolutionEnsemble(paths=paths, drift=drift, noise=noise, x0=x,
+                            iterations_used=most, final_residual=max(last, default=0.0),
+                            residuals=tuple(last), drift_rule=drift_rule, tol=tol)
+
+
+def picard_iterates(drift, x, noise: CylEnsemble, tol: float = 1e-9,
+                    max_iter: int = 40,
+                    exact_iterations: int | None = None) -> SolutionEnsemble:
+    """Global Picard iteration of the trapezoid system, kept as the
+    contraction diagnostic.
+
+    Every sweep re-evaluates the drift at all nodes of the previous iterate,
+    starting from x + noise, until the sup-over-grid RMS update is at most
+    ``tol``; with ``exact_iterations`` it runs exactly that many sweeps.
+    ``residuals`` holds the update of every sweep, the sequence
+    :func:`picard_residual_curve` fits.
+    """
+    fn, x = _prepare(drift, x, noise)
+    nodes = noise.grid.nodes
+    h = noise.grid.step
+    base = x[:, None, None] + noise.values
+    Y = base.copy()
     residuals = []
     n_iter = exact_iterations if exact_iterations is not None else max_iter
     for it in range(1, n_iter + 1):
         F = np.empty_like(Y)
-        for i in range(n_nodes):
+        for i in range(len(nodes)):
             F[:, i, :] = fn(nodes[i], Y[:, i, :])
         integral = np.zeros_like(Y)
-        if drift_rule == "trapezoid":
-            integral[:, 1:, :] = np.cumsum(0.5 * h * (F[:, 1:, :] + F[:, :-1, :]), axis=1)
-        else:
-            integral[:, 1:, :] = np.cumsum(h * F[:, :-1, :], axis=1)
+        integral[:, 1:, :] = np.cumsum(0.5 * h * (F[:, 1:, :] + F[:, :-1, :]), axis=1)
         Ynew = base + integral
-        resid = float(np.max(np.sqrt(np.mean(np.sum((Ynew - Y) ** 2, axis=0), axis=-1))))
+        resid = float(np.max(_rms(Ynew - Y)))
         residuals.append(resid)
         Y = Ynew
         done = resid <= tol if exact_iterations is None else it == n_iter
         if done:
-            return SolutionEnsemble(paths=Y, drift=drift, noise=noise, x0=x[:d],
+            return SolutionEnsemble(paths=Y, drift=drift, noise=noise, x0=x,
                                     iterations_used=it, final_residual=resid,
-                                    residuals=tuple(residuals), drift_rule=drift_rule,
+                                    residuals=tuple(residuals), drift_rule="trapezoid",
                                     tol=tol)
     raise PicardConvergenceError(
         f"no convergence after {max_iter} iterations (residual {residuals[-1]:.3e})",
@@ -154,10 +223,10 @@ class ResidualDiagnostics:
 def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
     """Fit the residual sequence against rate^n t^n / n! and report the decay trend.
 
-    ``history`` is a residual sequence or a solved ensemble (a fixed-count
-    solve with ``exact_iterations`` keeps every residual).  ``super_geometric``
-    records whether the consecutive-ratio sequence trends downward over the
-    available range.
+    ``history`` is a residual sequence or the ensemble returned by
+    :func:`picard_iterates`, which keeps the update of every sweep.
+    ``super_geometric`` records whether the consecutive-ratio sequence trends
+    downward over the available range.
     """
     if isinstance(history, SolutionEnsemble):
         history = history.residuals
@@ -195,16 +264,18 @@ def _jacobian_callable(drift, d: int):
     return grad
 
 
-def _step_linear_equation(sol: SolutionEnsemble, j0: int, lam_m: float, m_idx: int,
-                          inhom_nodes: np.ndarray | None,
-                          kernel_col: np.ndarray | None,
-                          kappa: np.ndarray | None) -> np.ndarray:
+def _step_linear_equation(sol: SolutionEnsemble, j0: int, m_idx: int, g: np.ndarray,
+                          mass: np.ndarray | None = None) -> np.ndarray:
     """Forward-solve G_i = g_i e_m + integral_s^{t_i} J(u) G_u du per path.
 
-    Two inhomogeneity modes: ``inhom_nodes`` gives bounded node values g_i
-    directly (Cameron-Martin bump profile); otherwise g_i = lam_m K(t_i, s)
-    whose singular part is integrated by the exact per-cell masses ``kappa``
-    and only the regular remainder sees the trapezoid rule.
+    ``g`` holds the inhomogeneity at the nodes after s = t_{j0}.  Writing
+    G_i = g_i e_m + R_i, the remainder R is bounded with R(s) = 0 and solves
+    R_i = Q_i + integral_s^{t_i} J(u) R_u du, where Q is the J-integral of the
+    inhomogeneity, int J(u)[:, m] g(u) du.  With ``mass`` (the exact per-cell
+    masses of a singular g, such as the weighted kernel column) Q takes each
+    cell's mass times the cell average of J[:, m]; without it Q is the
+    trapezoid rule on J[:, m] g with g(s) = 0 (a bounded bump profile).  The
+    integral of J R always takes the trapezoid rule.
     """
     grid = sol.grid
     h = grid.step
@@ -212,39 +283,27 @@ def _step_linear_equation(sol: SolutionEnsemble, j0: int, lam_m: float, m_idx: i
     jac = _jacobian_callable(sol.drift, d)
     nodes = grid.nodes
     out = np.zeros((d, n_nodes, m))
-    J_prev = jac(nodes[j0], sol.paths[:, j0, :])  # (d, d, m)
     eye = np.eye(d)[:, :, None]
-    if inhom_nodes is None:
-        # R = G - lam K(t, s) e_m; R is bounded with R(s) = 0
-        R_prev = np.zeros((d, m))
-        QK = np.zeros((d, m))
-        QR = np.zeros((d, m))
-        for i in range(j0 + 1, n_nodes):
-            J_i = jac(nodes[i], sol.paths[:, i, :])
-            col_avg = 0.5 * (J_prev[:, m_idx, :] + J_i[:, m_idx, :])
-            QK = QK + lam_m * kappa[i - j0 - 1] * col_avg
-            rhs = QK + QR + 0.5 * h * np.einsum("klp,lp->kp", J_prev, R_prev)
-            A = eye - 0.5 * h * J_i
-            R_i = np.linalg.solve(A.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
-            QR = QR + 0.5 * h * (np.einsum("klp,lp->kp", J_prev, R_prev)
-                                 + np.einsum("klp,lp->kp", J_i, R_i))
-            out[:, i, :] = R_i
-            out[m_idx, i, :] += lam_m * kernel_col[i - j0 - 1]
-            J_prev, R_prev = J_i, R_i
-    else:
-        G_prev = np.zeros((d, m))
-        Q = np.zeros((d, m))
-        for i in range(j0 + 1, n_nodes):
-            J_i = jac(nodes[i], sol.paths[:, i, :])
-            base = np.zeros((d, m))
-            base[m_idx] = inhom_nodes[i - j0 - 1]
-            rhs = base + Q + 0.5 * h * np.einsum("klp,lp->kp", J_prev, G_prev)
-            A = eye - 0.5 * h * J_i
-            G_i = np.linalg.solve(A.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
-            Q = Q + 0.5 * h * (np.einsum("klp,lp->kp", J_prev, G_prev)
-                               + np.einsum("klp,lp->kp", J_i, G_i))
-            out[:, i, :] = G_i
-            J_prev, G_prev = J_i, G_i
+    J_prev = jac(nodes[j0], sol.paths[:, j0, :])  # (d, d, m)
+    g_prev = 0.0
+    R_prev = np.zeros((d, m))
+    Q = np.zeros((d, m))
+    QR = np.zeros((d, m))
+    for i in range(j0 + 1, n_nodes):
+        J_i = jac(nodes[i], sol.paths[:, i, :])
+        g_i = g[i - j0 - 1]
+        if mass is None:
+            Q = Q + 0.5 * h * (J_prev[:, m_idx, :] * g_prev + J_i[:, m_idx, :] * g_i)
+        else:
+            Q = Q + mass[i - j0 - 1] * (0.5 * (J_prev[:, m_idx, :] + J_i[:, m_idx, :]))
+        JR_prev = np.einsum("klp,lp->kp", J_prev, R_prev)
+        rhs = Q + QR + 0.5 * h * JR_prev
+        A = eye - 0.5 * h * J_i
+        R_i = np.linalg.solve(A.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
+        QR = QR + 0.5 * h * (JR_prev + np.einsum("klp,lp->kp", J_i, R_i))
+        out[:, i, :] = R_i
+        out[m_idx, i, :] += g_i
+        J_prev, R_prev, g_prev = J_i, R_i, g_i
     return out
 
 
@@ -267,9 +326,8 @@ def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> Malliav
         raise DomainError("kernel column is undefined at time 0; pick a node >= 1")
     kernel_col = kernel_values(H_m, grid.nodes[s_index + 1 :], s)
     kappa = kernel_time_cell_integrals(H_m, s, grid, s_index)
-    values = _step_linear_equation(sol, s_index, lam_m, m - 1,
-                                   inhom_nodes=None, kernel_col=kernel_col,
-                                   kappa=kappa)
+    values = _step_linear_equation(sol, s_index, m - 1, lam_m * kernel_col,
+                                   mass=lam_m * kappa)
     return MalliavinBlock(s_index=s_index, component=m, grid=grid, values=values)
 
 
@@ -286,8 +344,7 @@ def malliavin_directional(sol: SolutionEnsemble, s_index: int, m: int,
     km = kernel_matrix(H_m, grid, "cell_average").entries
     win = slice(s_index, s_index + window_cells)
     profile = lam_m * np.sum(km[s_index:, win], axis=1) / window_cells  # nodes s_index+1..N
-    return _step_linear_equation(sol, s_index, lam_m, m - 1,
-                                 inhom_nodes=profile, kernel_col=None, kappa=None)
+    return _step_linear_equation(sol, s_index, m - 1, profile)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,8 @@ def test_criterion_06_picard_contraction():
     hs = cylinder.HurstSequence(heads=(H, H / 2), tail_ratio=0.5)
     ws = cylinder.WeightSequence(heads=(lam, lam / 2), tail_ratio=0.5)
     noise = cylinder.sample_cyl_fbm(hs, ws, 1, grid, 2000, seed=606, method="kernel")
-    sol = solver.picard_solve(lambda t, y: -theta * y, np.array([0.4]), noise,
-                              tol=1e-12, max_iter=40)
+    sol = solver.picard_iterates(lambda t, y: -theta * y, np.array([0.4]), noise,
+                                 tol=1e-12, max_iter=40)
     diag = solver.picard_residual_curve(sol.residuals, grid.t_end)
     enough = len(sol.residuals) >= 5
     bound_ok = all(r <= theta * grid.t_end * 1.1 for r in diag.ratios)

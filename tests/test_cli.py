@@ -69,9 +69,10 @@ class TestRunBasics:
             bodies.append(read_body(out / "results.csv"))
         assert bodies[0] == bodies[1]  # byte-identical across reruns
         header = read_header(tmp_path / "run0" / "results.csv")
-        assert set(header) == {"config_hash", "ess_fraction", "mean_weight", "seed",
-                               "timestamp"}
+        assert set(header) == {"config_hash", "ess_fraction", "low_ess", "mean_weight",
+                               "seed", "timestamp"}
         assert 0.0 < float(header["ess_fraction"]) <= 1.0
+        assert header["low_ess"] == "False"
         assert float(header["mean_weight"]) > 0.0
         assert header["config_hash"] == cfg.config_hash()
 
@@ -83,6 +84,10 @@ class TestRunBasics:
         ({"command": "solve", "t_eval": 3.0}, "t_eval"),
         ({"command": "converge", "schedule": [[1, 0.1], [2, 0.05]],
           "phis": ["coordinate:3"]}, "phis"),
+        ({"command": "solve", "x0": ["abc"]}, "x0"),
+        ({"command": "girsanov", "x0": [[0.1, 0.2]]}, "x0"),
+        ({"command": "converge", "x0": [0.0, float("inf")]}, "x0"),
+        ({"command": "solve", "x0": [float("nan")]}, "x0"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
@@ -169,6 +174,7 @@ class TestConvergePlotData:
         header = read_header(tmp_path / "results.csv")
         assert 0.0 < float(header["ess_fraction"]) <= 1.0  # of the target's sample
         assert float(header["mean_weight"]) > 0.0
+        assert header["low_ess"] in ("False", "True")
         files = sorted(p.name for p in (tmp_path / "plotdata").iterdir())
         assert files == ["gap_d1_coordinate_1.dat", "gap_d2_coordinate_1.dat"]
         two = (tmp_path / "plotdata" / "gap_d2_coordinate_1.dat").read_text()

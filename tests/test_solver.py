@@ -31,6 +31,14 @@ def scalar_noise(H, lam, grid, n_paths, seed):
                                    method="kernel", keep_increments=True)
 
 
+def counted(md, calls):
+    """The drift of ``md`` as a callable that logs each evaluation in ``calls``."""
+    def fn(t, y):
+        calls.append(t)
+        return md.evaluator(t, y)
+    return fn
+
+
 class TestPicard:
     def test_zero_drift_exact(self, sequences, noise2):
         _, ws = sequences
@@ -71,15 +79,19 @@ class TestPicard:
         assert np.max(np.abs(sol.paths[0, -1, :] - oracle)) < 1e-4
 
     def test_nonconvergence_carries_history(self, noise2):
-        fn = lambda t, y: 60.0 * y  # expansive; the iteration cannot settle
+        # h/2 * L = 2.3 > 1: the local fixed point at the first node diverges
+        fn = lambda t, y: 300.0 * y
         with pytest.raises(solver.PicardConvergenceError) as err:
             solver.picard_solve(fn, np.zeros(2), noise2, tol=1e-12, max_iter=5)
-        assert len(err.value.residuals) == 5
+        res = err.value.residuals
+        assert len(res) == 5
+        assert all(b > a for a, b in zip(res, res[1:]))
 
     def test_pathwise_uniqueness_proxy(self, jump_md, noise2):
+        # the node-by-node solve and the global iterates reach one fixed point
         tol = 1e-11
-        a = solver.picard_solve(jump_md, np.zeros(2), noise2, tol=tol, initial="noise")
-        b = solver.picard_solve(jump_md, np.zeros(2), noise2, tol=tol, initial="flat")
+        a = solver.picard_solve(jump_md, np.zeros(2), noise2, tol=tol)
+        b = solver.picard_iterates(jump_md, np.zeros(2), noise2, tol=tol)
         gap = np.max(np.sqrt(np.mean(np.sum((a.paths - b.paths) ** 2, axis=0), axis=-1)))
         assert gap <= 2 * tol
 
@@ -91,20 +103,57 @@ class TestPicard:
         trunc_vals[:, cut + 1 :, :] = 0.0
         noise_cut = cylinder.CylEnsemble(d=2, grid=grid64, values=trunc_vals,
                                          seed=7, hursts=hs, weights=ws)
-        a = solver.picard_solve(jump_md, np.zeros(2), noise, exact_iterations=12)
-        b = solver.picard_solve(jump_md, np.zeros(2), noise_cut, exact_iterations=12)
+        a = solver.picard_solve(jump_md, np.zeros(2), noise)
+        b = solver.picard_solve(jump_md, np.zeros(2), noise_cut)
         assert np.array_equal(a.paths[:, : cut + 1, :], b.paths[:, : cut + 1, :])
 
+    def test_matches_tight_global_reference(self, sequences, grid128):
+        hs, ws = sequences
+        md = drift.mollify(drift.indicator_exponential_family(ws, 4), 4, 0.0125)
+        noise = cylinder.sample_cyl_fbm(hs, ws, 4, grid128, 2000, seed=41, method="kernel")
+        tol = 1e-9
+        sol = solver.picard_solve(md, np.zeros(4), noise, tol=tol)
+        ref = solver.picard_iterates(md, np.zeros(4), noise, tol=1e-14)
+        gap = np.sqrt(np.mean(np.sum((sol.paths - ref.paths) ** 2, axis=0), axis=-1))
+        assert np.all(gap <= tol)
+        assert sol.final_residual == max(sol.residuals) <= tol
+        assert len(sol.residuals) == grid128.n_cells
+
+    def test_fewer_drift_evaluations_than_global(self, jump_md, noise2):
+        sweep, iterates = [], []
+        solver.picard_solve(counted(jump_md, sweep), np.zeros(2), noise2)
+        solver.picard_iterates(counted(jump_md, iterates), np.zeros(2), noise2)
+        assert len(sweep) < len(iterates) / 2
+
     def test_left_rule_available(self, jump_md, noise2):
-        sol = solver.picard_solve(jump_md, np.zeros(2), noise2, drift_rule="left")
+        # explicit: one drift evaluation per node, the same path as the
+        # left-rule fixed point x + B_i + h sum_{j<i} F(t_j, X_j)
+        calls = []
+        sol = solver.picard_solve(counted(jump_md, calls), np.zeros(2), noise2,
+                                  drift_rule="left")
         assert sol.drift_rule == "left"
+        assert sol.iterations_used == 1 and len(calls) == noise2.grid.n_nodes
+        h = noise2.grid.step
+        F = np.stack([jump_md.evaluator(t, sol.paths[:, i, :])
+                      for i, t in enumerate(noise2.grid.nodes)], axis=1)
+        expect = noise2.values.copy()
+        expect[:, 1:, :] += np.cumsum(h * F[:, :-1, :], axis=1)
+        assert np.max(np.abs(sol.paths - expect)) < 1e-12
+
+
+class TestPicardIterates:
+    def test_nonconvergence_carries_history(self, noise2):
+        fn = lambda t, y: 60.0 * y  # expansive; the iteration cannot settle
+        with pytest.raises(solver.PicardConvergenceError) as err:
+            solver.picard_iterates(fn, np.zeros(2), noise2, tol=1e-12, max_iter=5)
+        assert len(err.value.residuals) == 5
 
 
 class TestResidualCurve:
     def test_zero_after_first(self, sequences, noise2):
         _, ws = sequences
         md = drift.mollify(drift.zero_drift(ws, 2), 2, 0.1)
-        sol = solver.picard_solve(md, np.zeros(2), noise2)
+        sol = solver.picard_iterates(md, np.zeros(2), noise2)
         assert sol.residuals[-1] == 0.0
 
     def test_lipschitz_ratio_bound(self, grid64):
@@ -112,13 +161,14 @@ class TestResidualCurve:
         theta, L = 0.9, 0.9
         noise = scalar_noise(0.08, 0.5, grid64, 300, seed=11)
         fn = lambda t, y: -theta * y
-        sol = solver.picard_solve(fn, np.array([0.4]), noise, tol=1e-12)
+        sol = solver.picard_iterates(fn, np.array([0.4]), noise, tol=1e-12)
         diag = solver.picard_residual_curve(sol.residuals, grid64.t_end)
         assert all(r <= L * grid64.t_end * 1.1 for r in diag.ratios)
         assert diag.super_geometric
 
-    def test_jump_family_ratios_decreasing(self, jump_sol, grid64):
-        diag = solver.picard_residual_curve(jump_sol.residuals, grid64.t_end)
+    def test_jump_family_ratios_decreasing(self, jump_md, noise2, grid64):
+        sol = solver.picard_iterates(jump_md, np.zeros(2), noise2, tol=1e-11)
+        diag = solver.picard_residual_curve(sol.residuals, grid64.t_end)
         assert diag.super_geometric
         assert np.isfinite(diag.fitted_rate) and diag.fitted_rate > 0
 
@@ -129,7 +179,7 @@ class TestResidualCurve:
     def test_fixed_count_solve_history(self, jump_md, noise2):
         # a fixed-count solve keeps every residual, so the curve reads the
         # ensemble and its residual sequence alike
-        sol = solver.picard_solve(jump_md, np.zeros(2), noise2, exact_iterations=6)
+        sol = solver.picard_iterates(jump_md, np.zeros(2), noise2, exact_iterations=6)
         assert sol.iterations_used == 6 and len(sol.residuals) == 6
         diag = solver.picard_residual_curve(sol, noise2.grid.t_end)
         assert diag.residuals == sol.residuals
