@@ -136,8 +136,12 @@ def covariance(H, t: float, s: float) -> float:
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
 
 
+@functools.lru_cache(maxsize=256)
 def c_factor(H) -> float:
-    """Normalization sqrt(2H / ((1-2H) B(1-2H, H+1/2))) of the Volterra kernel."""
+    """Normalization sqrt(2H / ((1-2H) B(1-2H, H+1/2))) of the Volterra kernel.
+
+    Cached per H: every kernel evaluation reads it.
+    """
     H = as_hurst(H)
     return float(np.sqrt(2 * H / ((1 - 2 * H) * special.beta(1 - 2 * H, H + 0.5))))
 
@@ -208,6 +212,20 @@ def kernel_K(H, t: float, s: float) -> float:
     )
 
 
+def _singular_cell_integrand(v, H: float, t, q: float, power: int, at_top: bool):
+    """Integrand in v of integral K(t,u)^power du over a singular cell.
+
+    ``at_top`` selects the cell ending at t, substituted by v = (t-u)^q;
+    otherwise the cell starting at 0, substituted by v = u^q.  t may be a
+    scalar or an array of row times sharing the same v.
+    """
+    if at_top:
+        lk = _log_kernel(H, t, t - v ** (1.0 / q), log_diff=np.log(v) / q)
+    else:
+        lk = _log_kernel(H, t, v ** (1.0 / q))
+    return np.exp(power * lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
+
+
 def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> float:
     """integral_a^b K(t,u)^power du for power in {1, 2}.
 
@@ -227,21 +245,11 @@ def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> flo
         return kernel_cell_integral(H, t, a, mid, power) + kernel_cell_integral(
             H, t, mid, b, power
         )
-    if touches_top:
-
-        def g(v):
-            lk = _log_kernel(H, t, t - v ** (1.0 / q), log_diff=np.log(v) / q)
-            return np.exp(power * lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
-
-        val, _ = integrate.quad(g, 0.0, (t - a) ** q, epsabs=1e-13, epsrel=1e-10, limit=200)
-        return val
-    if touches_zero:
-
-        def g(v):
-            lk = _log_kernel(H, t, v ** (1.0 / q))
-            return np.exp(power * lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
-
-        val, _ = integrate.quad(g, 0.0, b ** q, epsabs=1e-13, epsrel=1e-10, limit=200)
+    if touches_top or touches_zero:
+        upper = (t - a) ** q if touches_top else b ** q
+        val, _ = integrate.quad(_singular_cell_integrand, 0.0, upper,
+                                args=(H, t, q, power, touches_top),
+                                epsabs=1e-13, epsrel=1e-10, limit=200)
         return val
     x, w = np.polynomial.legendre.leggauss(16)
     u = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -294,19 +302,29 @@ def _kernel_matrix_entries(H: float, t_end: float, n_cells: int, cell_rule: str)
     power = 2 if cell_rule == "l2_cell" else 1
     M = np.zeros((N, N))
     x, w = np.polynomial.legendre.leggauss(12)
-    for i in range(1, N + 1):
+    for i in range(3, N + 1):
+        # interior cells 2..i-1: smooth integrand, fixed Gauss-Legendre
         t = i * h
-        if i > 2:
-            # interior cells 2..i-1: smooth integrand, fixed Gauss-Legendre
-            left = np.arange(1, i - 1) * h
-            u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h
-            vals = 0.5 * h * np.sum(w[:, None] * np.exp(power * _log_kernel(H, t, u)), axis=0)
-            M[i - 1, 1 : i - 1] = vals
-        if i > 1:
-            M[i - 1, 0] = kernel_cell_integral(H, t, 0.0, h, power)
-            M[i - 1, i - 1] = kernel_cell_integral(H, t, (i - 1) * h, t, power)
-        else:
-            M[0, 0] = kernel_cell_integral(H, t, 0.0, t, power)
+        left = np.arange(1, i - 1) * h
+        u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h
+        vals = 0.5 * h * np.sum(w[:, None] * np.exp(power * _log_kernel(H, t, u)), axis=0)
+        M[i - 1, 1 : i - 1] = vals
+    if N > 1:
+        # every first-column cell is (0, h) and every diagonal cell has length
+        # h, so after substitution rows 2..N share the interval [0, h^q]
+        q = power * (H - 0.5) + 1.0
+        t = np.arange(2, N + 1) * h
+        rows = np.arange(1, N)
+
+        def singular_cells(at_top):
+            val, _ = integrate.quad_vec(_singular_cell_integrand, 0.0, h ** q,
+                                        args=(H, t, q, power, at_top),
+                                        epsabs=1e-13, epsrel=1e-10, norm="max")
+            return val
+
+        M[rows, 0] = singular_cells(False)
+        M[rows, rows] = singular_cells(True)
+    M[0, 0] = kernel_cell_integral(H, h, 0.0, h, power)
     if cell_rule == "l2_cell":
         M = np.sqrt(M / h)
     else:
@@ -319,8 +337,11 @@ def kernel_matrix(H, grid: TimeGrid, cell_rule: str = "cell_average") -> KernelM
     """Discretize the kernel on the grid cells.
 
     "cell_average" stores the mean kernel value per cell, "l2_cell" the root
-    mean square; the latter makes every row variance exact.  Diagonal and
-    first-column cells integrate across the (integrable) singularities.
+    mean square; the latter makes every row variance exact.  Interior cells
+    use 12-point Gauss-Legendre per row.  Diagonal and first-column cells
+    integrate across the (integrable) singularities: after the substitution
+    of :func:`kernel_cell_integral` they share one interval, so each family
+    is one vector-valued adaptive integration over all rows at once.
     """
     H = as_hurst(H)
     if cell_rule not in ("cell_average", "l2_cell"):

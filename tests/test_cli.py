@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -16,6 +21,19 @@ def read_header(path):
 
 
 class TestConfigSchema:
+    def test_module_run_without_runpy_warning(self):
+        # the package must not import cli itself, or runpy warns that
+        # cylfbm.cli is already in sys.modules
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "cylfbm.cli", "--schema"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=120)
+        assert proc.returncode == 0
+        assert "configuration schema" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_mentions_sup_constraint(self):
         text = cli.config_schema()
         assert "sup" in text

@@ -120,6 +120,43 @@ class TestKernelMatrix:
         km = fbm.kernel_matrix(0.2, grid64)
         assert km.c_factor == pytest.approx(fbm.c_factor(0.2))
 
+    @pytest.mark.parametrize("n_cells", [16, 128])
+    @pytest.mark.parametrize("cell_rule", ["cell_average", "l2_cell"])
+    @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
+    def test_singular_cells_match_scalar_oracle(self, H, cell_rule, n_cells):
+        # first-column and diagonal cells against kernel_cell_integral row by row
+        grid = fbm.TimeGrid(1.0, n_cells)
+        h = grid.step
+        power = 2 if cell_rule == "l2_cell" else 1
+        cells = fbm.kernel_matrix(H, grid, cell_rule).entries ** power * h
+        first, diag, first_oracle, diag_oracle = [], [], [], []
+        for i in range(2, n_cells + 1):
+            t = i * h
+            first.append(cells[i - 1, 0])
+            diag.append(cells[i - 1, i - 1])
+            first_oracle.append(fbm.kernel_cell_integral(H, t, 0.0, h, power))
+            diag_oracle.append(fbm.kernel_cell_integral(H, t, (i - 1) * h, t, power))
+        np.testing.assert_allclose(first, first_oracle, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(diag, diag_oracle, rtol=1e-10, atol=0.0)
+
+    def test_scalar_quad_calls_independent_of_grid(self, monkeypatch):
+        # the singular cells of all rows are integrated together; a build
+        # must not fall back to one scalar quad per row
+        calls = []
+        quad = fbm.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(fbm.integrate, "quad", counting_quad)
+        counts = {}
+        for n_cells in (16, 128):
+            calls.clear()
+            fbm._kernel_matrix_entries.__wrapped__(0.08, 1.0, n_cells, "cell_average")
+            counts[n_cells] = len(calls)
+        assert counts[16] == counts[128]
+
 
 class TestSampling:
     def test_determinism_bitwise(self, grid64):
