@@ -153,9 +153,9 @@ def shuffle_integral_check(fs, s: float, t: float, m: int, n: int,
     for perm in shuffle_enumerate(m, n).permutations:
         rhs += _simplex_integral(fvals, perm, dx)
     gap = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return CheckResult("shuffle_integral", gap <= 1e-6 * max(1.0, scale), gap, 1e-6,
-                       1e-6 - gap, {"lhs": lhs, "rhs": rhs, "m": m, "n": n})
+    tol = 1e-6 * max(1.0, abs(lhs), abs(rhs))
+    return CheckResult("shuffle_integral", gap <= tol, gap, tol, tol - gap,
+                       {"lhs": lhs, "rhs": rhs, "m": m, "n": n})
 
 
 def prod_sum_check(a, n: int, d: int) -> CheckResult:
@@ -212,8 +212,9 @@ def permanent_check(seed: int = 0, size: int = 5) -> CheckResult:
     ry = permanent(A)
     naive = _permanent_naive(A)
     gap = abs(ry - naive)
-    return CheckResult("permanent", gap <= 1e-12 * max(1.0, abs(naive)), gap, 1e-12,
-                       1e-12 - gap, {"ryser": ry, "naive": naive})
+    tol = 1e-12 * max(1.0, abs(naive))
+    return CheckResult("permanent", gap <= tol, gap, tol, tol - gap,
+                       {"ryser": ry, "naive": naive})
 
 
 def _replicated_covariance(cov: np.ndarray, counts) -> np.ndarray:
@@ -332,42 +333,39 @@ def gaussian_conditioning_check(cov, seed: int = 0, n_mc: int = 400_000) -> Chec
 # ---------------------------------------------------------------------------
 
 
+def _gauss01(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, wq = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * wq
+
+
 _DELTA_FLOOR = 1e-200
+_GL_X, _GL_W = _gauss01(16)
+# graded panel edges in x: ratio 0.2 keeps the 16-node error on x^c near 1e-14
+_GRADED_EDGES = 0.2 ** np.arange(1, 23)
 
 
-def _two_sided_quad(fn_left, fn_right, a: float, b: float,
-                    p_left: float, p_right: float,
-                    epsabs: float = 1e-11, epsrel: float = 1e-9) -> float:
-    """Adaptive quadrature with algebraic endpoint behaviors flattened away.
+def _graded_half(fn, p: float, half, breaks=()) -> np.ndarray:
+    """integral_0^half fn(delta) d delta, one column per entry of ``half``.
 
-    The integrand is supplied in distance-from-endpoint form to avoid
-    catastrophic rounding: fn_left(delta) is the value at a + delta and
-    fn_right(delta) the value at b - delta, with fn_left ~ delta^p_left near
-    0 and fn_right ~ delta^p_right, both exponents > -1.  Solver chatter is
-    muted; accuracy is gated by the identity and refinement checks that
-    consume these values.
+    fn maps delta arrays of shape (columns, panels, nodes) to values, behaves
+    like delta^p at 0 (p > -1), and is smooth between the column's ``breaks``
+    (shape (columns, k); entries outside (0, half) are ignored).  delta =
+    half x^(1/kap), kap = p + 1 for p < 0, flattens the endpoint; panels in x
+    are graded toward 0 for the remaining fractional powers, plus ceil(4/kap)
+    uniform ones for the fast variation near x = 1 at small kap.
     """
-    import warnings as _warnings
-
-    mid = 0.5 * (b - a)
-    total = 0.0
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for fn, p in ((fn_left, p_left), (fn_right, p_right)):
-            if p < 0.0:
-                kap = p + 1.0
-
-                def g(v, _fn=fn, _kap=kap):
-                    delta = max(v ** (1.0 / _kap), _DELTA_FLOOR)
-                    return _fn(delta) * delta ** (1.0 - _kap) / _kap
-
-                val, _ = integrate.quad(g, 0.0, mid ** kap, epsabs=epsabs,
-                                        epsrel=epsrel, limit=300)
-            else:
-                val, _ = integrate.quad(fn, 0.0, mid, epsabs=epsabs,
-                                        epsrel=epsrel, limit=300)
-            total += val
-    return total
+    half = np.asarray(half, dtype=float)
+    kap = p + 1.0 if p < 0.0 else 1.0
+    n_uni = math.ceil(4.0 / kap)
+    fixed = np.union1d(_GRADED_EDGES, np.arange(n_uni + 1) / n_uni)
+    breaks = np.asarray(breaks, dtype=float).reshape(len(half), -1)
+    xb = np.clip(breaks / half[:, None], 0.0, 1.0) ** kap
+    edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(half), len(fixed))), xb]), axis=1)
+    width = np.diff(edges, axis=1)[..., None]
+    u = np.maximum((edges[:, :-1, None] + width * _GL_X) ** (1.0 / kap), _DELTA_FLOOR)
+    hc = half[:, None, None]
+    return (fn(hc * u) * (hc * u ** (1.0 - kap) / kap) * (width * _GL_W)).sum(axis=(1, 2))
 
 
 def beta_identity_gap(a: float, b: float, theta: float, s2: float) -> float:
@@ -376,29 +374,32 @@ def beta_identity_gap(a: float, b: float, theta: float, s2: float) -> float:
     if a <= -1 or b <= -1:
         raise DomainError("exponents must exceed -1")
     length = s2 - theta
-    val = _two_sided_quad(
-        lambda dl: (length - dl) ** a * dl ** b,
-        lambda dr: dr ** a * (length - dr) ** b,
-        theta, s2, b, a)
+    half = np.array([0.5 * length])
+    val = float(_graded_half(lambda dl: (length - dl) ** a * dl ** b, b, half)[0]
+                + _graded_half(lambda dr: dr ** a * (length - dr) ** b, a, half)[0])
     exact = (special.gamma(a + 1) * special.gamma(b + 1) / special.gamma(a + b + 2)
              * length ** (a + b + 1))
     return abs(val - exact) / max(abs(exact), 1e-30)
 
 
-def _kernel_increment(H: float, s, theta: float, theta_p: float) -> np.ndarray:
-    return kernel_values(H, np.asarray(s, dtype=float), theta) \
-        - kernel_values(H, np.asarray(s, dtype=float), theta_p)
-
-
-def _kernel_increment_from_theta(H: float, theta: float, delta: float,
-                                 theta_p: float) -> float:
+def _kernel_increment_from_theta(H: float, theta: float, delta, theta_p: float) -> np.ndarray:
     """K(theta + delta, theta) - K(theta + delta, theta_p), stable for tiny delta."""
     from .fbm import _log_kernel
 
-    first = math.exp(float(_log_kernel(H, theta + delta, theta,
-                                       log_diff=math.log(delta))))
-    second = float(kernel_values(H, theta + delta, theta_p))
-    return first - second
+    return np.exp(_log_kernel(H, theta + delta, theta, log_diff=np.log(delta))) \
+        - kernel_values(H, theta + delta, theta_p)
+
+
+def _increment_sign_changes(H: float, theta: float, theta_p: float, span: float) -> np.ndarray:
+    """Zeros in (0, span] of delta -> K(theta + delta, theta) - K(theta + delta,
+    theta_p): the kinks of its absolute value, by a log-grid scan and brentq."""
+    from scipy.optimize import brentq
+
+    grid = span * np.logspace(-12.0, 0.0, 400)
+    sign = np.sign(_kernel_increment_from_theta(H, theta, grid, theta_p))
+    return np.array([brentq(lambda d: float(_kernel_increment_from_theta(H, theta, d, theta_p)),
+                            grid[i], grid[i + 1], xtol=1e-15)
+                     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)])
 
 
 def _increment_shape(H: float, gamma: float, s, theta: float, theta_p: float):
@@ -407,44 +408,46 @@ def _increment_shape(H: float, gamma: float, s, theta: float, theta_p: float):
 
 
 def _weighted_simplex_integral(H: float, w, eps_flags, theta: float, theta_p: float,
-                               t: float, gamma: float, n_grid: int) -> float:
+                               t: float, gamma: float, n_grid: int):
     """Nested quadrature of the weighted simplex integral with adjacent
     differences (s_j - s_{j-1})^{w_j}, s_0 = theta, and optional
     kernel-increment factors at the flagged levels.
 
     All level integrands are handled in distance-from-theta form so the
-    kernel singularity at s = theta stays representable.
+    kernel singularity at s = theta stays representable.  Each inner level is
+    tabulated at the offsets by two graded-rule halves per offset and Pchip
+    interpolated.  Returns the integral, the offsets and the level tables.
     """
     from scipy.interpolate import PchipInterpolator
 
     n = len(w)
     span = t - theta
     offsets = span * np.linspace(0.0, 1.0, n_grid + 1) ** 2.0
+    col, half = offsets[1:, None, None], 0.5 * offsets[1:]
+    kinks = _increment_sign_changes(H, theta, theta_p, span)
 
-    def kappa_factory(flag):
-        if flag == 0:
-            return lambda delta: 1.0
-        return lambda delta: abs(_kernel_increment_from_theta(H, theta, delta, theta_p))
+    def kappa(flag, delta):
+        return np.abs(_kernel_increment_from_theta(H, theta, delta, theta_p)) if flag else 1.0
 
-    # phi(delta) is the inner integrand at s = theta + delta
-    kap0 = kappa_factory(eps_flags[0])
-    phi = lambda delta: kap0(delta) * delta ** w[0]
+    # phi(delta) is the inner integrand at s = theta + delta, smooth between knots
+    phi = lambda delta: kappa(eps_flags[0], delta) * delta ** w[0]
+    knots = kinks if eps_flags[0] else np.empty(0)
     left_exp = w[0] + (H - 0.5 - gamma) * eps_flags[0]
+    levels = []
     for j in range(n - 1):
         w_next = w[j + 1]
         vals = np.zeros(len(offsets))
-        for ix, off in enumerate(offsets):
-            if off <= 0.0:
-                continue
-            vals[ix] = _two_sided_quad(
-                lambda dl, _off=off: phi(dl) * (_off - dl) ** w_next,
-                lambda dr, _off=off: phi(_off - dr) * dr ** w_next,
-                theta, theta + off, left_exp, w_next)
+        vals[1:] = _graded_half(lambda dl, _phi=phi: _phi(dl) * (col - dl) ** w_next,
+                                left_exp, half, np.tile(knots, (n_grid, 1))) \
+            + _graded_half(lambda dr, _phi=phi: _phi(col - dr) * dr ** w_next,
+                           w_next, half, offsets[1:, None] - knots)
+        levels.append(vals)
         interp = PchipInterpolator(offsets, vals)
-        kap = kappa_factory(eps_flags[j + 1])
-        phi = lambda delta, _ip=interp, _k=kap: _k(delta) * float(_ip(delta))
+        phi = lambda delta, _ip=interp, _f=eps_flags[j + 1]: kappa(_f, delta) * _ip(delta)
+        knots = np.concatenate([offsets, kinks if eps_flags[j + 1] else []])
         left_exp = left_exp + w_next + 1.0 + (H - 0.5 - gamma) * eps_flags[j + 1]
-    return _two_sided_quad(phi, lambda dr: phi(span - dr), theta, t, left_exp, 0.0)
+    total = float(_graded_half(phi, left_exp, np.array([span]), knots[None, :])[0])
+    return total, offsets, levels
 
 
 def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
@@ -476,14 +479,14 @@ def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
     # fitted constant for the kernel-increment envelope on this (theta, theta');
     # fit over interior sample points, then use it in the bound
     s_fit = np.linspace(theta + 1e-4 * (t - theta), t - 1e-6, 400)
-    ratios = np.abs(_kernel_increment(H, s_fit, theta, theta_p)) \
+    ratios = np.abs(_kernel_increment_from_theta(H, theta, s_fit - theta, theta_p)) \
         / _increment_shape(H, gamma, s_fit, theta, theta_p)
     c_fit = float(np.max(ratios)) * 1.05
 
     kfac = c_fit * ((theta - theta_p) / (theta * theta_p)) ** gamma \
         * theta ** (H - 0.5 - gamma)
 
-    lhs = _weighted_simplex_integral(H, w, eps_flags, theta, theta_p, t, gamma, n_grid)
+    lhs = _weighted_simplex_integral(H, w, eps_flags, theta, theta_p, t, gamma, n_grid)[0]
 
     sum_eps = sum(eps_flags)
     sum_w = sum(w)
@@ -523,16 +526,12 @@ def kernel_increment_bound_check(H, t: float, gamma: float, beta: float,
     c_fit = float(np.max(ratio[:half]))
     holds = bool(np.all(ratio[half:] <= 2.0 * c_fit))
 
-    def _gl(n):
-        x, wq = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (x + 1.0), 0.5 * wq  # on [0, 1]
-
-    def inner(th: float, n_nodes: int) -> float:
-        """integral over theta' in (0, th), vectorized fixed rules after
+    def inner(th: np.ndarray, n_nodes: int) -> np.ndarray:
+        """integral over theta' in (0, th) for a column of th, fixed rules after
         flattening the theta'->0 singularity; the quadratic-cancellation
         sliver right below th carries negligible mass and is skipped."""
-        k_th = float(kernel_values(H, t, th))
-        x, wq = _gl(n_nodes)
+        k_th = kernel_values(H, t, th)
+        x, wq = _gauss01(n_nodes)
         mid = 0.5 * th
         # left part: theta' = v^(1/kapL), kapL matches the theta'^(2H-1) blowup
         kapL = 2 * H
@@ -540,13 +539,13 @@ def kernel_increment_bound_check(H, t: float, gamma: float, beta: float,
         wv = wq * mid ** kapL
         tp = v ** (1.0 / kapL)
         dk = kernel_values(H, t, tp) - k_th
-        left = float(np.sum(wv * dk * dk / (th - tp) ** (1.0 + 2 * beta)
-                            * tp ** (1.0 - kapL) / kapL))
+        left = np.sum(wv * dk * dk / (th - tp) ** (1.0 + 2 * beta)
+                      * tp ** (1.0 - kapL) / kapL, axis=1)
         # right part: theta' = th - delta; integrand ~ delta^(1-2beta) near 0
         delta = mid * (1e-9 + (1.0 - 1e-9) * x)
         wd = wq * mid
         dk = kernel_values(H, t, th - delta) - k_th
-        right = float(np.sum(wd * dk * dk / delta ** (1.0 + 2 * beta)))
+        right = np.sum(wd * dk * dk / delta ** (1.0 + 2 * beta), axis=1)
         return left + right
 
     def outer_value(n_nodes: int) -> float:
@@ -555,17 +554,15 @@ def kernel_increment_bound_check(H, t: float, gamma: float, beta: float,
         # kernel values near t lose all precision; the discarded tail mass
         # fraction ~ off_min^kap stays below the stability threshold.
         kap = 2 * H - 2 * beta
-        x, wq = _gl(n_nodes)
+        x, wq = _gauss01(n_nodes)
         total = 0.0
         for from_right in (False, True):
             off_min = 1e-10 * t if from_right else 1e-15 * t
             lo, hi = off_min ** kap, (0.5 * t) ** kap
-            v = lo + (hi - lo) * x
-            wv = (hi - lo) * wq
-            for vi, wi in zip(v, wv):
-                off = vi ** (1.0 / kap)
-                th = t - off if from_right else off
-                total += wi * inner(th, n_nodes) * off ** (1.0 - kap) / kap
+            off = (lo + (hi - lo) * x) ** (1.0 / kap)
+            th = t - off if from_right else off
+            total += float(np.sum((hi - lo) * wq * inner(th[:, None], n_nodes)
+                                  * off ** (1.0 - kap) / kap))
         return 2.0 * total  # symmetry in (theta, theta')
 
     coarse = outer_value(64)
@@ -682,7 +679,8 @@ def stirling_bound_check(multi_indices) -> CheckResult:
     """
     worst = -math.inf
     ok = True
-    for alpha in multi_indices:
+    count = 0
+    for count, alpha in enumerate(multi_indices, 1):
         if isinstance(alpha, MultiIndex):
             alpha = alpha.block_sums()
         alpha = np.asarray(alpha, dtype=int)
@@ -699,7 +697,7 @@ def stirling_bound_check(multi_indices) -> CheckResult:
         if log_lhs > log_rhs:
             ok = False
     return CheckResult("stirling_bound", bool(ok), worst, 0.0, -worst,
-                       {"n_indices": len(list(multi_indices))})
+                       {"n_indices": count})
 
 
 def _fgn_hosking(H: float, n_steps: int, step: float, rng) -> np.ndarray:
@@ -731,11 +729,13 @@ def occupation_density_check(H, n_steps: int, g, theta: float, t: float,
     bin-dependent.
     """
     H = as_hurst(H)
-    rng = np.random.default_rng(seed)
     step = t / n_steps
+    j0 = int(round(theta / step))
+    if not (0.0 <= theta < t and j0 < n_steps):
+        raise DomainError("theta must lie in [0, t), at least half a step below t")
+    rng = np.random.default_rng(seed)
     inc = _fgn_hosking(H, n_steps, step, rng)
     path = np.concatenate([[0.0], np.cumsum(inc)])
-    j0 = int(round(theta / step))
     left_vals = path[j0:-1]
     lhs = float(np.sum(g(left_vals)) * step)
     lo, hi = float(np.min(left_vals)), float(np.max(left_vals))

@@ -46,7 +46,7 @@ def test_criterion_01_fbm_law():
 
 
 def test_criterion_02_kernel_identity():
-    from cylfbm.verify import _two_sided_quad
+    from cylfbm.verify import _graded_half
 
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -55,12 +55,13 @@ def test_criterion_02_kernel_identity():
             s, t = np.sort(rng.uniform(0.05, 1.0, size=2))
             if t - s < 1e-3:
                 t = s + 0.1
-            val = _two_sided_quad(
-                lambda dl: float(fbm.kernel_values(H, t, dl))
-                * float(fbm.kernel_values(H, s, dl)),
-                lambda dr: float(fbm.kernel_values(H, t, s - dr)) * float(
-                    np.exp(fbm._log_kernel(H, s, s - dr, log_diff=np.log(dr)))),
-                0.0, s, 2 * H - 1.0, H - 0.5)
+            half = np.array([0.5 * s])
+            val = _graded_half(
+                lambda dl: fbm.kernel_values(H, t, dl) * fbm.kernel_values(H, s, dl),
+                2 * H - 1.0, half)[0] + _graded_half(
+                lambda dr: fbm.kernel_values(H, t, s - dr)
+                * np.exp(fbm._log_kernel(H, s, s - dr, log_diff=np.log(dr))),
+                H - 0.5, half)[0]
             worst = max(worst, abs(val - fbm.covariance(H, t, s)))
     report(2, "kernel product integral reproduces the covariance", worst <= 1e-3,
            f"worst abs gap = {worst:.2e}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cylfbm import fbm
-from cylfbm.verify import _two_sided_quad
+from cylfbm.verify import _graded_half
 
 from conftest import covariance_se
 
@@ -287,13 +287,11 @@ class TestLawInvariants:
                 s, t = np.sort(rng.uniform(0.05, 1.0, size=2))
                 if t - s < 1e-3:
                     t = s + 0.1
-                k_t = lambda u: float(fbm.kernel_values(H, t, u))
-                k_s_of_delta = lambda dr: float(
-                    fbm.kernel_values(H, t, s - dr)) * float(
-                    np.exp(fbm._log_kernel(H, s, s - dr, log_diff=np.log(dr))))
-                val = _two_sided_quad(
-                    lambda dl: float(fbm.kernel_values(H, t, dl))
-                    * float(fbm.kernel_values(H, s, dl)),
-                    k_s_of_delta,
-                    0.0, s, 2 * H - 1.0, H - 0.5)
+                half = np.array([0.5 * s])
+                val = _graded_half(
+                    lambda dl: fbm.kernel_values(H, t, dl) * fbm.kernel_values(H, s, dl),
+                    2 * H - 1.0, half)[0] + _graded_half(
+                    lambda dr: fbm.kernel_values(H, t, s - dr)
+                    * np.exp(fbm._log_kernel(H, s, s - dr, log_diff=np.log(dr))),
+                    H - 0.5, half)[0]
                 assert val == pytest.approx(fbm.covariance(H, t, s), abs=1e-3)

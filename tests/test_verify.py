@@ -3,10 +3,44 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
+from scipy.interpolate import PchipInterpolator
 
 from cylfbm import fbm, verify
 
 TWO_OVER_PI = 0.63661977236758138  # E|Z1 Z2| for independent standard normals
+
+
+def _abs_increment(H, theta, theta_p, d):
+    return abs(float(verify._kernel_increment_from_theta(H, theta, d, theta_p)))
+
+
+def _increment_zero(H, theta, theta_p, span):
+    """The one sign change of the kernel increment in (0, span)."""
+    grid = np.linspace(1e-6, span, 2001)
+    vals = np.array([verify._kernel_increment_from_theta(H, theta, d, theta_p) for d in grid])
+    (i,) = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    return optimize.brentq(lambda d: float(verify._kernel_increment_from_theta(
+        H, theta, d, theta_p)), grid[i], grid[i + 1], xtol=1e-15)
+
+
+def _scalar_half(fn, p, half, breaks):
+    """Scalar oracle of integral_0^half fn: adaptive quad after d = v^(1/kap),
+    kap = p + 1 for p < 0, with the breaks passed as quad points."""
+    kap = p + 1.0 if p < 0 else 1.0
+    pts = sorted(b ** kap for b in breaks if 0.0 < b < half)
+    val, _ = integrate.quad(lambda v: fn(v ** (1.0 / kap)) * v ** (1.0 / kap - 1.0) / kap,
+                            0.0, half ** kap, points=pts or None, epsabs=0.0, epsrel=1e-13,
+                            limit=1000)
+    return val
+
+
+def _oracle_level(phi, p, w_next, off, breaks):
+    """integral_0^off phi(d) (off - d)^w_next dd, split at off / 2."""
+    half = 0.5 * off
+    return _scalar_half(lambda d: phi(d) * (off - d) ** w_next, p, half, breaks) \
+        + _scalar_half(lambda r: phi(off - r) * r ** w_next, w_next, half,
+                       [off - b for b in breaks])
 
 
 class TestShuffleEnumeration:
@@ -59,6 +93,14 @@ class TestShuffleIntegral:
         with pytest.raises(fbm.DomainError):
             verify.shuffle_integral_check([lambda x: 1.0] * 6, 0, 1, 3, 3)
 
+    def test_bound_is_the_tolerance_used(self):
+        # constant 2 on [0, 2]: each 2-simplex integral is 4 * 2^2 / 2 = 8
+        res = verify.shuffle_integral_check([lambda x: 2.0] * 4, 0.0, 2.0, 2, 2)
+        assert res.details["lhs"] == pytest.approx(64.0, rel=1e-10)
+        assert res.bound == pytest.approx(1e-6 * 64.0, rel=1e-10)
+        assert res.slack == res.bound - res.measured
+        assert res.status
+
 
 class TestProdSum:
     def test_single_factor_trivial(self):
@@ -104,6 +146,12 @@ class TestPermanent:
     def test_size_cap(self):
         with pytest.raises(fbm.DomainError):
             verify.permanent(np.eye(11))
+
+    def test_check_bound_is_the_tolerance_used(self):
+        res = verify.permanent_check(seed=4, size=5)
+        assert abs(res.details["naive"]) > 1.0
+        assert res.bound == 1e-12 * abs(res.details["naive"])
+        assert res.slack == res.bound - res.measured
 
 
 class TestGaussianMoments:
@@ -183,6 +231,48 @@ class TestSimplexBeta:
     def test_exponent_constraint_enforced(self):
         with pytest.raises(fbm.DomainError):
             verify.simplex_beta_check([-0.9], [1], 0.1, 0.3, 0.2, 1.0, 1)
+
+    @pytest.mark.parametrize("a,b", [(-0.3, -0.4), (-0.9, -0.95), (0.5, -0.99), (-0.999, 2.0)])
+    def test_graded_rule_beta_identity(self, a, b):
+        assert verify.beta_identity_gap(a, b, 0.3, 0.65) <= 1e-12
+
+    @pytest.mark.parametrize("H", [0.1, 0.2])
+    @pytest.mark.parametrize("flags", [[1, 0], [1, 1]])
+    def test_levels_match_kink_aware_oracle(self, H, flags):
+        # run_all's configuration: |K(theta+d, theta) - K(theta+d, theta')| has
+        # a kink at its sign change d*; offset 141 lies near 2 d* for H = 0.1
+        theta, theta_p, t, gamma, w = 0.3, 0.2, 1.0, H / 2, [-0.2, -0.1]
+        total, offsets, levels = verify._weighted_simplex_integral(
+            H, w, flags, theta, theta_p, t, gamma, 160)
+        kink = _increment_zero(H, theta, theta_p, t - theta)
+        phi = lambda d: _abs_increment(H, theta, theta_p, d) * d ** w[0]
+        p0 = w[0] + (H - 0.5 - gamma)
+        for ix in (1, 30, 90, 120, 141, 150, 160):
+            want = _oracle_level(phi, p0, w[1], offsets[ix], [kink])
+            assert levels[0][ix] == pytest.approx(want, rel=1e-11, abs=0.0), ix
+        interp = PchipInterpolator(offsets, levels[0])
+        outer = (lambda d: _abs_increment(H, theta, theta_p, d) * float(interp(d))) \
+            if flags[1] else (lambda d: float(interp(d)))
+        p_out = p0 + w[1] + 1.0 + (H - 0.5 - gamma) * flags[1]
+        want = _scalar_half(outer, p_out, t - theta, list(offsets[1:-1]) + [kink])
+        assert total == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    def test_three_levels(self):
+        H, theta, theta_p, t, gamma = 0.1, 0.3, 0.2, 1.0, 0.05
+        w, flags = [-0.1, -0.2, -0.1], [1, 0, 1]
+        res = verify.simplex_beta_check(w, flags, H, theta, theta_p, t, 3)
+        assert res.status
+        assert 0.0 < res.details["ratio"] < 1.0
+        total, offsets, levels = verify._weighted_simplex_integral(
+            H, w, flags, theta, theta_p, t, gamma, 160)
+        assert total == res.measured
+        # the second level integrates the Pchip interpolant of the first
+        interp = PchipInterpolator(offsets, levels[0])
+        p1 = w[0] + (H - 0.5 - gamma) + w[1] + 1.0
+        for ix in (5, 77, 160):
+            want = _oracle_level(lambda d: float(interp(d)), p1, w[2], offsets[ix],
+                                 list(offsets[1:-1]))
+            assert levels[1][ix] == pytest.approx(want, rel=1e-11, abs=0.0), ix
 
 
 class TestKernelIncrementBound:
@@ -267,6 +357,11 @@ class TestStirlingBound:
         with pytest.raises(fbm.DomainError):
             verify.stirling_bound_check([[0, 2]])
 
+    def test_generator_input_counted(self):
+        res = verify.stirling_bound_check(x for x in ([1, 2], [3]))
+        assert res.details["n_indices"] == 2
+        assert res.measured == verify.stirling_bound_check([[1, 2], [3]]).measured
+
 
 class TestOccupationDensity:
     def test_constant_is_exact(self):
@@ -287,6 +382,17 @@ class TestOccupationDensity:
             0.3, 2 ** 14, lambda z: np.exp(-0.5 * (z - 0.2) ** 2), 0.0, 1.0,
             bins=256, seed=3)
         assert res.status and res.measured < 0.02
+
+    @pytest.mark.parametrize("theta", [-0.5, 1.0, 1.5, 1.0 - 2.0 ** -12])
+    def test_theta_outside_window_rejected(self, theta):
+        with pytest.raises(fbm.DomainError):
+            verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
+                                            theta, 1.0, bins=64, seed=1)
+
+    def test_interior_theta_uses_the_tail(self):
+        res = verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
+                                              0.5, 1.0, bins=64, seed=1)
+        assert res.details["lhs"] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestSuite:
