@@ -340,7 +340,6 @@ def _gauss01(n: int):
 
 
 _DELTA_FLOOR = 1e-200
-_GL_X, _GL_W = _gauss01(16)
 # graded panel edges in x: ratio 0.2 keeps the 16-node error on x^c near 1e-14
 _GRADED_EDGES = 0.2 ** np.arange(1, 23)
 
@@ -363,9 +362,10 @@ def _graded_half(fn, p: float, half, breaks=()) -> np.ndarray:
     xb = np.clip(breaks / half[:, None], 0.0, 1.0) ** kap
     edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(half), len(fixed))), xb]), axis=1)
     width = np.diff(edges, axis=1)[..., None]
-    u = np.maximum((edges[:, :-1, None] + width * _GL_X) ** (1.0 / kap), _DELTA_FLOOR)
+    gx, gw = _gauss01(16)
+    u = np.maximum((edges[:, :-1, None] + width * gx) ** (1.0 / kap), _DELTA_FLOOR)
     hc = half[:, None, None]
-    return (fn(hc * u) * (hc * u ** (1.0 - kap) / kap) * (width * _GL_W)).sum(axis=(1, 2))
+    return (fn(hc * u) * (hc * u ** (1.0 - kap) / kap) * (width * gw)).sum(axis=(1, 2))
 
 
 def beta_identity_gap(a: float, b: float, theta: float, s2: float) -> float:
