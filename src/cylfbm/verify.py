@@ -20,7 +20,6 @@ from scipy import integrate, special
 
 from .fbm import (
     DomainError,
-    TimeGrid,
     as_hurst,
     c_factor,
     kernel_values,
@@ -303,10 +302,10 @@ def gaussian_conditioning_check(cov, seed: int = 0, n_mc: int = 400_000) -> Chec
     if nn == 2:
         prec = np.linalg.inv(cov)
         L = 12.0 * math.sqrt(float(np.max(prec)))
+        c00, c01, c11 = float(cov[0, 0]), float(cov[0, 1] + cov[1, 0]), float(cov[1, 1])
 
         def integrand(v2, v1):
-            v = np.array([v1, v2])
-            return v1 ** 2 * math.exp(-0.5 * v @ cov @ v)
+            return v1 * v1 * math.exp(-0.5 * (c00 * v1 * v1 + c01 * v1 * v2 + c11 * v2 * v2))
 
         lhs, _ = integrate.dblquad(integrand, -L, L, -L, L, epsabs=1e-10, epsrel=1e-8)
         cd_gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
@@ -470,8 +469,11 @@ def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
     gamma = gamma if gamma is not None else H / 2.0
     if not (0.0 < gamma < H):
         raise DomainError("gamma must lie in (0, H)")
+    # level exponents with the increment envelope folded in; the bound is their
+    # Dirichlet integral, since (s_j - theta)^(H-1/2-gamma) <= (s_j - s_{j-1})^(...)
+    a = [wj + (H - 0.5 - gamma) * ej for wj, ej in zip(w, eps_flags)]
     for j in range(n):
-        if w[j] + (H - 0.5 - gamma) * eps_flags[j] <= -1.0:
+        if a[j] <= -1.0:
             raise DomainError(f"level {j + 1} exponent violates the integrability constraint")
 
     base_gap = beta_identity_gap(-0.3, -0.4, theta, 0.5 * (theta + t))
@@ -488,12 +490,8 @@ def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
 
     lhs = _weighted_simplex_integral(H, w, eps_flags, theta, theta_p, t, gamma, n_grid)[0]
 
-    sum_eps = sum(eps_flags)
-    sum_w = sum(w)
-    pi_const = float(np.prod([special.gamma(wj + 1.0) for wj in w])) / special.gamma(
-        sum_w + (H - 0.5 - gamma) * sum_eps + n)
-    bound = kfac ** sum_eps * pi_const * (t - theta) ** (
-        sum_w + (H - 0.5 - gamma) * sum_eps + n)
+    pi_const = float(np.prod(special.gamma(np.add(a, 1.0)))) / special.gamma(sum(a) + n + 1.0)
+    bound = kfac ** sum(eps_flags) * pi_const * (t - theta) ** (sum(a) + n)
     ratio = lhs / bound if bound > 0 else math.inf
     ok = base_gap <= 1e-6 and lhs <= bound * (1 + 1e-9)
     return CheckResult("simplex_beta", bool(ok), lhs, bound, bound - lhs,
@@ -649,17 +647,19 @@ def haar_operator_check(spec: HaarCheckSpec, f) -> CheckResult:
         float(np.sum((2.0 ** (i * spec.alpha) * dd) ** 2))
         for i, dd in enumerate(details)
     )
-    # smoothness double integral of the piecewise-constant representative
+    # smoothness double integral of the piecewise-constant representative;
+    # lag_sq sums (v_i - v_j)^2 over ordered cell pairs, binned by the lag |i - j|
     b2 = spec.beta
 
     def phi(r):
         return r ** (1.0 - 2 * b2) / (2 * b2 * (1.0 - 2 * b2))
 
-    dbl = 0.0
-    for lag in range(1, ncells):
-        diffs = vals[lag:] - vals[:-lag]
-        Jk = 2 * phi(lag * width) - phi((lag - 1) * width) - phi((lag + 1) * width)
-        dbl += 2.0 * float(np.sum(diffs ** 2)) * Jk
+    cells = np.arange(ncells)
+    lag_sq = np.bincount(np.abs(cells[:, None] - cells).ravel(),
+                         weights=((vals[:, None] - vals) ** 2).ravel(), minlength=ncells)
+    lag = cells[1:] * width
+    Jk = 2 * phi(lag) - phi(lag - width) - phi(lag + width)
+    dbl = float(lag_sq[1:] @ Jk)
     rhs = 2.0 * (norm_sq + dbl / (1.0 - 2.0 ** (-2 * (spec.beta - spec.alpha))))
     ok = op_sq <= rhs * (1 + 1e-12)
     return CheckResult("haar_operator", bool(ok), op_sq, rhs, rhs - op_sq,
@@ -700,30 +700,33 @@ def stirling_bound_check(multi_indices) -> CheckResult:
                        {"n_indices": count})
 
 
-def _fgn_hosking(H: float, n_steps: int, step: float, rng) -> np.ndarray:
-    """Exact-law stationary increments by the Levinson-type recursion
-    (the Cholesky factor of the Toeplitz increment covariance, built online)."""
-    k = np.arange(n_steps, dtype=float)
+def _fgn_circulant_eigenvalues(H: float, n_steps: int, step: float) -> np.ndarray:
+    """Eigenvalues of the circulant embedding of the increment covariance, the
+    FFT of gamma(0..n) and its mirror gamma(n-1..1); nonnegative for H < 1/2
+    (Craigmile 2003), so only round-off negatives (above -1e-10 max) are clipped."""
+    k = np.arange(n_steps + 1, dtype=float)
     gam = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H)) \
         * step ** (2 * H)
-    noise = rng.standard_normal(n_steps)
-    out = np.empty(n_steps)
-    phi = np.zeros(n_steps)
-    out[0] = noise[0] * math.sqrt(gam[0])
-    var = gam[0]
-    for i in range(1, n_steps):
-        rho = (gam[i] - phi[1:i] @ gam[1:i][::-1]) / var
-        phi[i] = rho
-        phi[1:i] = phi[1:i] - rho * phi[1:i][::-1]
-        var *= 1.0 - rho * rho
-        out[i] = float(phi[1 : i + 1] @ out[:i][::-1]) + noise[i] * math.sqrt(var)
-    return out
+    lam = np.fft.fft(np.concatenate([gam, gam[-2:0:-1]])).real
+    if lam.min() < -1e-10 * lam.max():
+        raise DomainError("circulant embedding of the increment covariance is indefinite")
+    return np.maximum(lam, 0.0)
+
+
+def _fgn_circulant(H: float, n_steps: int, step: float, rng) -> np.ndarray:
+    """Exact-law stationary increments by circulant embedding (Davies-Harte): the
+    real part of FFT(sqrt(lam / 2n) z), z complex standard normal, has the Toeplitz
+    increment covariance in its first n entries."""
+    lam = _fgn_circulant_eigenvalues(H, n_steps, step)
+    z = rng.standard_normal(len(lam)) + 1j * rng.standard_normal(len(lam))
+    return np.fft.fft(np.sqrt(lam / len(lam)) * z).real[:n_steps]
 
 
 def occupation_density_check(H, n_steps: int, g, theta: float, t: float,
                              bins: int = 256, seed: int = 0) -> CheckResult:
     """Time integral of g along one path versus the histogram occupation density.
 
+    The path is one exact-law fBm draw on the grid (`_fgn_circulant`, O(n log n)).
     Left-endpoint time quadrature and left-value binning share cell weights,
     so a constant g matches exactly; the reported tolerance is grid- and
     bin-dependent.
@@ -734,7 +737,7 @@ def occupation_density_check(H, n_steps: int, g, theta: float, t: float,
     if not (0.0 <= theta < t and j0 < n_steps):
         raise DomainError("theta must lie in [0, t), at least half a step below t")
     rng = np.random.default_rng(seed)
-    inc = _fgn_hosking(H, n_steps, step, rng)
+    inc = _fgn_circulant(H, n_steps, step, rng)
     path = np.concatenate([[0.0], np.cumsum(inc)])
     left_vals = path[j0:-1]
     lhs = float(np.sum(g(left_vals)) * step)
@@ -796,16 +799,13 @@ def haar_random_battery(seed: int, count: int = 20,
     """Operator inequality on ``count`` random smooth functions; worst slack kept."""
     spec = spec or HaarCheckSpec(alpha=0.2, beta=0.35, level=8)
     rng = np.random.default_rng(seed)
+    x = (np.arange(2 ** spec.level) + 0.5) / 2 ** spec.level  # cell centers
     worst = math.inf
     ok = True
     for _ in range(count):
         c = rng.uniform(-1, 1, size=4)
-
-        def f(x, c=c):
-            return c[0] + c[1] * math.sin(2 * math.pi * x) \
-                + c[2] * x ** 2 + c[3] * math.cos(6 * x)
-
-        res = haar_operator_check(spec, f)
+        vals = c[0] + c[1] * np.sin(2 * math.pi * x) + c[2] * x ** 2 + c[3] * np.cos(6 * x)
+        res = haar_operator_check(spec, vals)
         worst = min(worst, res.slack)
         ok = ok and res.status
     return CheckResult("haar_battery", bool(ok), worst, 0.0, worst,

@@ -203,6 +203,15 @@ class TestGaussianConditioning:
         rhs = (2 * math.pi) ** 0.5 / math.sqrt(det) * math.sqrt(2 * math.pi)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
+    @pytest.mark.parametrize("cov", [
+        verify._random_psd(np.random.default_rng(7 + 4), 2),  # run_all(7)'s matrix
+        np.array([[1.0, 0.995], [0.995, 1.0]]),  # condition number 399
+        *(verify._random_psd(np.random.default_rng(100 + k), 2) for k in range(3)),
+    ])
+    def test_two_dim_quadrature_matches_closed_form(self, cov):
+        res = verify.gaussian_conditioning_check(cov, seed=1)
+        assert res.details["cd_lhs"] == pytest.approx(res.details["cd_rhs"], rel=1e-8)
+
     def test_three_dim_monte_carlo(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3))
@@ -227,6 +236,27 @@ class TestSimplexBeta:
         res = verify.simplex_beta_check([-0.2, -0.1], [1, 0], 0.1, 0.3, 0.2, 1.0, 2)
         assert res.status
         assert 0.0 < res.details["ratio"] < 1.0
+
+    @pytest.mark.parametrize("w", [-0.5, 0.0, 0.3])
+    def test_single_unflagged_level_meets_bound(self, w):
+        # without a kernel factor the bound is the exact Dirichlet integral
+        res = verify.simplex_beta_check([w], [0], 0.1, 0.3, 0.2, 1.0, 1)
+        assert res.status
+        assert res.details["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("w", [[-0.5, -0.5], [-0.2, 0.3], [0.0, -0.1],
+                                   [-0.5, -0.5, -0.5], [-0.1, -0.2, -0.1], [0.3, 0.0, -0.5]])
+    def test_unflagged_levels_meet_bound(self, w):
+        n = len(w)
+        res = verify.simplex_beta_check(w, [0] * n, 0.1, 0.3, 0.2, 1.0, n)
+        assert res.details["ratio"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_flagged_level_bound_uses_shifted_exponent(self):
+        # numerator Gamma(w + H - 1/2 - gamma + 1), denominator Gamma(... + n + 1)
+        res = verify.simplex_beta_check([-0.1], [1], 0.1, 0.3, 0.2, 1.0, 1)
+        assert res.status
+        assert res.bound == pytest.approx(0.41364, rel=1e-4)
+        assert res.details["ratio"] == pytest.approx(0.31682, rel=1e-4)
 
     def test_exponent_constraint_enforced(self):
         with pytest.raises(fbm.DomainError):
@@ -323,6 +353,22 @@ class TestHaar:
         assert res.status
         assert res.measured == pytest.approx(2 ** (2 * i * spec.alpha), rel=1e-12)
 
+    def test_double_integral_matches_lag_loop(self):
+        spec = verify.HaarCheckSpec(alpha=0.2, beta=0.35, level=8)
+        vals = np.random.default_rng(3).standard_normal(256)
+        width, b2 = 1.0 / 256, spec.beta
+
+        def phi(r):
+            return r ** (1.0 - 2 * b2) / (2 * b2 * (1.0 - 2 * b2))
+
+        want = 0.0
+        for lag in range(1, 256):
+            diffs = vals[lag:] - vals[:-lag]
+            Jk = 2 * phi(lag * width) - phi((lag - 1) * width) - phi((lag + 1) * width)
+            want += 2.0 * float(np.sum(diffs ** 2)) * Jk
+        got = verify.haar_operator_check(spec, vals).details["double_integral"]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_random_smooth_battery(self):
         res = verify.haar_random_battery(seed=9, count=20)
         assert res.status
@@ -393,6 +439,42 @@ class TestOccupationDensity:
         res = verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
                                               0.5, 1.0, bins=64, seed=1)
         assert res.details["lhs"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _fgn_autocovariance(H, n, step):
+    """gamma(k) = Cov(B(k+1) - B(k), B(1) - B(0)) on a grid of the given step."""
+    k = np.arange(n + 1, dtype=float)
+    return 0.5 * (np.abs(k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H)) \
+        * step ** (2 * H)
+
+
+class TestFgnCirculant:
+    @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
+    @pytest.mark.parametrize("n", [16, 2 ** 14])
+    def test_embedding_is_nonnegative_and_exact(self, H, n):
+        lam = verify._fgn_circulant_eigenvalues(H, n, 1.0 / n)
+        assert len(lam) == 2 * n
+        assert lam.min() > 0.0
+        gam = _fgn_autocovariance(H, n, 1.0 / n)
+        back = np.fft.ifft(lam)
+        assert np.max(np.abs(back.real[: n + 1] - gam)) <= 1e-12 * gam[0]
+        assert np.max(np.abs(back.imag)) <= 1e-12 * gam[0]
+
+    @pytest.mark.parametrize("H", [0.01, 0.3])
+    def test_empirical_covariance_is_toeplitz(self, H):
+        n, n_draws = 32, 20_000
+        rng = np.random.default_rng(11)
+        X = np.stack([verify._fgn_circulant(H, n, 1.0 / n, rng) for _ in range(n_draws)])
+        gam = _fgn_autocovariance(H, n, 1.0 / n)
+        want = gam[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        # zero-mean estimator; Var(X_i X_j) = C_ii C_jj + C_ij^2
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want ** 2) / n_draws)
+        assert np.all(np.abs(X.T @ X / n_draws - want) <= 5.0 * se)
+
+    def test_same_seed_same_draw(self):
+        a = verify._fgn_circulant(0.3, 1000, 1e-3, np.random.default_rng(5))
+        b = verify._fgn_circulant(0.3, 1000, 1e-3, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
 
 class TestSuite:
