@@ -244,7 +244,9 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     first d' components coincide path-by-path with a d'-truncated run.
     The default exact-law factorization has no driving increments; request
     the kernel construction with ``keep_increments`` when the measure-change
-    machinery needs them.
+    machinery needs them.  The kernel construction writes each component's
+    product straight into its slice of ``values``, so the block holds the
+    ensemble and one component's increments (all d with ``keep_increments``).
     """
     if d < 1 or d > max(hs.d_max, 10**6):
         raise DomainError("truncation level must be >= 1")
@@ -258,14 +260,14 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
         H = hs.value(k + 1)
         if method == "kernel":
             inc = wiener_increments(grid, n_paths, children[k])
-            path = fbm_from_increments(H, inc, cell_rule)
+            fbm_from_increments(H, inc, values[k], lam[k], cell_rule)
             if incs is not None:
                 incs.append(inc)
         elif method == "cholesky":
             path = sample_fbm(H, grid, n_paths, children[k], method="cholesky")
+            values[k] = lam[k] * path.values.T
         else:
             raise DomainError(f"unknown sampling method {method!r}")
-        values[k] = lam[k] * path.values.T
     seed_label = int(seed) if isinstance(seed, (int, np.integer)) else -1
     return CylEnsemble(d=d, grid=grid, values=values, seed=seed_label, hursts=hs,
                        weights=ws, increments=tuple(incs) if incs is not None else None)

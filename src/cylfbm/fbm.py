@@ -427,13 +427,20 @@ def sample_fbm(H, grid: TimeGrid, n_paths: int, seed, method: str = "cholesky",
     return ScalarPath(grid=grid, values=vals)
 
 
-def fbm_from_increments(H, inc: WienerIncrements, cell_rule: str = "cell_average") -> ScalarPath:
-    """Apply the kernel matrix to given Wiener increments."""
+def fbm_from_increments(H, inc: WienerIncrements, out: np.ndarray, scale: float,
+                        cell_rule: str = "cell_average") -> np.ndarray:
+    """Write scale times the kernel matrix applied to the Wiener increments
+    into ``out``, node-major with shape (n_nodes, n_paths), and return it.
+
+    Row 0 is exactly 0; rows 1.. receive the matrix product directly, so no
+    path-major copy of the sample is ever made.
+    """
     H = as_hurst(H)
     M = kernel_matrix(H, inc.grid, cell_rule).entries
-    body = (M @ inc.values.T).T
-    vals = np.concatenate([np.zeros((inc.values.shape[0], 1)), body], axis=1)
-    return ScalarPath(grid=inc.grid, values=vals)
+    np.matmul(M, inc.values.T, out=out[1:])
+    out[0] = 0.0
+    out *= scale
+    return out
 
 
 # ---------------------------------------------------------------------------

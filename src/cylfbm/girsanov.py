@@ -66,21 +66,17 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
         raise DomainError("one increment set per shift component is required")
     n_paths = increments[0].values.shape[0]
     out = np.zeros((d, n_paths))
+    v = np.empty(shifts.values.shape[1:])  # (nodes,) or (nodes, paths), reused per component
     for k in range(d):
         H = hursts.value(k + 1)
         M = kh_inverse_matrix(H, grid)
-        u = shifts.values[k]
         with np.errstate(invalid="ignore"):
-            v = M @ u  # (nodes,) or (nodes, paths)
+            np.matmul(M, shifts.values[k], out=v)
         if not np.all(np.isfinite(v)):
             raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
         dW = increments[k].values  # (paths, cells)
-        if v.ndim == 1:
-            stoch = dW @ v[:-1]
-            quad = np.sum(v[:-1] ** 2) * h
-        else:
-            stoch = np.einsum("jp,pj->p", v[:-1], dW)
-            quad = np.sum(v[:-1] ** 2, axis=0) * h
+        stoch = dW @ v[:-1] if v.ndim == 1 else np.einsum("jp,pj->p", v[:-1], dW)
+        quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
         out[k] = -stoch - 0.5 * quad
     return out
 
@@ -203,15 +199,18 @@ def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
     The drift is evaluated once per node for all d rows.  The kernel
     normalization makes the discrete measure change reproduce the drift b
     exactly, cell by cell.
+
+    The shift is written over X, node by node (node i of the shift reads
+    only node i of X), and the returned values are X itself: copy whatever
+    of the states is still needed before the call.
     """
     d = X.shape[0]
-    U = np.empty_like(X)
     for i, s in enumerate(grid.nodes):
-        U[:, i, :] = drift_eval(s, X[:, i, :])[:d]
+        X[:, i, :] = drift_eval(s, X[:, i, :])[:d]
     scale = weights.head_array(d) * np.array(
         [kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
-    U /= -scale[:, None, None]
-    return ShiftProcess(grid, U)
+    X /= -scale[:, None, None]
+    return ShiftProcess(grid, X)
 
 
 @dataclass(frozen=True)
@@ -268,11 +267,12 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
                              method="kernel", keep_increments=True)
         X = ens.values
         X += x[:d, None, None]  # in place: a second (d, nodes, paths) array raises peak memory
+        X_t = X[:, idx_t, :].copy()  # drift_shift overwrites X
         shift = drift_shift(eval_fn, X, hursts, weights, grid)
         w = stochastic_exponential(shift, ens.increments, hursts).values
         weight_moments.add(w)
         for phi_id, phi in phis.items():
-            moments[phi_id].add(phi(X[:, idx_t, :]) * w)
+            moments[phi_id].add(phi(X_t) * w)
     sum_w, sum_w2 = weight_moments.sum, weight_moments.sum_sq
     ess = (sum_w ** 2 / sum_w2) / n_paths if sum_w2 > 0 else 0.0
     return EstimatorResult(

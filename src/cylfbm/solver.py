@@ -422,6 +422,8 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     come from one weighted sample.  Returns the rows (value, target, their
     standard errors and the gap, per functional; no averaging across
     functionals) and the target's :class:`~cylfbm.girsanov.EstimatorResult`.
+    Each block's noise and solution are released before the next block is
+    sampled, so at most one block's pair is alive at a time.
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
@@ -444,6 +446,7 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
             sol = picard_solve(padded, x, noise, tol=tol, max_iter=120)
             for phi_id, phi in phis.items():
                 moments[phi_id].add(phi(sol.paths[:, idx_t, :]))
+            del noise, sol  # free this block before the next one is sampled
         for phi_id in phi_ids:
             val, se = moments[phi_id].mean, moments[phi_id].stderr
             tgt, tgt_se = target.estimates[phi_id]

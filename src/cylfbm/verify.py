@@ -300,14 +300,18 @@ def gaussian_conditioning_check(cov, seed: int = 0, n_mc: int = 400_000) -> Chec
     rhs = (2 * math.pi) ** ((nn - 1) / 2.0) / math.sqrt(det) * math.sqrt(2 * math.pi) \
         / sigma1_sq
     if nn == 2:
+        # the integrand is a Gaussian in v with covariance cov^-1: v1 spans 12 marginal
+        # deviations, v2 12 conditional ones around its conditional mean
         prec = np.linalg.inv(cov)
-        L = 12.0 * math.sqrt(float(np.max(prec)))
+        L1 = 12.0 * math.sqrt(float(prec[0, 0]))
         c00, c01, c11 = float(cov[0, 0]), float(cov[0, 1] + cov[1, 0]), float(cov[1, 1])
+        L2, slope = 12.0 / math.sqrt(c11), -c01 / (2 * c11)
 
         def integrand(v2, v1):
             return v1 * v1 * math.exp(-0.5 * (c00 * v1 * v1 + c01 * v1 * v2 + c11 * v2 * v2))
 
-        lhs, _ = integrate.dblquad(integrand, -L, L, -L, L, epsabs=1e-10, epsrel=1e-8)
+        lhs, _ = integrate.dblquad(integrand, -L1, L1, lambda v1: slope * v1 - L2,
+                                   lambda v1: slope * v1 + L2, epsabs=1e-10, epsrel=1e-8)
         cd_gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
         cd_ok = cd_gap <= 1e-4
         cd_se = 0.0
@@ -648,15 +652,21 @@ def haar_operator_check(spec: HaarCheckSpec, f) -> CheckResult:
         for i, dd in enumerate(details)
     )
     # smoothness double integral of the piecewise-constant representative;
-    # lag_sq sums (v_i - v_j)^2 over ordered cell pairs, binned by the lag |i - j|
+    # lag_sq sums (v_i - v_j)^2 over ordered cell pairs, binned by the lag |i - j|,
+    # in row blocks of at most 2^18 pairs (one block up to level 9)
     b2 = spec.beta
 
     def phi(r):
         return r ** (1.0 - 2 * b2) / (2 * b2 * (1.0 - 2 * b2))
 
     cells = np.arange(ncells)
-    lag_sq = np.bincount(np.abs(cells[:, None] - cells).ravel(),
-                         weights=((vals[:, None] - vals) ** 2).ravel(), minlength=ncells)
+    rows = 2 ** 18 // ncells  # at least 64 rows: the level is capped at 12
+    lag_sq = np.zeros(ncells)
+    for lo in range(0, ncells, rows):
+        blk = slice(lo, lo + rows)
+        lag_sq += np.bincount(np.abs(cells[blk, None] - cells).ravel(),
+                              weights=((vals[blk, None] - vals) ** 2).ravel(),
+                              minlength=ncells)
     lag = cells[1:] * width
     Jk = 2 * phi(lag) - phi(lag - width) - phi(lag + width)
     dbl = float(lag_sq[1:] @ Jk)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,14 @@ def sequences():
 def covariance_se(cov, i, j, n):
     """Standard error of an empirical covariance entry for Gaussian samples."""
     return np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` holds at once, as tracemalloc counts them
+    (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -54,6 +54,16 @@ class TestEnsembles:
         b = cylinder.sample_cyl_fbm(hs, ws, 3, grid64, 40, seed=5)
         assert np.array_equal(a.values, b.values)
 
+    def test_kernel_sample_is_scaled_matrix_product(self, sequences, grid64):
+        # the product is written into the ensemble, bit for bit the plain one
+        hs, ws = sequences
+        ens = cylinder.sample_cyl_fbm(hs, ws, 3, grid64, 50, seed=8,
+                                      method="kernel", keep_increments=True)
+        for k, inc in enumerate(ens.increments):
+            M = fbm.kernel_matrix(hs.value(k + 1), grid64).entries
+            assert np.array_equal(ens.values[k, 1:], ws.value(k + 1) * (M @ inc.values.T))
+            assert np.all(ens.values[k, 0] == 0.0)
+
     def test_truncation_consistency(self, sequences, grid64):
         hs, ws = sequences
         big = cylinder.sample_cyl_fbm(hs, ws, 4, grid64, 25, seed=9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import traced_peak
 from cylfbm import cylinder, drift, fbm, fraccalc, girsanov
 
 
@@ -198,6 +199,65 @@ class TestWeakSolutionEstimator:
             assert alone.estimates[phi_id] == joint.estimates[phi_id]
             assert (alone.mean_weight, alone.ess_fraction) == \
                 (joint.mean_weight, joint.ess_fraction)
+
+
+class TestBlockMemory:
+    """A Monte Carlo block holds the sample (or the shift written over it),
+    the Wiener increments and one (n_nodes, n_paths) integrand buffer."""
+
+    def test_estimator_peak(self, model, grid64):
+        hs, ws, spec = model
+        d, m = 4, 4000
+        args = (spec, ["coordinate:2", "clipped_norm:2"], np.zeros(d), 1.0, hs, ws, d, grid64)
+        girsanov.weak_solution_estimator(*args, 50, seed=2)  # fill the kernel caches
+        peak = traced_peak(lambda: girsanov.weak_solution_estimator(*args, m, seed=3))
+        assert peak <= 2.5 * d * grid64.n_nodes * m * 8
+
+    def test_estimator_matches_reference_from_copies(self, model, grid64):
+        # the shift goes to a fresh array and the states stay intact
+        hs, ws, spec = model
+        d, n, x = 3, 2500, np.array([0.1, -0.2, 0.0])
+        phi_ids = ["coordinate:2", "clipped_norm:2"]
+        scale = ws.head_array(d) * np.array(
+            [fbm.kernel_fractional_norm(hs.value(k + 1)) for k in range(d)])
+        moments = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
+        weights = girsanov.RunningMoments()
+        for m, blk in girsanov.mc_blocks(n, 41, 1000):
+            ens = cylinder.sample_cyl_fbm(hs, ws, d, grid64, m, blk,
+                                          method="kernel", keep_increments=True)
+            X = ens.values + x[:, None, None]
+            U = np.empty_like(X)
+            for i, s in enumerate(grid64.nodes):
+                U[:, i, :] = drift.evaluate(spec, s, X[:, i, :])[:d]
+            U /= -scale[:, None, None]
+            w = girsanov.stochastic_exponential(girsanov.ShiftProcess(grid64, U),
+                                                ens.increments, hs).values
+            weights.add(w)
+            for phi_id in phi_ids:
+                moments[phi_id].add(girsanov.make_functional(phi_id)(X[:, -1, :]) * w)
+        res = girsanov.weak_solution_estimator(spec, phi_ids, x, 1.0, hs, ws, d, grid64,
+                                               n, 41, block_size=1000)
+        assert res.estimates == {phi_id: (mom.mean, mom.stderr)
+                                 for phi_id, mom in moments.items()}
+        assert res.mean_weight == weights.mean
+        assert res.ess_fraction == (weights.sum ** 2 / weights.sum_sq) / n
+
+    @pytest.mark.parametrize("pathwise", [False, True])
+    def test_log_weights_match_fresh_integrands(self, sequences, grid64, pathwise):
+        # one reused integrand buffer gives the floats of a fresh one per component
+        hs, _ = sequences
+        n = 300
+        rng = np.random.default_rng(12)
+        incs = [fbm.wiener_increments(grid64, n, 50 + k) for k in range(3)]
+        shape = (3, grid64.n_nodes, n) if pathwise else (3, grid64.n_nodes)
+        shifts = girsanov.ShiftProcess(grid64, rng.standard_normal(shape))
+        got = girsanov.component_log_weights(shifts, incs, hs)
+        for k in range(3):
+            v = fraccalc.kh_inverse_matrix(hs.value(k + 1), grid64) @ shifts.values[k]
+            dW = incs[k].values
+            stoch = np.einsum("jp,pj->p", v[:-1], dW) if pathwise else dW @ v[:-1]
+            quad = np.sum(v[:-1] ** 2, axis=0) * grid64.step
+            assert np.array_equal(got[k], -stoch - 0.5 * quad)
 
 
 class TestMonteCarloBlocks:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import traced_peak
 from cylfbm import cylinder, drift, fbm, solver
 
 
@@ -347,6 +348,21 @@ class TestConvergeExperiment:
             assert row["gap"] == pytest.approx(row["value"] - row["target"])
             assert (row["target"], row["target_stderr"]) == target.estimates[row["phi_id"]]
         assert 0.0 < target.ess_fraction <= 1.0
+
+
+    def test_block_memory_peak(self, sequences, grid64):
+        # each block's noise and solution go before the next block is drawn
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        d, m = 4, 4000
+
+        def run(n_paths):
+            solver.converge_experiment(spec, [(1, 0.1), (4, 0.025)], 1.0,
+                                       ["coordinate:2", "clipped_norm:2"], hs, ws, grid64,
+                                       np.zeros(d), n_paths, seed=5)
+
+        run(50)  # fill the kernel caches
+        assert traced_peak(lambda: run(m)) <= 2.5 * d * grid64.n_nodes * m * 8
 
 
 class TestConvergeSmoothDrift:

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
+from conftest import traced_peak
 from cylfbm import fbm, verify
 
 TWO_OVER_PI = 0.63661977236758138  # E|Z1 Z2| for independent standard normals
@@ -207,6 +208,8 @@ class TestGaussianConditioning:
         verify._random_psd(np.random.default_rng(7 + 4), 2),  # run_all(7)'s matrix
         np.array([[1.0, 0.995], [0.995, 1.0]]),  # condition number 399
         *(verify._random_psd(np.random.default_rng(100 + k), 2) for k in range(3)),
+        np.diag([100.0, 0.01]),  # a box as wide as cov^-1's largest entry misses the peak
+        np.array([[1.0, 0.999], [0.999, 1.0]]),  # condition number 1999
     ])
     def test_two_dim_quadrature_matches_closed_form(self, cov):
         res = verify.gaussian_conditioning_check(cov, seed=1)
@@ -354,20 +357,29 @@ class TestHaar:
         assert res.measured == pytest.approx(2 ** (2 * i * spec.alpha), rel=1e-12)
 
     def test_double_integral_matches_lag_loop(self):
-        spec = verify.HaarCheckSpec(alpha=0.2, beta=0.35, level=8)
-        vals = np.random.default_rng(3).standard_normal(256)
-        width, b2 = 1.0 / 256, spec.beta
+        # level 8 is one bincount block, level 11 sums 32 of them
+        for level in (8, 11):
+            spec = verify.HaarCheckSpec(alpha=0.2, beta=0.35, level=level)
+            ncells = 2 ** level
+            vals = np.random.default_rng(3).standard_normal(ncells)
+            width, b2 = 1.0 / ncells, spec.beta
 
-        def phi(r):
-            return r ** (1.0 - 2 * b2) / (2 * b2 * (1.0 - 2 * b2))
+            def phi(r):
+                return r ** (1.0 - 2 * b2) / (2 * b2 * (1.0 - 2 * b2))
 
-        want = 0.0
-        for lag in range(1, 256):
-            diffs = vals[lag:] - vals[:-lag]
-            Jk = 2 * phi(lag * width) - phi((lag - 1) * width) - phi((lag + 1) * width)
-            want += 2.0 * float(np.sum(diffs ** 2)) * Jk
-        got = verify.haar_operator_check(spec, vals).details["double_integral"]
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = 0.0
+            for lag in range(1, ncells):
+                diffs = vals[lag:] - vals[:-lag]
+                Jk = 2 * phi(lag * width) - phi((lag - 1) * width) - phi((lag + 1) * width)
+                want += 2.0 * float(np.sum(diffs ** 2)) * Jk
+            got = verify.haar_operator_check(spec, vals).details["double_integral"]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_double_integral_memory_is_bounded(self):
+        # at the largest level a single bincount would hold two 4^12 arrays (256 MiB)
+        spec = verify.HaarCheckSpec(alpha=0.2, beta=0.35, level=12)
+        vals = np.random.default_rng(5).standard_normal(2 ** 12)
+        assert traced_peak(lambda: verify.haar_operator_check(spec, vals)) <= 16 * 2 ** 20
 
     def test_random_smooth_battery(self):
         res = verify.haar_random_battery(seed=9, count=20)
