@@ -43,7 +43,6 @@ class ConfigError(ValueError):
 # schema: key -> (type, default, constraint note or None)
 _SCHEMA = {
     "command": (str, "verify-suite", f"one of {', '.join(COMMANDS)}"),
-    "sequences.preset": (str, "default", None),
     "sequences.hurst_first": (float, 0.08, "sup_k H_k = hurst_first must stay < 1/12"),
     "sequences.hurst_ratio": (float, 0.5,
                               "sum_k H_k = hurst_first/(1-hurst_ratio) must stay < 1/6"),
@@ -135,6 +134,18 @@ def _flatten(prefix: str, node, out: dict) -> None:
         out[prefix] = node
 
 
+def _nest(flat: dict) -> dict:
+    """Nested mapping of dotted keys, the inverse of :func:`_flatten`."""
+    nested: dict = {}
+    for key, val in flat.items():
+        *parents, leaf = key.split(".")
+        node = nested
+        for p in parents:
+            node = node.setdefault(p, {})
+        node[leaf] = val
+    return nested
+
+
 def load_config(mapping: dict) -> RunConfig:
     """Validate a nested mapping against the schema; unknown keys are rejected
     with their full dotted name."""
@@ -188,16 +199,26 @@ def _check_x0(x0: list) -> None:
 
 
 def _check_evaluation(entries: dict) -> None:
-    """For the commands that price functionals at t_eval: reject functionals
-    that are unknown or read past the state dimension (for converge, the
-    largest schedule level) and a t_eval that is not a grid node."""
+    """For the commands that price functionals at t_eval: reject a truncation
+    level past sequences.d_max where the reweighting target runs, a mollifier
+    width that is not finite and positive, functionals that are unknown or
+    read past the state dimension (for converge, the largest schedule level)
+    and a t_eval that is not a grid node."""
+    command, d_max = entries["command"], entries["sequences.d_max"]
     dim = entries["d"]
-    if entries["command"] == "converge":
+    if command == "converge":
         try:
-            dim = max(int(dd) for dd, _ in entries["schedule"])
+            schedule = [(int(dd), float(ee)) for dd, ee in entries["schedule"]]
+            dim = max(dd for dd, _ in schedule)
         except (TypeError, ValueError):
             raise ConfigError("config key schedule: expected pairs of "
                               "(truncation level, mollifier width)") from None
+        _check_level("schedule", dim, d_max)
+        _check_widths("schedule", [ee for _, ee in schedule])
+    elif command == "girsanov":
+        _check_level("d", dim, d_max)
+    else:
+        _check_widths("drift.epsilon", [entries["drift.epsilon"]])
     for phi_id in entries["phis"]:
         try:
             girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))
@@ -212,6 +233,21 @@ def _check_evaluation(entries: dict) -> None:
     except fbm.DomainError as exc:
         raise ConfigError(f"config key t_eval: {exc} of {grid.n_cells} cells "
                           f"on [0, {grid.t_end}]") from None
+
+
+def _check_level(key: str, level: int, d_max: int) -> None:
+    """The drift has sequences.d_max components, so the reweighting target
+    cannot run past that truncation level."""
+    if level > d_max:
+        raise ConfigError(f"config key {key}: truncation level {level} exceeds "
+                          f"sequences.d_max = {d_max}")
+
+
+def _check_widths(key: str, widths: list) -> None:
+    for eps in widths:
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ConfigError(f"config key {key}: mollifier width must be finite "
+                              f"and > 0, got {eps!r}")
 
 
 def load_config_file(path) -> RunConfig:
@@ -237,18 +273,6 @@ def config_schema() -> str:
     lines.append(f"  sum_k H_k < 1/6 = {1/6:.6f}, sum lambda_k^2 < inf, "
                  "sum lambda_k/sqrt(H_k) < inf")
     return "\n".join(lines)
-
-
-def schema_defaults() -> dict:
-    """Nested mapping of the schema defaults (round-trips through load_config)."""
-    nested: dict = {}
-    for key, (_, default, _n) in _SCHEMA.items():
-        parts = key.split(".")
-        node = nested
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = default
-    return nested
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +499,7 @@ def main(argv=None) -> int:
             entries["command"] = args.command
         if args.seed is not None:
             entries["mc.seed"] = args.seed
-        nested: dict = {}
-        for key, val in entries.items():
-            parts = key.split(".")
-            node = nested
-            for p in parts[:-1]:
-                node = node.setdefault(p, {})
-            node[parts[-1]] = val
-        cfg = load_config(nested)
+        cfg = load_config(_nest(entries))
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,8 +8,6 @@ direction, each scaled by its weight.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +16,6 @@ from .fbm import (
     DomainError,
     LndConstants,
     TimeGrid,
-    WienerIncrements,
     fbm_from_increments,
     sample_fbm,
     wiener_increments,
@@ -26,8 +23,6 @@ from .fbm import (
 
 SUP_HURST_LIMIT = 1.0 / 12.0
 SUM_HURST_LIMIT = 1.0 / 6.0
-
-_BINARY_MAGIC = b"CYLE"
 
 
 class SequenceConstraintError(ValueError):
@@ -40,15 +35,42 @@ def _geometric_tail_sum(last_head: float, ratio: float) -> float:
 
 
 @dataclass(frozen=True)
-class HurstSequence:
+class _GeometricTailSequence:
+    """Explicit heads for components 1..d_max, then a geometric tail
+    value(k) = heads[-1] * tail_ratio^(k - d_max)."""
+
+    heads: tuple
+    tail_ratio: float
+
+    @classmethod
+    def geometric(cls, first: float, ratio: float, d_max: int):
+        heads = tuple(first * ratio ** k for k in range(d_max))
+        return cls(heads=heads, tail_ratio=ratio)
+
+    @property
+    def d_max(self) -> int:
+        return len(self.heads)
+
+    def value(self, k: int) -> float:
+        """Entry k for a 1-based component index, following the tail rule beyond the heads."""
+        if k < 1:
+            raise DomainError("component indices are 1-based")
+        if k <= len(self.heads):
+            return self.heads[k - 1]
+        return self.heads[-1] * self.tail_ratio ** (k - len(self.heads))
+
+    def head_array(self, d: int) -> np.ndarray:
+        return np.array([self.value(k) for k in range(1, d + 1)])
+
+
+@dataclass(frozen=True)
+class HurstSequence(_GeometricTailSequence):
     """Hurst indices H_k: explicit heads, then a geometric tail H_k = H_dmax * ratio^(k-dmax).
 
     Constraints certified at construction: every index in (0, 1/2), the
     supremum below 1/12, the full sum below 1/6, and strict decrease to 0.
     """
 
-    heads: tuple
-    tail_ratio: float
     sup_value: float = field(init=False, default=0.0)
     total_sum: float = field(init=False, default=0.0)
 
@@ -77,29 +99,9 @@ class HurstSequence:
         object.__setattr__(self, "sup_value", sup)
         object.__setattr__(self, "total_sum", total)
 
-    @classmethod
-    def geometric(cls, first: float, ratio: float, d_max: int) -> "HurstSequence":
-        heads = tuple(first * ratio ** k for k in range(d_max))
-        return cls(heads=heads, tail_ratio=ratio)
-
-    @property
-    def d_max(self) -> int:
-        return len(self.heads)
-
-    def value(self, k: int) -> float:
-        """H_k for 1-based component index k, following the tail rule beyond the heads."""
-        if k < 1:
-            raise DomainError("component indices are 1-based")
-        if k <= len(self.heads):
-            return self.heads[k - 1]
-        return self.heads[-1] * self.tail_ratio ** (k - len(self.heads))
-
-    def head_array(self, d: int) -> np.ndarray:
-        return np.array([self.value(k) for k in range(1, d + 1)])
-
 
 @dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_GeometricTailSequence):
     """Component weights lambda_k >= 0: explicit heads plus a geometric tail.
 
     Square-summability is certified from the tail rule at construction; the
@@ -107,8 +109,6 @@ class WeightSequence:
     sequence and is certified by :func:`validate_sequence_pair`.
     """
 
-    heads: tuple
-    tail_ratio: float
     sum_squares: float = field(init=False, default=0.0)
 
     def __post_init__(self):
@@ -126,25 +126,6 @@ class WeightSequence:
         if self.tail_ratio > 0.0:
             sq += _geometric_tail_sum(heads[-1] ** 2, self.tail_ratio ** 2)
         object.__setattr__(self, "sum_squares", sq)
-
-    @classmethod
-    def geometric(cls, first: float, ratio: float, d_max: int) -> "WeightSequence":
-        heads = tuple(first * ratio ** k for k in range(d_max))
-        return cls(heads=heads, tail_ratio=ratio)
-
-    @property
-    def d_max(self) -> int:
-        return len(self.heads)
-
-    def value(self, k: int) -> float:
-        if k < 1:
-            raise DomainError("component indices are 1-based")
-        if k <= len(self.heads):
-            return self.heads[k - 1]
-        return self.heads[-1] * self.tail_ratio ** (k - len(self.heads))
-
-    def head_array(self, d: int) -> np.ndarray:
-        return np.array([self.value(k) for k in range(1, d + 1)])
 
 
 def validate_sequence_pair(hs: HurstSequence, ws: WeightSequence) -> float:
@@ -235,7 +216,6 @@ def component_seed_sequences(seed, d: int) -> list:
 
 def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid,
                    n_paths: int, seed: int, method: str = "cholesky",
-                   cell_rule: str = "cell_average",
                    keep_increments: bool = False) -> CylEnsemble:
     """Sample d independent weighted components on the grid.
 
@@ -260,11 +240,11 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
         H = hs.value(k + 1)
         if method == "kernel":
             inc = wiener_increments(grid, n_paths, children[k])
-            fbm_from_increments(H, inc, values[k], lam[k], cell_rule)
+            fbm_from_increments(H, inc, values[k], lam[k])
             if incs is not None:
                 incs.append(inc)
         elif method == "cholesky":
-            path = sample_fbm(H, grid, n_paths, children[k], method="cholesky")
+            path = sample_fbm(H, grid, n_paths, children[k])
             values[k] = lam[k] * path.values.T
         else:
             raise DomainError(f"unknown sampling method {method!r}")
@@ -273,102 +253,8 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
                        weights=ws, increments=tuple(incs) if incs is not None else None)
 
 
-_DIAG_KINDS = ("Q_sqrt", "K_sqrt", "Q_sqrt_inv", "K_sqrt_inv")
-
-
-def apply_diag_operator(target, which: str, weights: WeightSequence | None = None,
-                        lnd: list | None = None):
-    """Coordinatewise scaling by lambda_k, sqrt of the non-determinism constant,
-    or their reciprocals.
-
-    ``target`` is a CylEnsemble or an array whose leading axis indexes
-    components.  K variants need per-component LndConstants (or floats).
-    """
-    if which not in _DIAG_KINDS:
-        raise DomainError(f"unknown diagonal operator {which!r}")
-    if isinstance(target, CylEnsemble):
-        d = target.d
-        arr = target.values
-        weights = weights or target.weights
-    else:
-        arr = np.asarray(target, dtype=float)
-        d = arr.shape[0]
-    if which.startswith("Q"):
-        if weights is None:
-            raise DomainError("weight sequence required for Q scaling")
-        diag = weights.head_array(d)
-    else:
-        if lnd is None:
-            raise DomainError("non-determinism constants required for K scaling")
-        vals = [c.estimate if isinstance(c, LndConstants) else float(c) for c in lnd]
-        diag = np.sqrt(np.asarray(vals[:d]))
-    if which.endswith("_inv"):
-        if np.any(diag == 0.0):
-            raise DomainError("zero diagonal entry is not invertible")
-        diag = 1.0 / diag
-    shape = (d,) + (1,) * (arr.ndim - 1)
-    scaled = arr * diag.reshape(shape)
-    if isinstance(target, CylEnsemble):
-        return CylEnsemble(d=target.d, grid=target.grid, values=scaled,
-                           seed=target.seed, hursts=target.hursts,
-                           weights=target.weights, increments=target.increments)
-    return scaled
-
-
 def composite_scaling(ws: WeightSequence, lnd: list, d: int) -> np.ndarray:
     """Per-component factors lambda_k * sqrt(K_k) used by the drift-class checks."""
     vals = np.asarray([c.estimate if isinstance(c, LndConstants) else float(c)
                        for c in lnd][:d])
     return ws.head_array(d) * np.sqrt(vals)
-
-
-def sup_norm_diagnostic(ens: CylEnsemble) -> float:
-    """Monte Carlo estimate of the expected running supremum of the ensemble norm."""
-    norms = np.sqrt(np.sum(ens.values ** 2, axis=0))  # (nodes, paths)
-    return float(np.mean(np.max(norms, axis=0)))
-
-
-def weighted_inverse_sqrt_hurst_sum(hs: HurstSequence, ws: WeightSequence, d: int) -> float:
-    """Partial sum of lambda_k / sqrt(H_k) over the first d components."""
-    return float(sum(ws.value(k) / np.sqrt(hs.value(k)) for k in range(1, d + 1)))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def save_ensemble_binary(ens: CylEnsemble, path) -> None:
-    """Flat binary layout: magic, (d, n_nodes, n_paths, seed) int64, row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<qqqq", ens.d, ens.grid.n_nodes, ens.n_paths, ens.seed))
-        fh.write(struct.pack("<d", ens.grid.t_end))
-        fh.write(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
-
-
-def load_ensemble_binary(path, hursts: HurstSequence, weights: WeightSequence) -> CylEnsemble:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise DomainError("not an ensemble file")
-        d, n_nodes, n_paths, seed = struct.unpack("<qqqq", fh.read(32))
-        (t_end,) = struct.unpack("<d", fh.read(8))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    values = raw.reshape(d, n_nodes, n_paths).copy()
-    grid = TimeGrid(t_end, n_nodes - 1)
-    return CylEnsemble(d=d, grid=grid, values=values, seed=seed,
-                       hursts=hursts, weights=weights)
-
-
-def save_ensemble_csv(ens: CylEnsemble, path) -> None:
-    """Long-format CSV (component, node_index, time, path, value) for small cases."""
-    nodes = ens.grid.nodes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "node", "time", "path", "value"])
-        for k in range(ens.d):
-            for i in range(ens.grid.n_nodes):
-                for p in range(ens.n_paths):
-                    writer.writerow([k + 1, i, f"{nodes[i]:.17g}",
-                                     p, f"{ens.values[k, i, p]:.17g}"])

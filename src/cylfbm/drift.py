@@ -94,17 +94,13 @@ class DriftSpec:
 
     ``c_bounds``/``d_bounds`` are the normalized constants: component k is
     bounded by c_bounds[k] * lambda_k, and its scaled integral by
-    d_bounds[k] * lambda_k.  ``class_tags`` is a subset of {"B", "L", "L0"};
-    declared Lipschitz factor sequences are optional.
+    d_bounds[k] * lambda_k.
     """
 
     components: tuple
     weights: WeightSequence
     c_bounds: np.ndarray
     d_bounds: np.ndarray
-    class_tags: frozenset = frozenset({"B"})
-    lip_l: np.ndarray | None = None
-    lip_m: np.ndarray | None = None
 
     @property
     def d_max(self) -> int:
@@ -209,8 +205,7 @@ def indicator_exponential_family(
     if d_ratio >= 1.0:
         raise DomainError(f"integral-bound constants not summable: tail ratio {d_ratio} >= 1")
     return DriftSpec(components=tuple(comps), weights=weights,
-                     c_bounds=c_bounds, d_bounds=d_bounds,
-                     class_tags=frozenset({"B"}))
+                     c_bounds=c_bounds, d_bounds=d_bounds)
 
 
 def _exp_ball_integral(n: int, rate: float) -> float:
@@ -229,23 +224,7 @@ def zero_drift(weights: WeightSequence, d_max: int) -> DriftSpec:
         for _ in range(d_max)
     )
     zeros = np.zeros(d_max)
-    return DriftSpec(components=comps, weights=weights, c_bounds=zeros,
-                     d_bounds=zeros, class_tags=frozenset({"B", "L", "L0"}))
-
-
-def constant_drift(values, weights: WeightSequence) -> DriftSpec:
-    """Constant drift vector (bounded but not integrable; test plumbing)."""
-    values = np.asarray(values, dtype=float)
-    comps = tuple(
-        DriftComponent(fn=(lambda t, y, v=float(v): np.full(y.shape[1], v)),
-                       deps=(0,), sup_bound=abs(float(v)))
-        for v in values
-    )
-    lam = weights.head_array(len(values))
-    return DriftSpec(components=comps, weights=weights,
-                     c_bounds=np.abs(values) / np.where(lam > 0, lam, 1.0),
-                     d_bounds=np.full(len(values), np.inf),
-                     class_tags=frozenset({"L", "L0"}))
+    return DriftSpec(components=comps, weights=weights, c_bounds=zeros, d_bounds=zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +401,6 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
 
 
 @dataclass(frozen=True)
-class MollifierSpec:
-    """Gaussian mollifier of width epsilon (unit mass by construction)."""
-
-    epsilon: float
-    kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DomainError("mollifier width must be positive")
-        if self.kind != "gaussian":
-            raise DomainError("only the Gaussian mollifier is implemented")
-
-
-@dataclass(frozen=True)
 class MollifiedDrift:
     """Smoothed truncated drift acting on d coordinates.
 
@@ -531,8 +496,10 @@ def _gauss_hermite_nodes(dims: int, eps: float, order: int = 24):
 
 
 def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
-    """Gaussian smoothing of the d-truncated drift in its d spatial coordinates."""
-    MollifierSpec(eps)
+    """Gaussian smoothing (unit mass) of width eps > 0 of the d-truncated
+    drift in its d spatial coordinates."""
+    if not eps > 0.0:
+        raise DomainError(f"mollifier width must be positive, got {eps}")
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
     generic = [k for k, c in enumerate(comps) if c.structure is None and c.sup_bound > 0.0]

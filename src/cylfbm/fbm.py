@@ -8,7 +8,7 @@ and the empirical local non-determinism constant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -88,23 +88,6 @@ class ScalarPath:
 
     grid: TimeGrid
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Lower-triangular cell discretization of the Volterra kernel.
-
-    Row i (0-based) acts for the node t_{i+1}; column j holds the action of
-    the kernel on the Wiener cell (t_j, t_{j+1}].  ``cell_rule`` is either
-    "cell_average" (mean kernel value over the cell) or "l2_cell" (root mean
-    square, which reproduces marginal variances exactly).
-    """
-
-    hurst: float
-    grid: TimeGrid
-    entries: np.ndarray
-    cell_rule: str
-    c_factor: float = field(default=0.0)
 
 
 @dataclass(frozen=True)
@@ -295,11 +278,10 @@ def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) ->
 
 
 @functools.lru_cache(maxsize=64)
-def _kernel_matrix_entries(H: float, t_end: float, n_cells: int, cell_rule: str) -> np.ndarray:
+def _kernel_matrix_entries(H: float, t_end: float, n_cells: int) -> np.ndarray:
     grid = TimeGrid(t_end, n_cells)
     h = grid.step
     N = n_cells
-    power = 2 if cell_rule == "l2_cell" else 1
     M = np.zeros((N, N))
     x, w = np.polynomial.legendre.leggauss(12)
     for i in range(3, N + 1):
@@ -307,58 +289,40 @@ def _kernel_matrix_entries(H: float, t_end: float, n_cells: int, cell_rule: str)
         t = i * h
         left = np.arange(1, i - 1) * h
         u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h
-        vals = 0.5 * h * np.sum(w[:, None] * np.exp(power * _log_kernel(H, t, u)), axis=0)
+        vals = 0.5 * h * np.sum(w[:, None] * np.exp(_log_kernel(H, t, u)), axis=0)
         M[i - 1, 1 : i - 1] = vals
     if N > 1:
         # every first-column cell is (0, h) and every diagonal cell has length
         # h, so after substitution rows 2..N share the interval [0, h^q]
-        q = power * (H - 0.5) + 1.0
+        q = (H - 0.5) + 1.0  # H + 0.5 rounds differently in the last bit
         t = np.arange(2, N + 1) * h
         rows = np.arange(1, N)
 
         def singular_cells(at_top):
             val, _ = integrate.quad_vec(_singular_cell_integrand, 0.0, h ** q,
-                                        args=(H, t, q, power, at_top),
+                                        args=(H, t, q, 1, at_top),
                                         epsabs=1e-13, epsrel=1e-10, norm="max")
             return val
 
         M[rows, 0] = singular_cells(False)
         M[rows, rows] = singular_cells(True)
-    M[0, 0] = kernel_cell_integral(H, h, 0.0, h, power)
-    if cell_rule == "l2_cell":
-        M = np.sqrt(M / h)
-    else:
-        M = M / h
+    M[0, 0] = kernel_cell_integral(H, h, 0.0, h)
+    M = M / h
     M.flags.writeable = False
     return M
 
 
-def kernel_matrix(H, grid: TimeGrid, cell_rule: str = "cell_average") -> KernelMatrix:
-    """Discretize the kernel on the grid cells.
+def kernel_matrix(H, grid: TimeGrid) -> np.ndarray:
+    """Lower-triangular cell discretization of the Volterra kernel (read-only).
 
-    "cell_average" stores the mean kernel value per cell, "l2_cell" the root
-    mean square; the latter makes every row variance exact.  Interior cells
-    use 12-point Gauss-Legendre per row.  Diagonal and first-column cells
+    Row i (0-based) acts for the node t_{i+1}; column j holds the mean
+    kernel value over the Wiener cell (t_j, t_{j+1}].  Interior cells use
+    12-point Gauss-Legendre per row.  Diagonal and first-column cells
     integrate across the (integrable) singularities: after the substitution
     of :func:`kernel_cell_integral` they share one interval, so each family
     is one vector-valued adaptive integration over all rows at once.
     """
-    H = as_hurst(H)
-    if cell_rule not in ("cell_average", "l2_cell"):
-        raise DomainError(f"unknown cell rule {cell_rule!r}")
-    entries = _kernel_matrix_entries(H, float(grid.t_end), int(grid.n_cells), cell_rule)
-    return KernelMatrix(hurst=H, grid=grid, entries=entries, cell_rule=cell_rule,
-                        c_factor=c_factor(H))
-
-
-def implied_covariance(km: KernelMatrix) -> np.ndarray:
-    """Covariance of the discrete construction: M h M^T on nodes 1..N.
-
-    Reports the law actually sampled by the kernel method so discrepancies
-    against the exact covariance can be examined rather than hidden.
-    """
-    M = km.entries
-    return M @ M.T * km.grid.step
+    return _kernel_matrix_entries(as_hurst(H), float(grid.t_end), int(grid.n_cells))
 
 
 def exact_covariance_matrix(H, grid: TimeGrid) -> np.ndarray:
@@ -399,45 +363,27 @@ def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_fbm(H, grid: TimeGrid, n_paths: int, seed, method: str = "cholesky",
-               cell_rule: str = "cell_average") -> ScalarPath:
-    """Sample paths at the grid nodes; node 0 is exactly zero.
-
-    "cholesky" factorizes the exact node covariance (the exact-law oracle);
-    "kernel" applies the discretized Volterra kernel to Wiener increments.
-    Both are deterministic given the seed.
-    """
+def sample_fbm(H, grid: TimeGrid, n_paths: int, seed) -> ScalarPath:
+    """Exact-law paths at the grid nodes from the Cholesky factor of the node
+    covariance; node 0 is exactly zero.  Deterministic given the seed."""
     H = as_hurst(H)
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     rng = np.random.default_rng(seed)
-    N = grid.n_cells
-    if method == "cholesky":
-        C = exact_covariance_matrix(H, grid)
-        L = _cholesky_with_jitter(C)
-        Z = rng.standard_normal((N, n_paths))
-        body = (L @ Z).T
-    elif method == "kernel":
-        dW = rng.standard_normal((N, n_paths)) * np.sqrt(grid.step)
-        M = kernel_matrix(H, grid, cell_rule).entries
-        body = (M @ dW).T
-    else:
-        raise DomainError(f"unknown sampling method {method!r}")
+    L = _cholesky_with_jitter(exact_covariance_matrix(H, grid))
+    body = (L @ rng.standard_normal((grid.n_cells, n_paths))).T
     vals = np.concatenate([np.zeros((n_paths, 1)), body], axis=1)
     return ScalarPath(grid=grid, values=vals)
 
 
-def fbm_from_increments(H, inc: WienerIncrements, out: np.ndarray, scale: float,
-                        cell_rule: str = "cell_average") -> np.ndarray:
+def fbm_from_increments(H, inc: WienerIncrements, out: np.ndarray, scale: float) -> np.ndarray:
     """Write scale times the kernel matrix applied to the Wiener increments
     into ``out``, node-major with shape (n_nodes, n_paths), and return it.
 
     Row 0 is exactly 0; rows 1.. receive the matrix product directly, so no
     path-major copy of the sample is ever made.
     """
-    H = as_hurst(H)
-    M = kernel_matrix(H, inc.grid, cell_rule).entries
-    np.matmul(M, inc.values.T, out=out[1:])
+    np.matmul(kernel_matrix(H, inc.grid), inc.values.T, out=out[1:])
     out[0] = 0.0
     out *= scale
     return out
@@ -488,12 +434,6 @@ def fbm_conditional_variance_times(H, times, target: int, conditioning, **kw):
         - np.abs(times[:, None] - times[None, :]) ** (2 * H)
     )
     return schur_conditional_variance(cov, target, conditioning, **kw)
-
-
-def conditional_variance(H, grid: TimeGrid, target_index: int, conditioning_indices, **kw):
-    """Var(B_{t_i} | B_{t_j}, j in the conditioning set) on grid nodes."""
-    return fbm_conditional_variance_times(H, grid.nodes, target_index,
-                                          conditioning_indices, **kw)
 
 
 def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> LndConstants:

@@ -341,7 +341,7 @@ def malliavin_directional(sol: SolutionEnsemble, s_index: int, m: int,
         raise DomainError("bump window exceeds the grid")
     H_m = sol.noise.hursts.value(m)
     lam_m = sol.noise.weights.value(m)
-    km = kernel_matrix(H_m, grid, "cell_average").entries
+    km = kernel_matrix(H_m, grid)
     win = slice(s_index, s_index + window_cells)
     profile = lam_m * np.sum(km[s_index:, win], axis=1) / window_cells  # nodes s_index+1..N
     return _step_linear_equation(sol, s_index, m - 1, profile)
@@ -369,7 +369,7 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     grid = sol.grid
     H_m = sol.noise.hursts.value(m)
     lam_m = sol.noise.weights.value(m)
-    km = kernel_matrix(H_m, grid, "cell_average").entries
+    km = kernel_matrix(H_m, grid)
     win = slice(s_index, s_index + window_cells)
     shift_nodes = np.zeros(grid.n_nodes)
     shift_nodes[1:] = lam_m * np.sum(km[:, win], axis=1) / window_cells

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cylfbm import cylinder, fbm
+from cylfbm import cylinder, drift, fbm
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,17 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def constant_drift(values, weights) -> drift.DriftSpec:
+    """Constant drift vector: bounded but not integrable."""
+    values = np.asarray(values, dtype=float)
+    comps = tuple(
+        drift.DriftComponent(fn=(lambda t, y, v=float(v): np.full(y.shape[1], v)),
+                             deps=(0,), sup_bound=abs(float(v)))
+        for v in values
+    )
+    lam = weights.head_array(len(values))
+    return drift.DriftSpec(components=comps, weights=weights,
+                           c_bounds=np.abs(values) / np.where(lam > 0, lam, 1.0),
+                           d_bounds=np.full(len(values), np.inf))

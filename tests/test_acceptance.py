@@ -33,7 +33,7 @@ def test_criterion_01_fbm_law():
     worst = 0.0
     rng = np.random.default_rng(101)
     for H in (0.05, 0.08, 0.3):
-        paths = fbm.sample_fbm(H, grid, n, seed=11, method="cholesky")
+        paths = fbm.sample_fbm(H, grid, n, seed=11)
         C = fbm.exact_covariance_matrix(H, grid)
         body = paths.values[:, 1:]
         for _ in range(10):

@@ -40,7 +40,8 @@ class TestConfigSchema:
         assert "1/12" in text or f"{1/12:.6f}" in text
 
     def test_defaults_round_trip(self):
-        cfg = cli.load_config(cli.schema_defaults())
+        defaults = {key: default for key, (_, default, _note) in cli._SCHEMA.items()}
+        cfg = cli.load_config(cli._nest(defaults))
         assert cfg.command == "verify-suite"
         assert cfg["grid.n_cells"] == 64
 
@@ -48,6 +49,14 @@ class TestConfigSchema:
         with pytest.raises(cli.ConfigError) as err:
             cli.load_config({"grid": {"n_cells": 32, "mesh": 4}})
         assert "grid.mesh" in str(err.value)
+
+    def test_sequence_preset_key_rejected(self, tmp_path, capsys):
+        # the preset never chose the model; the sequences.* numbers do
+        cfg_file = tmp_path / "preset.yaml"
+        cfg_file.write_text(yaml.safe_dump({"sequences": {"preset": "nonsense"}}))
+        rc = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert "sequences.preset" in capsys.readouterr().err
 
     def test_type_errors_named(self):
         with pytest.raises(cli.ConfigError) as err:
@@ -106,6 +115,12 @@ class TestRunBasics:
         ({"command": "girsanov", "x0": [[0.1, 0.2]]}, "x0"),
         ({"command": "converge", "x0": [0.0, float("inf")]}, "x0"),
         ({"command": "solve", "x0": [float("nan")]}, "x0"),
+        ({"command": "girsanov", "d": 10}, "d"),
+        ({"command": "converge", "schedule": [[1, 0.1], [10, 0.05]]}, "schedule"),
+        ({"command": "solve", "drift": {"epsilon": 0.0}}, "drift.epsilon"),
+        ({"command": "solve", "drift": {"epsilon": float("nan")}}, "drift.epsilon"),
+        ({"command": "converge", "schedule": [[1, 0.1], [2, -0.05]]}, "schedule"),
+        ({"command": "converge", "schedule": [[1, float("inf")]]}, "schedule"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"

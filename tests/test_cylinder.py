@@ -60,7 +60,7 @@ class TestEnsembles:
         ens = cylinder.sample_cyl_fbm(hs, ws, 3, grid64, 50, seed=8,
                                       method="kernel", keep_increments=True)
         for k, inc in enumerate(ens.increments):
-            M = fbm.kernel_matrix(hs.value(k + 1), grid64).entries
+            M = fbm.kernel_matrix(hs.value(k + 1), grid64)
             assert np.array_equal(ens.values[k, 1:], ws.value(k + 1) * (M @ inc.values.T))
             assert np.all(ens.values[k, 0] == 0.0)
 
@@ -116,19 +116,6 @@ class TestEnsembles:
 
 
 class TestDiagonalOperators:
-    def test_q_roundtrip_identity(self, sequences):
-        hs, ws = sequences
-        x = np.arange(1.0, 5.0)
-        out = cylinder.apply_diag_operator(
-            cylinder.apply_diag_operator(x, "Q_sqrt", weights=ws),
-            "Q_sqrt_inv", weights=ws)
-        assert np.max(np.abs(out - x)) < 1e-12
-
-    def test_unit_lnd_is_identity(self, sequences):
-        x = np.arange(1.0, 4.0)
-        out = cylinder.apply_diag_operator(x, "K_sqrt", lnd=[1.0, 1.0, 1.0])
-        assert np.array_equal(out, x)
-
     def test_composite_scaling_product(self, sequences, grid64):
         hs, ws = sequences
         lnd = [fbm.estimate_lnd_constant(hs.value(k), grid64, 0.1) for k in (1, 2, 3)]
@@ -136,9 +123,10 @@ class TestDiagonalOperators:
         direct = np.array([ws.value(k) * np.sqrt(lnd[k - 1].estimate) for k in (1, 2, 3)])
         assert np.max(np.abs(combo - direct)) < 1e-15
 
-    def test_zero_diagonal_not_invertible(self):
-        with pytest.raises(fbm.DomainError):
-            cylinder.apply_diag_operator(np.ones(2), "K_sqrt_inv", lnd=[0.4, 0.0])
+
+def expected_sup_norm(ens) -> float:
+    """Monte Carlo estimate of E sup_t |ensemble(t)|."""
+    return float(np.mean(np.max(np.sqrt(np.sum(ens.values ** 2, axis=0)), axis=0)))
 
 
 class TestSupNormDiagnostic:
@@ -146,7 +134,7 @@ class TestSupNormDiagnostic:
         hs = cylinder.HurstSequence.geometric(0.08, 0.5, 2)
         ws = cylinder.WeightSequence(heads=(0.0, 0.0), tail_ratio=0.0)
         ens = cylinder.sample_cyl_fbm(hs, ws, 1, grid64, 200, seed=3)
-        assert cylinder.sup_norm_diagnostic(ens) == 0.0
+        assert expected_sup_norm(ens) == 0.0
 
     def test_monotone_in_truncation_and_ratio_stable(self, grid64):
         hs, ws = cylinder.make_sequences({"hurst_first": 0.08, "hurst_ratio": 0.5,
@@ -155,31 +143,11 @@ class TestSupNormDiagnostic:
         vals, ratios = [], []
         for d in (4, 8, 16):
             ens = cylinder.sample_cyl_fbm(hs, ws, d, grid64, 4000, seed=41)
-            est = cylinder.sup_norm_diagnostic(ens)
+            est = expected_sup_norm(ens)
             vals.append(est)
-            ratios.append(est / cylinder.weighted_inverse_sqrt_hurst_sum(hs, ws, d))
+            # partial sum of lambda_k / sqrt(H_k) over the first d components
+            ratios.append(est / np.sum(ws.head_array(d) / np.sqrt(hs.head_array(d))))
         assert vals[0] <= vals[1] <= vals[2]
         assert np.isfinite(vals[-1])
         assert max(ratios) <= 2.0 * min(ratios)
 
-
-class TestSerialization:
-    def test_binary_roundtrip(self, sequences, grid64, tmp_path):
-        hs, ws = sequences
-        ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 10, seed=1)
-        path = tmp_path / "ens.bin"
-        cylinder.save_ensemble_binary(ens, path)
-        back = cylinder.load_ensemble_binary(path, hs, ws)
-        assert back.d == ens.d and back.seed == ens.seed
-        assert np.array_equal(back.values, ens.values)
-        assert back.grid.t_end == ens.grid.t_end
-
-    def test_csv_output(self, sequences, tmp_path):
-        hs, ws = sequences
-        grid = fbm.TimeGrid(1.0, 16)
-        ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid, 3, seed=1)
-        path = tmp_path / "ens.csv"
-        cylinder.save_ensemble_csv(ens, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "component,node,time,path,value"
-        assert len(lines) == 1 + 2 * 17 * 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import constant_drift
 from cylfbm import cylinder, drift, fbm
 
 
@@ -80,12 +81,11 @@ class TestClassValidation:
         assert report.d_tested == 3
 
     def test_constant_drift_fails_integral(self, weights):
-        spec = drift.constant_drift([1.0], weights)
+        spec = constant_drift([1.0], weights)
         # claim a finite integral bound, then watch the test falsify it
         spec = drift.DriftSpec(components=spec.components, weights=weights,
                                c_bounds=spec.c_bounds,
-                               d_bounds=np.array([10.0]),
-                               class_tags=spec.class_tags)
+                               d_bounds=np.array([10.0]))
         report = drift.validate_drift_class(spec, 1, scaling_for(weights, 1))
         assert not report.passed
         assert report.entries[0].integral_measured == np.inf
@@ -200,6 +200,11 @@ class TestMollification:
                                c_bounds=np.ones(4) * 4, d_bounds=np.ones(4) * 50)
         with pytest.raises(fbm.DomainError):
             drift.mollify(spec, 4, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+    def test_width_must_be_positive(self, jump_spec, eps):
+        with pytest.raises(fbm.DomainError):
+            drift.mollify(jump_spec, 2, eps)
 
     def test_mollified_keeps_class_bounds(self, jump_spec, weights):
         # smoothing the indicator cannot raise the sup or integral envelopes

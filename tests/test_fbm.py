@@ -88,54 +88,29 @@ class TestKernel:
 
 
 class TestKernelMatrix:
-    def test_row_variance_l2_rule(self):
-        H = 0.1
-        grid = fbm.TimeGrid(1.0, 256)
-        km = fbm.kernel_matrix(H, grid, "l2_cell")
-        var = np.sum(km.entries ** 2, axis=1) * grid.step
-        target = grid.nodes[1:] ** (2 * H)
-        assert np.max(np.abs(var - target) / target) < 0.02  # exact per cell
-
     def test_strictly_lower_triangular(self, grid64):
-        km = fbm.kernel_matrix(0.2, grid64, "cell_average")
-        assert np.all(km.entries[np.triu_indices(64, k=1)] == 0.0)
-        assert np.all(np.isfinite(km.entries))
-        assert np.all(km.entries[np.tril_indices(64)] >= 0.0)
-
-    def test_cell_rules_differ_on_diagonal_agree_off(self):
-        H = 0.3
-        grid = fbm.TimeGrid(1.0, 256)
-        avg = fbm.kernel_matrix(H, grid, "cell_average").entries
-        l2 = fbm.kernel_matrix(H, grid, "l2_cell").entries
-        diag = np.arange(256)
-        assert np.all(l2[diag, diag] > avg[diag, diag])
-        # off-singularity cells: at least two cells away from the diagonal,
-        # and past the first column
-        i, j = np.tril_indices(256, k=-2)
-        keep = j >= 1
-        gap = np.abs(avg[i[keep], j[keep]] - l2[i[keep], j[keep]])
-        assert np.max(gap) < 1e-3
-
-    def test_c_factor_stored(self, grid64):
-        km = fbm.kernel_matrix(0.2, grid64)
-        assert km.c_factor == pytest.approx(fbm.c_factor(0.2))
+        M = fbm.kernel_matrix(0.2, grid64)
+        assert np.all(M[np.triu_indices(64, k=1)] == 0.0)
+        assert np.all(np.isfinite(M))
+        assert np.all(M[np.tril_indices(64)] >= 0.0)
+        assert not M.flags.writeable  # the cached entries are shared
 
     @pytest.mark.parametrize("n_cells", [16, 128])
-    @pytest.mark.parametrize("cell_rule", ["cell_average", "l2_cell"])
+    # the one cell rule left (the mean kernel value per cell), kept in the test id
+    @pytest.mark.parametrize("cell_rule", ["cell_average"])
     @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
     def test_singular_cells_match_scalar_oracle(self, H, cell_rule, n_cells):
         # first-column and diagonal cells against kernel_cell_integral row by row
         grid = fbm.TimeGrid(1.0, n_cells)
         h = grid.step
-        power = 2 if cell_rule == "l2_cell" else 1
-        cells = fbm.kernel_matrix(H, grid, cell_rule).entries ** power * h
+        cells = fbm.kernel_matrix(H, grid) * h
         first, diag, first_oracle, diag_oracle = [], [], [], []
         for i in range(2, n_cells + 1):
             t = i * h
             first.append(cells[i - 1, 0])
             diag.append(cells[i - 1, i - 1])
-            first_oracle.append(fbm.kernel_cell_integral(H, t, 0.0, h, power))
-            diag_oracle.append(fbm.kernel_cell_integral(H, t, (i - 1) * h, t, power))
+            first_oracle.append(fbm.kernel_cell_integral(H, t, 0.0, h))
+            diag_oracle.append(fbm.kernel_cell_integral(H, t, (i - 1) * h, t))
         np.testing.assert_allclose(first, first_oracle, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(diag, diag_oracle, rtol=1e-10, atol=0.0)
 
@@ -153,17 +128,24 @@ class TestKernelMatrix:
         counts = {}
         for n_cells in (16, 128):
             calls.clear()
-            fbm._kernel_matrix_entries.__wrapped__(0.08, 1.0, n_cells, "cell_average")
+            fbm._kernel_matrix_entries.__wrapped__(0.08, 1.0, n_cells)
             counts[n_cells] = len(calls)
         assert counts[16] == counts[128]
 
 
+def kernel_sample(H, grid, n_paths, seed) -> np.ndarray:
+    """Kernel-construction paths, node-major with shape (n_nodes, n_paths)."""
+    inc = fbm.wiener_increments(grid, n_paths, seed)
+    return fbm.fbm_from_increments(H, inc, np.empty((grid.n_nodes, n_paths)), 1.0)
+
+
 class TestSampling:
     def test_determinism_bitwise(self, grid64):
-        for method in ("cholesky", "kernel"):
-            a = fbm.sample_fbm(0.3, grid64, 50, seed=42, method=method)
-            b = fbm.sample_fbm(0.3, grid64, 50, seed=42, method=method)
-            assert np.array_equal(a.values, b.values)
+        a = fbm.sample_fbm(0.3, grid64, 50, seed=42)
+        b = fbm.sample_fbm(0.3, grid64, 50, seed=42)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(kernel_sample(0.3, grid64, 50, 42),
+                              kernel_sample(0.3, grid64, 50, 42))
 
     def test_node_zero_exact(self, grid64):
         p = fbm.sample_fbm(0.1, grid64, 10, seed=1)
@@ -171,7 +153,7 @@ class TestSampling:
 
     def test_cholesky_variance_at_one(self, grid64):
         n = 100_000
-        p = fbm.sample_fbm(0.3, grid64, n, seed=5, method="cholesky")
+        p = fbm.sample_fbm(0.3, grid64, n, seed=5)
         v = np.var(p.values[:, -1])
         se = np.sqrt(2.0 / n)  # relative SE of a Gaussian variance estimate
         assert abs(v - 1.0) < 3 * se
@@ -180,12 +162,11 @@ class TestSampling:
         # exact-law oracle comparison at a moderate roughness where the
         # cell discretization resolves the kernel mass
         H, n = 0.3, 20_000
-        pc = fbm.sample_fbm(H, grid128, n, seed=7, method="cholesky")
-        pk = fbm.sample_fbm(H, grid128, n, seed=8, method="kernel",
-                            cell_rule="l2_cell")
+        pc = fbm.sample_fbm(H, grid128, n, seed=7)
+        pk = kernel_sample(H, grid128, n, seed=8)
         C = fbm.exact_covariance_matrix(H, grid128)
         emp_c = pc.values[:, 1:].T @ pc.values[:, 1:] / n
-        emp_k = pk.values[:, 1:].T @ pk.values[:, 1:] / n
+        emp_k = pk[1:] @ pk[1:].T / n
         N = grid128.n_cells
         worst = 0.0
         for i in range(0, N, 7):
@@ -196,9 +177,9 @@ class TestSampling:
 
     def test_kernel_law_discrepancy_reported(self, grid128):
         # at very low roughness the single-coefficient-per-cell construction
-        # biases the implied joint law; the diagnostic must expose it
-        km = fbm.kernel_matrix(0.05, grid128, "cell_average")
-        implied = fbm.implied_covariance(km)
+        # biases the joint law it samples, M h M^T; the bias must show
+        M = fbm.kernel_matrix(0.05, grid128)
+        implied = M @ M.T * grid128.step
         C = fbm.exact_covariance_matrix(0.05, grid128)
         rel = np.abs(implied - C) / np.abs(C)
         assert np.max(rel) > 0.02  # genuinely discrepant, not hidden
@@ -210,7 +191,7 @@ class TestSampling:
 
 class TestConditioning:
     def test_empty_set_is_unconditional(self, grid64):
-        v = fbm.conditional_variance(0.2, grid64, 10, [])
+        v = fbm.fbm_conditional_variance_times(0.2, grid64.nodes, 10, [])
         assert v == pytest.approx(grid64.nodes[10] ** 0.4, rel=1e-12)
 
     def test_duplicate_time_gives_zero(self):
@@ -226,8 +207,8 @@ class TestConditioning:
             rng.shuffle(pool)
             small = pool[:5]
             big = pool[:12]
-            v_small = fbm.conditional_variance(0.15, grid64, tgt, small)
-            v_big = fbm.conditional_variance(0.15, grid64, tgt, big)
+            v_small = fbm.fbm_conditional_variance_times(0.15, grid64.nodes, tgt, small)
+            v_big = fbm.fbm_conditional_variance_times(0.15, grid64.nodes, tgt, big)
             assert v_big <= v_small + 1e-10
 
     def test_singular_conditioning_flagged(self):
@@ -258,7 +239,7 @@ class TestLndConstant:
 class TestLawInvariants:
     def test_empirical_covariance_matches(self, grid64):
         H, n = 0.2, 40_000
-        p = fbm.sample_fbm(H, grid64, n, seed=11, method="cholesky")
+        p = fbm.sample_fbm(H, grid64, n, seed=11)
         C = fbm.exact_covariance_matrix(H, grid64)
         emp = p.values[:, 1:].T @ p.values[:, 1:] / n
         rng = np.random.default_rng(1)
@@ -269,7 +250,7 @@ class TestLawInvariants:
 
     def test_stationary_increments(self, grid64):
         H, n = 0.25, 40_000
-        p = fbm.sample_fbm(H, grid64, n, seed=13, method="cholesky")
+        p = fbm.sample_fbm(H, grid64, n, seed=13)
         rng = np.random.default_rng(2)
         for _ in range(10):
             i, j = sorted(rng.integers(0, 65, size=2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import traced_peak
+from conftest import constant_drift, traced_peak
 from cylfbm import cylinder, drift, fbm, fraccalc, girsanov
 
 
@@ -149,7 +149,7 @@ class TestWeakSolutionEstimator:
     def test_constant_drift_oracle(self, sequences, grid128):
         hs, ws = sequences
         c = 0.2
-        spec = drift.constant_drift([c, 0.0], ws)
+        spec = constant_drift([c, 0.0], ws)
         x = np.array([0.1, 0.0])
         res = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                hs, ws, 2, grid128, 40_000, seed=23)
@@ -161,7 +161,7 @@ class TestWeakSolutionEstimator:
     def test_zero_weight_with_drift_rejected(self, grid64):
         hs = cylinder.HurstSequence.geometric(0.08, 0.5, 2)
         ws = cylinder.WeightSequence(heads=(0.5, 0.0), tail_ratio=0.0)
-        spec = drift.constant_drift([0.1, 0.1], cylinder.WeightSequence.geometric(0.5, 0.5, 2))
+        spec = constant_drift([0.1, 0.1], cylinder.WeightSequence.geometric(0.5, 0.5, 2))
         with pytest.raises(fbm.DomainError):
             girsanov.weak_solution_estimator(spec, ["coordinate:1"], [0.0, 0.0], 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)
