@@ -200,10 +200,10 @@ def _check_x0(x0: list) -> None:
 
 def _check_evaluation(entries: dict) -> None:
     """For the commands that price functionals at t_eval: reject a truncation
-    level past sequences.d_max where the reweighting target runs, a mollifier
-    width that is not finite and positive, functionals that are unknown or
-    read past the state dimension (for converge, the largest schedule level)
-    and a t_eval that is not a grid node."""
+    level past sequences.d_max, a mollifier width that is not finite and
+    positive, functionals that are unknown or read past the state dimension
+    (for converge, the largest schedule level) and a t_eval that is not a
+    grid node."""
     command, d_max = entries["command"], entries["sequences.d_max"]
     dim = entries["d"]
     if command == "converge":
@@ -215,9 +215,9 @@ def _check_evaluation(entries: dict) -> None:
                               "(truncation level, mollifier width)") from None
         _check_level("schedule", dim, d_max)
         _check_widths("schedule", [ee for _, ee in schedule])
-    elif command == "girsanov":
-        _check_level("d", dim, d_max)
     else:
+        _check_level("d", dim, d_max)
+    if command == "solve":
         _check_widths("drift.epsilon", [entries["drift.epsilon"]])
     for phi_id in entries["phis"]:
         try:
@@ -236,8 +236,8 @@ def _check_evaluation(entries: dict) -> None:
 
 
 def _check_level(key: str, level: int, d_max: int) -> None:
-    """The drift has sequences.d_max components, so the reweighting target
-    cannot run past that truncation level."""
+    """The drift has sequences.d_max components, so no command can drive a
+    truncation level past it."""
     if level > d_max:
         raise ConfigError(f"config key {key}: truncation level {level} exceeds "
                           f"sequences.d_max = {d_max}")

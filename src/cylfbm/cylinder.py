@@ -147,34 +147,14 @@ def validate_sequence_pair(hs: HurstSequence, ws: WeightSequence) -> float:
     return head + _geometric_tail_sum(last, tail_ratio)
 
 
-SEQUENCE_PRESETS = {
-    # H_k = 0.08 * 2^-(k-1): sup 0.08 < 1/12, sum 0.16 < 1/6.
-    # lambda_k = 2^-k: tail ratio 1/2 < sqrt(1/2).
-    "default": {
-        "hurst_first": 0.08,
-        "hurst_ratio": 0.5,
-        "weight_first": 0.5,
-        "weight_ratio": 0.5,
-        "d_max": 8,
-    },
-}
-
-
-def make_sequences(preset) -> tuple:
+def make_sequences(params: dict) -> tuple:
     """Build a validated (HurstSequence, WeightSequence) pair.
 
-    ``preset`` is a preset name or a dict with keys hurst_first, hurst_ratio,
-    weight_first, weight_ratio, d_max.  Constraint violations raise with the
-    violated inequality named.
+    ``params`` holds the keys hurst_first, hurst_ratio, weight_first,
+    weight_ratio and d_max.  Constraint violations raise with the violated
+    inequality named.
     """
-    if isinstance(preset, str):
-        try:
-            params = SEQUENCE_PRESETS[preset]
-        except KeyError:
-            raise SequenceConstraintError(f"unknown sequence preset {preset!r}") from None
-    else:
-        params = dict(preset)
-    d_max = int(params.get("d_max", 8))
+    d_max = int(params["d_max"])
     hs = HurstSequence.geometric(params["hurst_first"], params["hurst_ratio"], d_max)
     ws = WeightSequence.geometric(params["weight_first"], params["weight_ratio"], d_max)
     validate_sequence_pair(hs, ws)
@@ -198,7 +178,6 @@ class CylEnsemble:
     d: int
     grid: TimeGrid
     values: np.ndarray
-    seed: int
     hursts: HurstSequence
     weights: WeightSequence
     increments: tuple | None = None
@@ -228,7 +207,7 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     product straight into its slice of ``values``, so the block holds the
     ensemble and one component's increments (all d with ``keep_increments``).
     """
-    if d < 1 or d > max(hs.d_max, 10**6):
+    if d < 1:
         raise DomainError("truncation level must be >= 1")
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
@@ -248,9 +227,8 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
             values[k] = lam[k] * path.values.T
         else:
             raise DomainError(f"unknown sampling method {method!r}")
-    seed_label = int(seed) if isinstance(seed, (int, np.integer)) else -1
-    return CylEnsemble(d=d, grid=grid, values=values, seed=seed_label, hursts=hs,
-                       weights=ws, increments=tuple(incs) if incs is not None else None)
+    return CylEnsemble(d=d, grid=grid, values=values, hursts=hs, weights=ws,
+                       increments=tuple(incs) if incs is not None else None)
 
 
 def composite_scaling(ws: WeightSequence, lnd: list, d: int) -> np.ndarray:

@@ -108,10 +108,12 @@ class DriftSpec:
 
 
 def evaluate(spec: DriftSpec, t: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate every component at time t on states y of shape (dy, m)."""
+    """Evaluate the first min(dy, d_max) components at time t on states y of
+    shape (dy, m): a state has no coordinate for the rows past dy."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    out = np.empty((spec.d_max, y.shape[1]))
-    for k, comp in enumerate(spec.components):
+    comps = spec.components[: y.shape[0]]
+    out = np.empty((len(comps), y.shape[1]))
+    for k, comp in enumerate(comps):
         out[k] = comp(t, y)
     return out
 
@@ -258,7 +260,7 @@ class ClassBoundsReport:
     passed: bool
 
 
-def _maximization_box(comp: DriftComponent, dims: int) -> float:
+def _maximization_box(comp: DriftComponent) -> float:
     if comp.decay_rate > 0.0:
         return -math.log(_ENVELOPE_CUTOFF) / comp.decay_rate
     return 10.0
@@ -266,7 +268,7 @@ def _maximization_box(comp: DriftComponent, dims: int) -> float:
 
 def _sampled_sup(comp: DriftComponent, d: int, t_end: float, rng, n: int = 4096) -> float:
     deps = [c for c in comp.deps if c < d]
-    radius = _maximization_box(comp, len(deps))
+    radius = _maximization_box(comp)
     # probes at the origin and just off it along each dependency axis catch
     # the peak of damped indicator profiles on either side of an interface
     probes = [np.zeros(d)]
@@ -306,7 +308,7 @@ def _integral_over_deps(comp: DriftComponent, d: int, scaling: np.ndarray,
             vals = np.maximum(vals, np.abs(comp(t, y)))
         return vals
 
-    radius = _maximization_box(comp, len(deps)) / min(scaling[deps])
+    radius = _maximization_box(comp) / min(scaling[deps])
     edge = np.zeros((len(deps), 2 * len(deps)))
     for i in range(len(deps)):
         edge[i, 2 * i] = radius
@@ -372,7 +374,8 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
     """Project the drift onto the first d coordinates.
 
     Components past d become zero; the rest read only the first d coordinates
-    of the state (missing coordinates enter as zero).
+    of the state (missing coordinates enter as zero).  Zero components are
+    kept as they are; a nonzero component needs its closed-form structure.
     """
     if d < 1:
         raise DomainError("truncation level must be >= 1")
@@ -381,18 +384,16 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
         if k >= d:
             comps.append(DriftComponent(fn=lambda t, y: np.zeros(y.shape[1]),
                                         deps=(), sup_bound=0.0))
-            continue
-        kept = tuple(c for c in comp.deps if c < d)
-        if comp.structure is not None:
+        elif comp.structure is not None:
+            kept = tuple(c for c in comp.deps if c < d)
             st = replace(comp.structure, coords=kept)
             comps.append(replace(comp, structure=st, deps=kept,
                                  fn=(lambda tt, yy, _st=st: _structure_eval(_st, tt, yy))))
+        elif comp.sup_bound == 0.0:
+            comps.append(comp)
         else:
-            def projected(t, y, _fn=comp.fn, _d=d):
-                yy = np.zeros((max(y.shape[0], _d), y.shape[1]))
-                yy[:_d] = y[:_d]
-                return _fn(t, yy)
-            comps.append(replace(comp, fn=projected, deps=kept))
+            raise DomainError(f"component {k + 1} is nonzero and has no closed-form "
+                              "structure to truncate and mollify")
     cb = spec.c_bounds.copy()
     db = spec.d_bounds.copy()
     cb[d:] = 0.0
@@ -410,8 +411,7 @@ class MollifiedDrift:
     in closed form along the jump's normal coordinate (an error-function
     profile); the damped amplitude is kept pointwise, so the evaluator is
     smooth everywhere except on the measure-zero amplitude ridge, where it
-    stays Lipschitz.  Generic components are smoothed by tensor Gauss-Hermite
-    convolution, which is limited to d <= 3.
+    stays Lipschitz.
     """
 
     base: DriftSpec
@@ -485,58 +485,29 @@ def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
     return out
 
 
-def _gauss_hermite_nodes(dims: int, eps: float, order: int = 24):
-    x, w = np.polynomial.hermite_e.hermegauss(order)  # weight exp(-x^2/2)
-    w = w / np.sqrt(2.0 * math.pi)
-    grids = np.meshgrid(*([x] * dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids]) * eps
-    wg = np.meshgrid(*([w] * dims), indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wg]), axis=0)
-    return pts, wts
-
-
 def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
     """Gaussian smoothing (unit mass) of width eps > 0 of the d-truncated
-    drift in its d spatial coordinates."""
+    drift in its d spatial coordinates.  Each of the first d components must
+    be zero or carry its closed-form structure (:func:`truncate_drift`)."""
     if not eps > 0.0:
         raise DomainError(f"mollifier width must be positive, got {eps}")
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
-    generic = [k for k, c in enumerate(comps) if c.structure is None and c.sup_bound > 0.0]
-    if generic and d > 3:
-        raise DomainError("quadrature mollification of generic drifts is limited to d <= 3")
-    gh = _gauss_hermite_nodes(d, eps) if generic else None
 
     def evaluator(t: float, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         out = np.zeros((d, z.shape[1]))
         for k, comp in enumerate(comps):
-            if comp.sup_bound == 0.0:
-                continue
-            if comp.structure is not None:
+            if comp.sup_bound != 0.0:
                 out[k] = _mollified_structure_value(comp.structure, eps, t, z)
-            else:
-                pts, wts = gh
-                acc = np.zeros(z.shape[1])
-                for p, wt in zip(pts.T, wts):
-                    acc += wt * comp(t, z - p[:, None])
-                out[k] = acc
         return out
 
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         out = np.zeros((d, d, z.shape[1]))
         for k, comp in enumerate(comps):
-            if comp.sup_bound == 0.0:
-                continue
-            if comp.structure is not None:
+            if comp.sup_bound != 0.0:
                 out[k] = _mollified_structure_grad(comp.structure, eps, t, z, d)
-            else:
-                pts, wts = gh
-                acc = np.zeros((d, z.shape[1]))
-                for p, wt in zip(pts.T, wts):
-                    acc -= wt * comp(t, z - p[:, None])[None, :] * (p[:, None] / eps ** 2)
-                out[k] = acc
         return out
 
     return MollifiedDrift(base=trunc, d=d, epsilon=eps,
@@ -559,7 +530,7 @@ def lipschitz_estimate(md: MollifiedDrift, n_samples: int = 2048, seed: int = 0)
     """
     rng = np.random.default_rng(seed)
     d = md.d
-    radius = max(_maximization_box(c, d) for c in md.base.components[:d])
+    radius = max(_maximization_box(c) for c in md.base.components[:d])
     z = rng.uniform(-radius, radius, size=(d, n_samples))
     # pin a disjoint block of columns per component onto its jump interface;
     # the remaining samples stay fully random

@@ -79,7 +79,6 @@ class WienerIncrements:
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -325,15 +324,20 @@ def kernel_matrix(H, grid: TimeGrid) -> np.ndarray:
     return _kernel_matrix_entries(as_hurst(H), float(grid.t_end), int(grid.n_cells))
 
 
+def covariance_matrix(H, times) -> np.ndarray:
+    """Covariance matrix of the process at the given (possibly repeated) times."""
+    H = as_hurst(H)
+    times = np.asarray(times, dtype=float)
+    return 0.5 * (
+        times[:, None] ** (2 * H)
+        + times[None, :] ** (2 * H)
+        - np.abs(times[:, None] - times[None, :]) ** (2 * H)
+    )
+
+
 def exact_covariance_matrix(H, grid: TimeGrid) -> np.ndarray:
     """Exact covariance matrix on the interior nodes t_1..t_N."""
-    H = as_hurst(H)
-    nodes = grid.nodes[1:]
-    return 0.5 * (
-        nodes[:, None] ** (2 * H)
-        + nodes[None, :] ** (2 * H)
-        - np.abs(nodes[:, None] - nodes[None, :]) ** (2 * H)
-    )
+    return covariance_matrix(H, grid.nodes[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +351,7 @@ def wiener_increments(grid: TimeGrid, n_paths: int, seed) -> WienerIncrements:
         raise DomainError("n_paths must be at least 1")
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((n_paths, grid.n_cells)) * np.sqrt(grid.step)
-    base = seed if isinstance(seed, (int, np.integer)) else -1
-    return WienerIncrements(grid=grid, values=vals, seed=int(base))
+    return WienerIncrements(grid=grid, values=vals)
 
 
 def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
@@ -426,14 +429,7 @@ def schur_conditional_variance(cov: np.ndarray, target: int, conditioning,
 
 def fbm_conditional_variance_times(H, times, target: int, conditioning, **kw):
     """Conditional variance with explicit (possibly repeated) sample times."""
-    H = as_hurst(H)
-    times = np.asarray(times, dtype=float)
-    cov = 0.5 * (
-        times[:, None] ** (2 * H)
-        + times[None, :] ** (2 * H)
-        - np.abs(times[:, None] - times[None, :]) ** (2 * H)
-    )
-    return schur_conditional_variance(cov, target, conditioning, **kw)
+    return schur_conditional_variance(covariance_matrix(H, times), target, conditioning, **kw)
 
 
 def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> LndConstants:

@@ -1,6 +1,6 @@
 """Measure-change machinery: stochastic exponentials of shifts inverted to the
-Wiener frame, a Novikov-type finiteness bound, and the reweighting estimator
-that prices functionals of the drifted process from driftless samples.
+Wiener frame and the reweighting estimator that prices functionals of the
+drifted process from driftless samples.
 
 The estimator and the strong-solve side of the convergence experiment share
 one blocked Monte Carlo loop (:func:`mc_blocks` with :class:`RunningMoments`);
@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import drift as drift_mod
 from .cylinder import HurstSequence, WeightSequence, sample_cyl_fbm
-from .fbm import DomainError, TimeGrid, as_hurst, kernel_fractional_norm
+from .fbm import DomainError, TimeGrid, kernel_fractional_norm
 from .fraccalc import kh_inverse_matrix
 
 DEFAULT_BLOCK_SIZE = 25_000
@@ -45,7 +44,6 @@ class GirsanovWeight:
     """Per-path change-of-measure weights, kept in log form."""
 
     log_values: np.ndarray
-    t_end: float
 
     @property
     def values(self) -> np.ndarray:
@@ -91,31 +89,7 @@ def stochastic_exponential(shifts: ShiftProcess, increments, hursts: HurstSequen
     total = np.zeros(logs.shape[1])
     for k in range(logs.shape[0]):
         total += logs[k]
-    return GirsanovWeight(log_values=total, t_end=shifts.grid.t_end)
-
-
-def novikov_constant(H, t_end: float) -> float:
-    """Recorded constant kappa(H): with |u| <= c the quadratic variation of the
-    normalized Wiener integrand is bounded by kappa(H) * c^2."""
-    H = as_hurst(H)
-    factor = special.beta(1.5 - H, 0.5 - H) / (
-        special.gamma(0.5 - H) * kernel_fractional_norm(H))
-    return 0.5 * factor ** 2 * t_end ** (2.0 - 2 * H) / (2.0 - 2 * H)
-
-
-def novikov_bound(spec: drift_mod.DriftSpec, hursts: HurstSequence,
-                  weights: WeightSequence, t_end: float = 1.0) -> float:
-    """Finite upper bound exp(sum_k kappa(H_k) C_k^2) for the exponential moment
-    that makes the change of measure a martingale."""
-    C = np.asarray(spec.c_bounds, dtype=float)
-    if not np.all(np.isfinite(C)):
-        raise DomainError("sup-bound constants must be finite")
-    total = 0.0
-    for k in range(len(C)):
-        total += novikov_constant(hursts.value(k + 1), t_end) * C[k] ** 2
-    if not math.isfinite(total):
-        raise DomainError("divergent exponent sum in the martingale bound")
-    return math.exp(total)
+    return GirsanovWeight(log_values=total)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +208,12 @@ def _node_index(grid: TimeGrid, t: float) -> int:
     return idx
 
 
+def _start_point(x, d: int) -> np.ndarray:
+    """The initial point as d coordinates: padded with zeros, or cut."""
+    x = np.asarray(x, dtype=float).reshape(-1)[:d]
+    return np.concatenate([x, np.zeros(d - len(x))])
+
+
 def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
                             hursts: HurstSequence, weights: WeightSequence,
                             d: int, grid: TimeGrid, n_paths: int, seed,
@@ -248,9 +228,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     the effective-sample-size fraction (flagged when below 10%).
     """
     phis = {phi_id: make_functional(phi_id) for phi_id in phi_ids}
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) < d:
-        x = np.concatenate([x, np.zeros(d - len(x))])
+    x = _start_point(x, d)
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else (
         lambda tt, yy: drift_mod.evaluate(spec, tt, yy))
@@ -266,7 +244,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
         ens = sample_cyl_fbm(hursts, weights, d, grid, m, block_seed,
                              method="kernel", keep_increments=True)
         X = ens.values
-        X += x[:d, None, None]  # in place: a second (d, nodes, paths) array raises peak memory
+        X += x[:, None, None]  # in place: a second (d, nodes, paths) array raises peak memory
         X_t = X[:, idx_t, :].copy()  # drift_shift overwrites X
         shift = drift_shift(eval_fn, X, hursts, weights, grid)
         w = stochastic_exponential(shift, ens.increments, hursts).values

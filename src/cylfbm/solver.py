@@ -103,11 +103,7 @@ def _prepare(drift, x, noise: CylEnsemble):
         L, M, _ = lipschitz_estimate(drift)
         if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
             raise DomainError("drift Lipschitz estimate is not finite")
-    d = noise.values.shape[0]
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) < d:
-        x = np.concatenate([x, np.zeros(d - len(x))])
-    return _drift_callable(drift), x[:d]
+    return _drift_callable(drift), girsanov_mod._start_point(x, noise.values.shape[0])
 
 
 def _rms(diff: np.ndarray) -> np.ndarray:
@@ -221,15 +217,12 @@ class ResidualDiagnostics:
 
 
 def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
-    """Fit the residual sequence against rate^n t^n / n! and report the decay trend.
+    """Fit a residual sequence, such as the per-sweep ``residuals`` of
+    :func:`picard_iterates`, against rate^n t^n / n! and report the decay trend.
 
-    ``history`` is a residual sequence or the ensemble returned by
-    :func:`picard_iterates`, which keeps the update of every sweep.
     ``super_geometric`` records whether the consecutive-ratio sequence trends
     downward over the available range.
     """
-    if isinstance(history, SolutionEnsemble):
-        history = history.residuals
     residuals = tuple(float(r) for r in history)
     if len(residuals) < 3:
         raise DomainError("need at least three residuals to analyse decay")
@@ -331,19 +324,24 @@ def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> Malliav
     return MalliavinBlock(s_index=s_index, component=m, grid=grid, values=values)
 
 
-def malliavin_directional(sol: SolutionEnsemble, s_index: int, m: int,
-                          window_cells: int = 2) -> np.ndarray:
-    """Window-averaged derivative: the response to a unit Cameron-Martin bump
-    with density 1/window on the cells starting at s_index, chained through
-    the discrete kernel.  Shape (d, n_nodes, n_paths)."""
+def _bump_profile(sol: SolutionEnsemble, s_index: int, m: int,
+                  window_cells: int) -> np.ndarray:
+    """Noise response at the nodes t_1..t_N of driving component m to a unit
+    Cameron-Martin bump with density 1/window on the cells starting at
+    s_index, chained through the discrete kernel."""
     grid = sol.grid
     if s_index + window_cells > grid.n_cells:
         raise DomainError("bump window exceeds the grid")
-    H_m = sol.noise.hursts.value(m)
-    lam_m = sol.noise.weights.value(m)
-    km = kernel_matrix(H_m, grid)
+    km = kernel_matrix(sol.noise.hursts.value(m), grid)
     win = slice(s_index, s_index + window_cells)
-    profile = lam_m * np.sum(km[s_index:, win], axis=1) / window_cells  # nodes s_index+1..N
+    return sol.noise.weights.value(m) * np.sum(km[:, win], axis=1) / window_cells
+
+
+def malliavin_directional(sol: SolutionEnsemble, s_index: int, m: int,
+                          window_cells: int = 2) -> np.ndarray:
+    """Window-averaged derivative: the response to the bump of
+    :func:`_bump_profile`.  Shape (d, n_nodes, n_paths)."""
+    profile = _bump_profile(sol, s_index, m, window_cells)[s_index:]  # nodes s_index+1..N
     return _step_linear_equation(sol, s_index, m - 1, profile)
 
 
@@ -367,18 +365,14 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     tolerance could dominate the difference.
     """
     grid = sol.grid
-    H_m = sol.noise.hursts.value(m)
-    lam_m = sol.noise.weights.value(m)
-    km = kernel_matrix(H_m, grid)
-    win = slice(s_index, s_index + window_cells)
     shift_nodes = np.zeros(grid.n_nodes)
-    shift_nodes[1:] = lam_m * np.sum(km[:, win], axis=1) / window_cells
+    shift_nodes[1:] = _bump_profile(sol, s_index, m, window_cells)
     pert = np.zeros_like(sol.noise.values)
     pert[m - 1] = bump * shift_nodes[:, None]
     # increments dropped: they would no longer generate the perturbed values
     noise2 = CylEnsemble(d=sol.noise.d, grid=grid, values=sol.noise.values + pert,
-                         seed=sol.noise.seed, hursts=sol.noise.hursts,
-                         weights=sol.noise.weights, increments=None)
+                         hursts=sol.noise.hursts, weights=sol.noise.weights,
+                         increments=None)
     sol2 = picard_solve(sol.drift, sol.x0, noise2, tol=sol.tol,
                         max_iter=200, drift_rule=sol.drift_rule)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
@@ -411,7 +405,7 @@ def _pad_drift(md: MollifiedDrift, d_full: int):
 def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
                         hursts: HurstSequence, weights: WeightSequence,
                         grid: TimeGrid, x, n_paths: int, seed: int,
-                        tol: float = 1e-9, block_size: int = girsanov_mod.DEFAULT_BLOCK_SIZE):
+                        block_size: int = girsanov_mod.DEFAULT_BLOCK_SIZE):
     """Solve along an approximation schedule and compare against the
     measure-change target for the original drift.
 
@@ -427,9 +421,6 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) < d_ref:
-        x = np.concatenate([x, np.zeros(d_ref - len(x))])
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
     target = girsanov_mod.weak_solution_estimator(
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,
@@ -443,7 +434,7 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
         for m, block_seed in girsanov_mod.mc_blocks(n_paths, point_seed, block_size):
             noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                    method="kernel")
-            sol = picard_solve(padded, x, noise, tol=tol, max_iter=120)
+            sol = picard_solve(padded, x, noise, max_iter=120)
             for phi_id, phi in phis.items():
                 moments[phi_id].add(phi(sol.paths[:, idx_t, :]))
             del noise, sol  # free this block before the next one is sampled

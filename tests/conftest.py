@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cylfbm import cylinder, drift, fbm
+from cylfbm import cli, drift, fbm
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +18,9 @@ def grid128():
 
 @pytest.fixture(scope="session")
 def sequences():
-    return cylinder.make_sequences("default")
+    """The (HurstSequence, WeightSequence) pair of the CLI's default model."""
+    hs, ws, _, _ = cli._build_model(cli.load_config({}))
+    return hs, ws
 
 
 def covariance_se(cov, i, j, n):

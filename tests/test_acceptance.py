@@ -22,8 +22,8 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def model():
-    hs, ws = cylinder.make_sequences("default")
-    spec = drift.indicator_exponential_family(ws, 4)
+    # the model the CLI builds at its defaults
+    hs, ws, spec, _ = cli._build_model(cli.load_config({}))
     return hs, ws, spec
 
 

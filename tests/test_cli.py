@@ -121,6 +121,7 @@ class TestRunBasics:
         ({"command": "solve", "drift": {"epsilon": float("nan")}}, "drift.epsilon"),
         ({"command": "converge", "schedule": [[1, 0.1], [2, -0.05]]}, "schedule"),
         ({"command": "converge", "schedule": [[1, float("inf")]]}, "schedule"),
+        ({"command": "solve", "d": 10}, "d"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"

@@ -5,8 +5,8 @@ from cylfbm import cylinder, fbm
 
 
 class TestSequences:
-    def test_default_preset_accepted(self):
-        hs, ws = cylinder.make_sequences("default")
+    def test_default_preset_accepted(self, sequences):
+        hs, ws = sequences
         assert hs.sup_value == pytest.approx(0.08)
         assert hs.total_sum == pytest.approx(0.16)
         assert hs.sup_value < 1 / 12 and hs.total_sum < 1 / 6

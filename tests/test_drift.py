@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from conftest import constant_drift
-from cylfbm import cylinder, drift, fbm
+from cylfbm import cli, cylinder, drift, fbm
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,15 @@ class TestFamily:
         lam1 = weights.value(1)
         assert val <= jump_spec.d_bounds[0] * lam1 * (1 + 1e-9)
         assert np.isfinite(val)
+
+    def test_evaluates_only_the_rows_a_state_has(self):
+        # the CLI's default drift has 8 components; a 4-row state gets 4 rows
+        _, _, spec, _ = cli._build_model(cli.load_config({}))
+        y = np.random.default_rng(8).standard_normal((4, 5))
+        out = drift.evaluate(spec, 0.3, y)
+        assert spec.d_max == 8 and out.shape == (4, 5)
+        for k in range(4):
+            assert np.array_equal(out[k], spec.components[k](0.3, y))
 
     def test_continuous_when_no_jump(self, weights):
         spec = drift.indicator_exponential_family(weights, 2, a=0.7, b=0.7)
@@ -123,23 +132,6 @@ class TestTruncation:
 
 
 class TestMollification:
-    def test_smooth_bump_second_order(self, weights):
-        # generic Gaussian-bump drift smoothed by quadrature convolution
-        comp = drift.DriftComponent(
-            fn=lambda t, y: np.exp(-0.5 * (y[0] ** 2 + y[1] ** 2)),
-            deps=(0, 1), sup_bound=1.0, decay_rate=0.3)
-        spec = drift.DriftSpec(components=(comp, comp), weights=weights,
-                               c_bounds=np.array([4.0, 4.0]),
-                               d_bounds=np.array([50.0, 50.0]))
-        z = np.random.default_rng(4).uniform(-1.5, 1.5, size=(2, 200))
-        raw = drift.evaluate(spec, 0.0, z)[0]
-        errs = []
-        for eps in (0.1, 0.05):
-            md = drift.mollify(spec, 2, eps)
-            errs.append(np.max(np.abs(md(0.0, z)[0] - raw)))
-        ratio = errs[0] / errs[1]
-        assert 2.5 < ratio < 6.0  # second-order in the mollifier width
-
     def test_interface_midpoint_value(self, weights):
         a, b = 1.0, -0.5
         spec = drift.indicator_exponential_family(weights, 2, a=a, b=b)
@@ -175,31 +167,10 @@ class TestMollification:
             fd = (md(0.3, zp) - md(0.3, zm)) / (2 * h)
             assert np.max(np.abs(J[:, i, :] - fd)) < 1e-6
 
-    def test_generic_gradient_matches_finite_differences(self, weights):
-        comp = drift.DriftComponent(
-            fn=lambda t, y: np.exp(-0.5 * (y[0] ** 2 + y[1] ** 2)),
-            deps=(0, 1), sup_bound=1.0, decay_rate=0.3)
-        spec = drift.DriftSpec(components=(comp, comp), weights=weights,
-                               c_bounds=np.array([4.0, 4.0]),
-                               d_bounds=np.array([50.0, 50.0]))
-        md = drift.mollify(spec, 2, 0.15)
-        z = np.array([[0.3, -0.4], [0.1, 0.8]])
-        J = md.gradient_evaluator(0.0, z)
-        h = 1e-6
-        for i in range(2):
-            zp = z.copy(); zp[i] += h
-            zm = z.copy(); zm[i] -= h
-            fd = (md(0.0, zp) - md(0.0, zm)) / (2 * h)
-            assert np.max(np.abs(J[:, i, :] - fd)) < 1e-6
-
     def test_generic_high_dim_unsupported(self, weights):
-        comp = drift.DriftComponent(fn=lambda t, y: np.exp(-np.sum(y ** 2, axis=0)),
-                                    deps=(0, 1, 2, 3), sup_bound=1.0, decay_rate=1.0)
-        ws4 = cylinder.WeightSequence.geometric(0.5, 0.5, 4)
-        spec = drift.DriftSpec(components=(comp,) * 4, weights=ws4,
-                               c_bounds=np.ones(4) * 4, d_bounds=np.ones(4) * 50)
+        # smoothing needs the closed-form structure of every nonzero component
         with pytest.raises(fbm.DomainError):
-            drift.mollify(spec, 4, 0.1)
+            drift.mollify(constant_drift([1.0, 0.5, 0.2, 0.1], weights), 4, 0.1)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
     def test_width_must_be_positive(self, jump_spec, eps):

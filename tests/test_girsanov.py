@@ -109,29 +109,6 @@ def hs_shifted(hs, k):
                                   tail_ratio=hs.tail_ratio)
 
 
-class TestNovikovBound:
-    def test_zero_drift_is_one(self, model, sequences):
-        hs, ws, _ = model
-        spec = drift.zero_drift(ws, 4)
-        assert girsanov.novikov_bound(spec, hs, ws) == 1.0
-
-    def test_family_matches_exponent_arithmetic(self, model):
-        hs, ws, spec = model
-        bound = girsanov.novikov_bound(spec, hs, ws, t_end=1.0)
-        expo = sum(girsanov.novikov_constant(hs.value(k + 1), 1.0) * spec.c_bounds[k] ** 2
-                   for k in range(4))
-        assert math.isfinite(bound)
-        assert bound == pytest.approx(math.exp(expo), rel=1e-12)
-
-    def test_doubling_quadruples_exponent(self, model):
-        hs, ws, spec = model
-        doubled = drift.DriftSpec(components=spec.components, weights=ws,
-                                  c_bounds=2 * spec.c_bounds, d_bounds=spec.d_bounds)
-        a = math.log(girsanov.novikov_bound(spec, hs, ws))
-        b = math.log(girsanov.novikov_bound(doubled, hs, ws))
-        assert b == pytest.approx(4 * a, rel=1e-12)
-
-
 class TestWeakSolutionEstimator:
     def test_zero_drift_matches_unweighted_exactly(self, sequences, grid64):
         hs, ws = sequences
