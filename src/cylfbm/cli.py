@@ -200,10 +200,10 @@ def _check_x0(x0: list) -> None:
 
 def _check_evaluation(entries: dict) -> None:
     """For the commands that price functionals at t_eval: reject a truncation
-    level past sequences.d_max, a mollifier width that is not finite and
-    positive, functionals that are unknown or read past the state dimension
-    (for converge, the largest schedule level) and a t_eval that is not a
-    grid node."""
+    level below 1 or past sequences.d_max, a mollifier width that is not
+    finite and positive, functionals that are unknown or read past the state
+    dimension (for converge, the largest schedule level) and a t_eval that is
+    not a grid node."""
     command, d_max = entries["command"], entries["sequences.d_max"]
     dim = entries["d"]
     if command == "converge":
@@ -213,7 +213,8 @@ def _check_evaluation(entries: dict) -> None:
         except (TypeError, ValueError):
             raise ConfigError("config key schedule: expected pairs of "
                               "(truncation level, mollifier width)") from None
-        _check_level("schedule", dim, d_max)
+        for dd, _ in schedule:
+            _check_level("schedule", dd, d_max)
         _check_widths("schedule", [ee for _, ee in schedule])
     else:
         _check_level("d", dim, d_max)
@@ -237,7 +238,9 @@ def _check_evaluation(entries: dict) -> None:
 
 def _check_level(key: str, level: int, d_max: int) -> None:
     """The drift has sequences.d_max components, so no command can drive a
-    truncation level past it."""
+    truncation level past it; a level below 1 keeps no coordinate."""
+    if level < 1:
+        raise ConfigError(f"config key {key}: truncation level must be >= 1, got {level}")
     if level > d_max:
         raise ConfigError(f"config key {key}: truncation level {level} exceeds "
                           f"sequences.d_max = {d_max}")
@@ -392,7 +395,8 @@ def _cmd_converge(cfg: RunConfig) -> ResultTable:
         spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, x,
         cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["d", "eps", "t", "phi_id", "value", "stderr",
-                                 "target", "target_stderr", "gap"],
+                                 "target", "target_stderr", "gap",
+                                 "paired_gap", "paired_stderr"],
                         provenance=_sample_provenance(target))
     for row in rows:
         table.add(row)
@@ -447,7 +451,8 @@ def run(cfg: RunConfig, out_dir=None) -> int:
 
 
 def _emit_converge_plotdata(table: ResultTable, plot_dir: Path) -> None:
-    """One (width, gap) series per truncation level and functional."""
+    """One (width, gap, paired gap, paired stderr) series per truncation
+    level and functional."""
     plot_dir.mkdir(parents=True, exist_ok=True)
     di = table.columns.index("d")
     pi = table.columns.index("phi_id")
@@ -457,7 +462,8 @@ def _emit_converge_plotdata(table: ResultTable, plot_dir: Path) -> None:
                           rows=[r for r in table.rows
                                 if r[di] == dd and r[pi] == phi_id])
         safe_phi = str(phi_id).replace(":", "_")
-        emit_plotdata(sub, "eps", ["gap"], plot_dir / f"gap_d{dd}_{safe_phi}.dat")
+        emit_plotdata(sub, "eps", ["gap", "paired_gap", "paired_stderr"],
+                      plot_dir / f"gap_d{dd}_{safe_phi}.dat")
 
 
 def emit_plotdata(table: ResultTable, x: str, ys, path) -> None:

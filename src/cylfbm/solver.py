@@ -11,14 +11,16 @@ diagnostic :func:`picard_iterates`, whose residual history
 respect to each driving component solves a linear integral equation forward
 in time; a Cameron-Martin bump re-solve validates it by finite differences.
 The convergence experiment solves in the blocks of
-:func:`cylfbm.girsanov.mc_blocks` and prices every functional's reweighting
-target on one sample.
+:func:`cylfbm.girsanov.mc_blocks`: every schedule point and a raw-drift
+reference run on one noise sample per block, each point only in the
+coordinates its drift drives, and every functional's reweighting target is
+priced on one sample of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -390,34 +392,26 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
 # ---------------------------------------------------------------------------
 
 
-def _pad_drift(md: MollifiedDrift, d_full: int):
-    """Embed a d-dimensional smoothed drift into a d_full-dimensional system
-    (the extra components carry no drift, only their noise)."""
-
-    def fn(t, z):
-        out = np.zeros((d_full, z.shape[1]))
-        out[: md.d] = md.evaluator(t, z[: md.d])
-        return out
-
-    return fn
-
-
 def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
                         hursts: HurstSequence, weights: WeightSequence,
                         grid: TimeGrid, x, n_paths: int, seed: int,
                         block_size: int = girsanov_mod.DEFAULT_BLOCK_SIZE):
-    """Solve along an approximation schedule and compare against the
-    measure-change target for the original drift.
+    """Solve along an approximation schedule on one noise sample and compare
+    against the measure-change target for the original drift.
 
-    For each (truncation level, smoothing width) the smoothed drift is solved
-    on the full representable space (missing components keep their noise but
-    lose their drift) and the mean of each functional is compared with the
-    reweighting estimator at the largest representable level; all targets
-    come from one weighted sample.  Returns the rows (value, target, their
-    standard errors and the gap, per functional; no averaging across
-    functionals) and the target's :class:`~cylfbm.girsanov.EstimatorResult`.
-    Each block's noise and solution are released before the next block is
-    sampled, so at most one block's pair is alive at a time.
+    Each block draws one sample at the largest schedule level d_ref and
+    solves every (truncation level dd, smoothing width) point on it.  Sampling
+    is prefix-stable in the level, so a point solves only its first dd
+    coordinates on a view of the sample; the others carry no drift and stay
+    x + noise exactly.  On the same block a left-rule solve of the raw drift
+    at d_ref is the reference of the paired gap, the mean of
+    phi(X_point) - phi(X_ref), and its standard error.  The reweighting
+    target at d_ref comes from a sample of its own.  Returns the rows (value,
+    target, their standard errors, the gap and the paired gap, per
+    functional; no averaging across functionals) and the target's
+    :class:`~cylfbm.girsanov.EstimatorResult`.  A block's noise is released
+    before the next block is sampled, and of the reference solve only the
+    state at t is kept.
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
@@ -426,25 +420,42 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,
         target_seed, block_size=block_size)
     idx_t = girsanov_mod._node_index(grid, t)
+    x = girsanov_mod._start_point(x, d_ref)
     phis = {phi_id: girsanov_mod.make_functional(phi_id) for phi_id in phi_ids}
-    rows = []
-    for (dd, ee), point_seed in zip(schedule, run_seed.spawn(len(schedule))):
-        padded = _pad_drift(mollify(spec, dd, ee), d_ref)
-        moments = {phi_id: girsanov_mod.RunningMoments() for phi_id in phis}
-        for m, block_seed in girsanov_mod.mc_blocks(n_paths, point_seed, block_size):
-            noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
-                                   method="kernel")
-            sol = picard_solve(padded, x, noise, max_iter=120)
+    # plain callables: the strong solve needs no Lipschitz estimate
+    evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
+    moments = [{phi_id: (girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
+                for phi_id in phis} for _ in schedule]
+    for m, block_seed in girsanov_mod.mc_blocks(n_paths, run_seed, block_size):
+        noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
+                               method="kernel")
+        ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
+                           drift_rule="left")
+        z_ref = ref.paths[:, idx_t, :].copy()  # a view would keep all of ref.paths
+        del ref
+        ref_phi = {phi_id: phi(z_ref) for phi_id, phi in phis.items()}
+        driftless = x[:, None] + noise.values[:, idx_t, :]
+        for (dd, _), fn, point in zip(schedule, evaluators, moments):
+            sol = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]),
+                               max_iter=120)
+            z = driftless.copy()
+            z[:dd] = sol.paths[:, idx_t, :]
+            del sol  # before the next point's solve allocates its paths
             for phi_id, phi in phis.items():
-                moments[phi_id].add(phi(sol.paths[:, idx_t, :]))
-            del noise, sol  # free this block before the next one is sampled
+                g = phi(z)
+                point[phi_id][0].add(g)
+                point[phi_id][1].add(g - ref_phi[phi_id])
+        del noise  # free this block before the next one is sampled
+    rows = []
+    for (dd, ee), point in zip(schedule, moments):
         for phi_id in phi_ids:
-            val, se = moments[phi_id].mean, moments[phi_id].stderr
+            mom, paired = point[phi_id]
             tgt, tgt_se = target.estimates[phi_id]
             rows.append({
                 "d": dd, "eps": ee, "t": t, "phi_id": phi_id,
-                "value": val, "stderr": se,
+                "value": mom.mean, "stderr": mom.stderr,
                 "target": tgt, "target_stderr": tgt_se,
-                "gap": val - tgt,
+                "gap": mom.mean - tgt,
+                "paired_gap": paired.mean, "paired_stderr": paired.stderr,
             })
     return rows, target

@@ -122,6 +122,11 @@ class TestRunBasics:
         ({"command": "converge", "schedule": [[1, 0.1], [2, -0.05]]}, "schedule"),
         ({"command": "converge", "schedule": [[1, float("inf")]]}, "schedule"),
         ({"command": "solve", "d": 10}, "d"),
+        ({"command": "solve", "d": 0, "phis": ["clipped_norm:2"]}, "d"),
+        ({"command": "girsanov", "d": 0, "phis": ["clipped_norm:2"]}, "d"),
+        ({"command": "converge", "schedule": [[2, 0.1], [0, 0.05]]}, "schedule"),
+        ({"command": "converge", "schedule": [[-1, 0.1], [2, 0.05]],
+          "phis": ["clipped_norm:2"]}, "schedule"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"

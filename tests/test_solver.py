@@ -342,10 +342,47 @@ class TestConvergeExperiment:
         assert len(rows) == 4  # one row per (schedule point, functional)
         for row in rows:
             assert set(row) == {"d", "eps", "t", "phi_id", "value", "stderr",
-                                "target", "target_stderr", "gap"}
+                                "target", "target_stderr", "gap",
+                                "paired_gap", "paired_stderr"}
             assert row["gap"] == pytest.approx(row["value"] - row["target"])
             assert (row["target"], row["target_stderr"]) == target.estimates[row["phi_id"]]
         assert 0.0 < target.ess_fraction <= 1.0
+
+    def test_paired_gap_sharper_than_independent(self, sequences, grid64):
+        # component 2 has no jump, so at level 4 the solve and the raw-drift
+        # reference differ only by their time rules on the same noise
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        rows, _ = solver.converge_experiment(
+            spec, [(1, 0.1), (4, 0.025)], 1.0, ["coordinate:2"], hs, ws, grid64,
+            np.zeros(4), 2000, seed=17)
+        last = rows[-1]
+        assert 0.0 < last["paired_stderr"] < last["stderr"] / 10
+
+    def test_driven_coordinates_match_padded_solve(self, sequences, grid64):
+        # a schedule point solves only the coordinates its drift drives; the
+        # solve with the drift padded by zero rows to the sample's dimension
+        # is the same in those rows, bit for bit, and x + noise in the others
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        noise = cylinder.sample_cyl_fbm(hs, ws, 4, grid64, 500, seed=23, method="kernel")
+        x = np.array([0.1, -0.2, 0.0, 0.3])
+        for dd, eps in [(1, 0.1), (2, 0.05), (4, 0.025)]:
+            md = drift.mollify(spec, dd, eps)
+
+            def padded(t, z, md=md):
+                out = np.zeros_like(z)
+                out[:dd] = md.evaluator(t, z[:dd])
+                return out
+
+            full = solver.picard_solve(padded, x, noise, max_iter=120)
+            view = cylinder.CylEnsemble(d=dd, grid=grid64, values=noise.values[:dd],
+                                        hursts=hs, weights=ws)
+            trim = solver.picard_solve(md.evaluator, x, view, max_iter=120)
+            assert np.array_equal(trim.paths, full.paths[:dd])
+            assert trim.residuals == full.residuals
+            assert trim.iterations_used == full.iterations_used
+            assert np.array_equal(full.paths[dd:], x[dd:, None, None] + noise.values[dd:])
 
 
     def test_block_memory_peak(self, sequences, grid64):
