@@ -183,8 +183,14 @@ def load_config(mapping: dict) -> RunConfig:
     if entries["mc.n_paths"] < MIN_PATHS:
         raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
     _check_x0(entries["x0"])
-    if entries["command"] in ("solve", "girsanov", "converge"):
+    command = entries["command"]
+    if command in ("solve", "girsanov", "converge"):
         _check_evaluation(entries)
+    elif command == "validate":
+        _check_level("d", entries["d"], entries["sequences.d_max"])
+    elif command == "simulate":
+        # the noise extends past sequences.d_max by the tail rule
+        _check_level("d", entries["d"], math.inf)
     return RunConfig(entries=entries)
 
 
@@ -236,9 +242,10 @@ def _check_evaluation(entries: dict) -> None:
                           f"on [0, {grid.t_end}]") from None
 
 
-def _check_level(key: str, level: int, d_max: int) -> None:
+def _check_level(key: str, level: int, d_max: float) -> None:
     """The drift has sequences.d_max components, so no command can drive a
-    truncation level past it; a level below 1 keeps no coordinate."""
+    truncation level past it (``d_max`` is infinite for the noise alone); a
+    level below 1 keeps no coordinate."""
     if level < 1:
         raise ConfigError(f"config key {key}: truncation level must be >= 1, got {level}")
     if level > d_max:
@@ -350,17 +357,14 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
     x = np.asarray(cfg["x0"], dtype=float)
     sol = solver.picard_solve(md, x, noise)
     idx = girsanov._node_index(grid, cfg["t_eval"])
-    table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr",
-                                 "iterations", "final_residual"])
+    table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr"])
     for phi_id in cfg["phis"]:
         phi = girsanov.make_functional(phi_id)
         g = phi(sol.paths[:, idx, :])
         table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d,
                    "eps": cfg["drift.epsilon"],
                    "estimate": float(np.mean(g)),
-                   "stderr": float(np.std(g, ddof=1) / np.sqrt(len(g))),
-                   "iterations": sol.iterations_used,
-                   "final_residual": sol.final_residual})
+                   "stderr": float(np.std(g, ddof=1) / np.sqrt(len(g)))})
     return table
 
 
@@ -435,7 +439,7 @@ def run(cfg: RunConfig, out_dir=None) -> int:
     except (ConfigError, fbm.DomainError, cylinder.SequenceConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArithmeticError, solver.PicardConvergenceError, fbm.FactorizationError) as exc:
+    except (ArithmeticError, fbm.FactorizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     table.provenance.update({

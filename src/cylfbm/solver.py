@@ -1,16 +1,14 @@
 """Strong solver on the truncated space and its stochastic-derivative checks.
 
 The additive noise enters exactly; only the drift time integral is
-discretized, and the trapezoid system this gives is lower-triangular in time.
-:func:`picard_solve` therefore solves it by a causal forward sweep: at each
-node a local fixed point, started from an explicit predictor, is iterated to
-tolerance before the sweep moves on (the left rule is explicit).  Global
-Picard iteration over the whole grid survives only as the contraction
-diagnostic :func:`picard_iterates`, whose residual history
-:func:`picard_residual_curve` fits.  The derivative of the solution map with
-respect to each driving component solves a linear integral equation forward
-in time; a Cameron-Martin bump re-solve validates it by finite differences.
-The convergence experiment solves in the blocks of
+discretized, by the explicit left rule Y_i = x + B_i + h sum_{j<i} F(t_j, Y_j).
+:func:`picard_solve` solves it by one causal forward sweep, one drift
+evaluation per cell.  Global Picard iteration of the same system survives
+only as the contraction diagnostic :func:`picard_iterates`, whose residual
+history :func:`picard_residual_curve` fits.  The derivative of the solution
+map with respect to each driving component is the same rule's linearisation,
+stepped forward in time; a Cameron-Martin bump re-solve validates it by
+finite differences.  The convergence experiment solves in the blocks of
 :func:`cylfbm.girsanov.mc_blocks`: every schedule point and a raw-drift
 reference run on one noise sample per block, each point only in the
 coordinates its drift drives, and every functional's reweighting target is
@@ -39,8 +37,8 @@ from .fbm import (
 
 
 class PicardConvergenceError(RuntimeError):
-    """Iteration hit the cap above tolerance; carries the residual history
-    (of the failing node for the sweep, of the sweeps for the global iterates)."""
+    """The global iterates hit the cap above tolerance; carries the update of
+    every sweep."""
 
     def __init__(self, message: str, residuals):
         super().__init__(message)
@@ -49,12 +47,11 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionEnsemble:
-    """Converged pathwise solution with its generating data.
+    """Pathwise solution with its generating data.
 
     ``paths`` has shape (d, n_nodes, n_paths) and starts at x exactly.
-    ``residuals`` holds the last local update at each node after the first
-    for :func:`picard_solve`, and the update of every sweep for
-    :func:`picard_iterates`.
+    ``residuals`` holds the update of every sweep of :func:`picard_iterates`;
+    the explicit sweep of :func:`picard_solve` leaves it empty.
     """
 
     paths: np.ndarray
@@ -64,8 +61,6 @@ class SolutionEnsemble:
     iterations_used: int
     final_residual: float
     residuals: tuple
-    drift_rule: str
-    tol: float
 
     @property
     def grid(self) -> TimeGrid:
@@ -113,89 +108,47 @@ def _rms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(diff ** 2, axis=0), axis=-1))
 
 
-def picard_solve(drift, x, noise: CylEnsemble, tol: float = 1e-9,
-                 max_iter: int = 40, drift_rule: str = "trapezoid") -> SolutionEnsemble:
-    """Solve Y_i = x + B_i + (drift time integral of Y up to t_i) node by node.
+def picard_solve(drift, x, noise: CylEnsemble) -> SolutionEnsemble:
+    """Solve Y_i = x + B_i + h sum_{j<i} F(t_j, Y_j) by one forward sweep.
 
-    The discrete system is lower-triangular in time.  With the trapezoid rule
-    node i needs Y_i = r_i + h/2 F(t_i, Y_i), where r_i = x + B_i + S_{i-1}
-    + h/2 F_{i-1} and S_{i-1} is the drift integral up to node i-1; starting
-    from the explicit predictor r_i + h/2 F_{i-1}, the local fixed point is
-    iterated until the update's RMS over paths is at most ``tol``.  The left
-    rule is explicit: one drift evaluation per node.  ``iterations_used`` is
-    the largest local iteration count, ``residuals`` the last local update
-    at each node after the first and ``final_residual`` their maximum.
+    The left rule is explicit: the drift is evaluated once per cell, at its
+    left node, and never at the last node.  The sweep leaves no residual, so
+    ``iterations_used`` is 1, ``final_residual`` 0 and ``residuals`` empty.
     """
-    if drift_rule not in ("trapezoid", "left"):
-        raise DomainError(f"unknown drift rule {drift_rule!r}")
     fn, x = _prepare(drift, x, noise)
-    nodes = noise.grid.nodes
-    h = noise.grid.step
-    xcol = x[:, None]
-    paths = np.empty_like(noise.values)
-    y = xcol + noise.values[:, 0, :]
-    paths[:, 0, :] = y
-    f_prev = fn(nodes[0], y)
-    integral = np.zeros_like(y)  # S_{i-1}
-    last, most = [], 1
-    for i in range(1, len(nodes)):
-        if drift_rule == "left":
-            integral = integral + h * f_prev
-            y = xcol + noise.values[:, i, :] + integral
-            f_prev = fn(nodes[i], y)
-            paths[:, i, :] = y
-            last.append(0.0)
-            continue
-        r = xcol + noise.values[:, i, :] + integral + 0.5 * h * f_prev
-        y = r + 0.5 * h * f_prev
-        history = []
-        while True:
-            f = fn(nodes[i], y)
-            y_new = r + 0.5 * h * f
-            history.append(float(_rms(y_new - y)))
-            y = y_new
-            if history[-1] <= tol:
-                break
-            if len(history) == max_iter:
-                raise PicardConvergenceError(
-                    f"node {i}: no convergence after {max_iter} local iterations "
-                    f"(residual {history[-1]:.3e})", history)
-        integral = integral + 0.5 * h * (f_prev + f)
-        f_prev = f
-        paths[:, i, :] = y
-        last.append(history[-1])
-        most = max(most, len(history))
+    grid = noise.grid
+    paths = x[:, None, None] + noise.values
+    integral = np.zeros_like(paths[:, 0, :])
+    for i in range(grid.n_cells):
+        integral += grid.step * fn(grid.nodes[i], paths[:, i, :])
+        paths[:, i + 1, :] += integral
     return SolutionEnsemble(paths=paths, drift=drift, noise=noise, x0=x,
-                            iterations_used=most, final_residual=max(last, default=0.0),
-                            residuals=tuple(last), drift_rule=drift_rule, tol=tol)
+                            iterations_used=1, final_residual=0.0, residuals=())
 
 
 def picard_iterates(drift, x, noise: CylEnsemble, tol: float = 1e-9,
                     max_iter: int = 40,
                     exact_iterations: int | None = None) -> SolutionEnsemble:
-    """Global Picard iteration of the trapezoid system, kept as the
+    """Global Picard iteration of the left-rule system, kept as the
     contraction diagnostic.
 
-    Every sweep re-evaluates the drift at all nodes of the previous iterate,
-    starting from x + noise, until the sup-over-grid RMS update is at most
-    ``tol``; with ``exact_iterations`` it runs exactly that many sweeps.
+    Every sweep re-evaluates the drift at the left node of every cell of the
+    previous iterate, starting from x + noise, until the sup-over-grid RMS
+    update is at most ``tol``; with ``exact_iterations`` it runs exactly that
+    many sweeps.  Its fixed point is the path of :func:`picard_solve`.
     ``residuals`` holds the update of every sweep, the sequence
     :func:`picard_residual_curve` fits.
     """
     fn, x = _prepare(drift, x, noise)
-    nodes = noise.grid.nodes
-    h = noise.grid.step
+    grid = noise.grid
     base = x[:, None, None] + noise.values
     Y = base.copy()
     residuals = []
     n_iter = exact_iterations if exact_iterations is not None else max_iter
     for it in range(1, n_iter + 1):
-        F = np.empty_like(Y)
-        for i in range(len(nodes)):
-            F[:, i, :] = fn(nodes[i], Y[:, i, :])
-        integral = np.zeros_like(Y)
-        integral[:, 1:, :] = np.cumsum(0.5 * h * (F[:, 1:, :] + F[:, :-1, :]), axis=1)
-        Ynew = base + integral
+        F = np.stack([fn(grid.nodes[i], Y[:, i, :]) for i in range(grid.n_cells)], axis=1)
+        Ynew = base.copy()
+        Ynew[:, 1:, :] += np.cumsum(grid.step * F, axis=1)
         resid = float(np.max(_rms(Ynew - Y)))
         residuals.append(resid)
         Y = Ynew
@@ -203,8 +156,7 @@ def picard_iterates(drift, x, noise: CylEnsemble, tol: float = 1e-9,
         if done:
             return SolutionEnsemble(paths=Y, drift=drift, noise=noise, x0=x,
                                     iterations_used=it, final_residual=resid,
-                                    residuals=tuple(residuals), drift_rule="trapezoid",
-                                    tol=tol)
+                                    residuals=tuple(residuals))
     raise PicardConvergenceError(
         f"no convergence after {max_iter} iterations (residual {residuals[-1]:.3e})",
         residuals)
@@ -252,60 +204,39 @@ def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _jacobian_callable(drift, d: int):
-    grad = getattr(drift, "gradient_evaluator", None)
-    if grad is None:
-        raise DomainError("the derivative equation needs a drift with a Jacobian evaluator")
-    return grad
-
-
 def _step_linear_equation(sol: SolutionEnsemble, j0: int, m_idx: int, g: np.ndarray,
                           mass: np.ndarray | None = None) -> np.ndarray:
-    """Forward-solve G_i = g_i e_m + integral_s^{t_i} J(u) G_u du per path.
+    """Forward-solve the left-rule linearisation of the solve in direction m.
 
-    ``g`` holds the inhomogeneity at the nodes after s = t_{j0}.  Writing
-    G_i = g_i e_m + R_i, the remainder R is bounded with R(s) = 0 and solves
-    R_i = Q_i + integral_s^{t_i} J(u) R_u du, where Q is the J-integral of the
-    inhomogeneity, int J(u)[:, m] g(u) du.  With ``mass`` (the exact per-cell
-    masses of a singular g, such as the weighted kernel column) Q takes each
-    cell's mass times the cell average of J[:, m]; without it Q is the
-    trapezoid rule on J[:, m] g with g(s) = 0 (a bounded bump profile).  The
-    integral of J R always takes the trapezoid rule.
+    ``g`` holds the noise perturbation at the nodes after s = t_{j0}.  The
+    derivative is G_i = g_i e_m + R_i with R_{j0} = 0 and
+    R_i = R_{i-1} + c_{i-1} J_{i-1}[:, m] + h J_{i-1} R_{i-1}, where J is the
+    drift Jacobian along the path, the rule :func:`picard_solve` applies to
+    the drift.  c is the exact cell mass of a singular g when ``mass`` is
+    given (such as the weighted kernel column), and otherwise h g at the
+    cell's left node, with g(s) = 0 (a bounded bump profile).
     """
+    jac = getattr(sol.drift, "gradient_evaluator", None)
+    if jac is None:
+        raise DomainError("the derivative equation needs a drift with a Jacobian evaluator")
     grid = sol.grid
     h = grid.step
     d, n_nodes, m = sol.paths.shape
-    jac = _jacobian_callable(sol.drift, d)
-    nodes = grid.nodes
+    c = mass if mass is not None else h * np.concatenate(([0.0], g[:-1]))
     out = np.zeros((d, n_nodes, m))
-    eye = np.eye(d)[:, :, None]
-    J_prev = jac(nodes[j0], sol.paths[:, j0, :])  # (d, d, m)
-    g_prev = 0.0
-    R_prev = np.zeros((d, m))
-    Q = np.zeros((d, m))
-    QR = np.zeros((d, m))
-    for i in range(j0 + 1, n_nodes):
-        J_i = jac(nodes[i], sol.paths[:, i, :])
-        g_i = g[i - j0 - 1]
-        if mass is None:
-            Q = Q + 0.5 * h * (J_prev[:, m_idx, :] * g_prev + J_i[:, m_idx, :] * g_i)
-        else:
-            Q = Q + mass[i - j0 - 1] * (0.5 * (J_prev[:, m_idx, :] + J_i[:, m_idx, :]))
-        JR_prev = np.einsum("klp,lp->kp", J_prev, R_prev)
-        rhs = Q + QR + 0.5 * h * JR_prev
-        A = eye - 0.5 * h * J_i
-        R_i = np.linalg.solve(A.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
-        QR = QR + 0.5 * h * (JR_prev + np.einsum("klp,lp->kp", J_i, R_i))
-        out[:, i, :] = R_i
-        out[m_idx, i, :] += g_i
-        J_prev, R_prev, g_prev = J_i, R_i, g_i
+    R = np.zeros((d, m))
+    for i in range(j0, n_nodes - 1):
+        J = jac(grid.nodes[i], sol.paths[:, i, :])  # (d, d, m)
+        R = R + c[i - j0] * J[:, m_idx, :] + h * np.einsum("klp,lp->kp", J, R)
+        out[:, i + 1, :] = R
+    out[m_idx, j0 + 1:, :] += g[:, None]
     return out
 
 
 def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> MalliavinBlock:
     """Derivative of the solution in the direction of driving component m,
-    based at grid node s_index, by forward time-stepping of the linear
-    integral equation it satisfies.
+    based at grid node s_index: the left-rule linearisation of the solve,
+    stepped forward in time with the kernel column's exact cell masses.
 
     With zero drift the block equals the weighted kernel column exactly.
     """
@@ -352,7 +283,6 @@ class FdCheckResult:
     relative_error: float
     bump: float
     window_cells: int
-    flagged_noise_floor: bool
 
 
 def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
@@ -363,8 +293,8 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     direction with density 1/window on the bump window, chains the
     perturbation through the kernel discretization, re-solves, and compares
     (X_bumped - X)/bump at the final time against the window-averaged
-    derivative.  Flags the result when the bump is so small the fixed-point
-    tolerance could dominate the difference.
+    derivative.  Both follow the solve's left rule, so they differ only by
+    the bump's second-order term.
     """
     grid = sol.grid
     shift_nodes = np.zeros(grid.n_nodes)
@@ -375,16 +305,13 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     noise2 = CylEnsemble(d=sol.noise.d, grid=grid, values=sol.noise.values + pert,
                          hursts=sol.noise.hursts, weights=sol.noise.weights,
                          increments=None)
-    sol2 = picard_solve(sol.drift, sol.x0, noise2, tol=sol.tol,
-                        max_iter=200, drift_rule=sol.drift_rule)
+    sol2 = picard_solve(sol.drift, sol.x0, noise2)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
     avg = malliavin_directional(sol, s_index, m, window_cells)[:, -1, :]
     num = math.sqrt(float(np.mean(np.sum((fd - avg) ** 2, axis=0))))
     den = math.sqrt(float(np.mean(np.sum(avg ** 2, axis=0))))
     rel = num / den if den > 0 else math.inf
-    flagged = bump * den < 100.0 * sol.tol
-    return FdCheckResult(relative_error=rel, bump=bump, window_cells=window_cells,
-                         flagged_noise_floor=flagged)
+    return FdCheckResult(relative_error=rel, bump=bump, window_cells=window_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +356,13 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     for m, block_seed in girsanov_mod.mc_blocks(n_paths, run_seed, block_size):
         noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                method="kernel")
-        ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
-                           drift_rule="left")
+        ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise)
         z_ref = ref.paths[:, idx_t, :].copy()  # a view would keep all of ref.paths
         del ref
         ref_phi = {phi_id: phi(z_ref) for phi_id, phi in phis.items()}
         driftless = x[:, None] + noise.values[:, idx_t, :]
         for (dd, _), fn, point in zip(schedule, evaluators, moments):
-            sol = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]),
-                               max_iter=120)
+            sol = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]))
             z = driftless.copy()
             z[:dd] = sol.paths[:, idx_t, :]
             del sol  # before the next point's solve allocates its paths

@@ -128,7 +128,7 @@ def test_criterion_05_weak_strong_agreement(model):
     strong = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
     for m, blk in girsanov.mc_blocks(n, pic_seed, n // 4):
         noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk, method="kernel")
-        sol = solver.picard_solve(md, x, noise, tol=1e-10)
+        sol = solver.picard_solve(md, x, noise)
         for phi_id in phi_ids:
             strong[phi_id].add(girsanov.make_functional(phi_id)(sol.paths[:, -1, :]))
     worst = 0.0
@@ -176,7 +176,7 @@ def test_criterion_07_malliavin_validation(model):
     exact_gap = float(np.max(np.abs(blk.values[m - 1, j0 + 1 :, 0] - expect)))
     # finite differences on the smooth mollified drift
     md = drift.mollify(spec, d, 0.1)
-    sol = solver.picard_solve(md, np.zeros(d), noise, tol=1e-12)
+    sol = solver.picard_solve(md, np.zeros(d), noise)
     rels = [solver.malliavin_fd_check(sol, s_idx, mm, bump=1e-4,
                                       window_cells=2).relative_error
             for s_idx, mm in ((16, 1), (32, 2), (64, 1))]

@@ -127,6 +127,9 @@ class TestRunBasics:
         ({"command": "converge", "schedule": [[2, 0.1], [0, 0.05]]}, "schedule"),
         ({"command": "converge", "schedule": [[-1, 0.1], [2, 0.05]],
           "phis": ["clipped_norm:2"]}, "schedule"),
+        ({"command": "validate", "d": 0}, "d"),
+        ({"command": "validate", "d": 10}, "d"),
+        ({"command": "simulate", "d": 0}, "d"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
