@@ -6,8 +6,8 @@ artifact); the only environment override is the output directory.  CSV bodies
 use fixed 17-significant-digit formatting so identical configurations diff
 byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
 fraction, mean weight and low-ESS flag) appear only in comment headers.
-Functionals, the evaluation time and the initial point are checked when the
-configuration loads.
+Functionals, the evaluation time, the initial point, the seed and the
+halfspace axis are checked when the configuration loads.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _SCHEMA = {
     "drift.a": (float, 1.0, None),
     "drift.b": (float, -0.5, None),
     "drift.region_kind": (str, "halfspace", "halfspace or ball"),
-    "drift.region_axis": (int, 1, "1-based normal coordinate"),
+    "drift.region_axis": (int, 1, "1-based normal coordinate, at most sequences.d_max"),
     "drift.region_offset": (float, 0.0, None),
     "drift.region_radius": (float, 1.0, None),
     "drift.proj_scale_ratio": (float, 2.0, None),
@@ -65,7 +65,7 @@ _SCHEMA = {
     "grid.t_end": (float, 1.0, None),
     "grid.n_cells": (int, 64, f"at least {MIN_CELLS}"),
     "mc.n_paths": (int, 10000, f"at least {MIN_PATHS}"),
-    "mc.seed": (int, 7, None),
+    "mc.seed": (int, 7, ">= 0"),
     "d": (int, 2, "truncation level"),
     "t_eval": (float, 1.0, "must be a grid node"),
     "phis": (list, ["coordinate:1", "clipped_norm:2"], None),
@@ -162,9 +162,7 @@ def load_config(mapping: dict) -> RunConfig:
                 if typ is float:
                     val = float(raw)
                 elif typ is int:
-                    if isinstance(raw, float) and raw != int(raw):
-                        raise ValueError
-                    val = int(raw)
+                    val = _as_int(raw)
                 elif typ is list:
                     if not isinstance(raw, list):
                         raise ValueError
@@ -182,6 +180,8 @@ def load_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"config key grid.n_cells: must be at least {MIN_CELLS}")
     if entries["mc.n_paths"] < MIN_PATHS:
         raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
+    if entries["mc.seed"] < 0:
+        raise ConfigError(f"config key mc.seed: must be >= 0, got {entries['mc.seed']}")
     _check_x0(entries["x0"])
     command = entries["command"]
     if command in ("solve", "girsanov", "converge"):
@@ -191,7 +191,21 @@ def load_config(mapping: dict) -> RunConfig:
     elif command == "simulate":
         # the noise extends past sequences.d_max by the tail rule
         _check_level("d", entries["d"], math.inf)
+    if command in ("validate", "solve", "converge", "girsanov") \
+            and entries["drift.region_kind"] == "halfspace":
+        axis, d_max = entries["drift.region_axis"], entries["sequences.d_max"]
+        if not 1 <= axis <= d_max:
+            # any other axis leaves the jump out of every drift component
+            raise ConfigError(f"config key drift.region_axis: the halfspace normal must be "
+                              f"a coordinate in [1, sequences.d_max = {d_max}], got {axis}")
     return RunConfig(entries=entries)
+
+
+def _as_int(raw) -> int:
+    """An integer-valued entry; booleans and non-integral numbers raise ValueError."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError
+    return int(raw)
 
 
 def _check_x0(x0: list) -> None:
@@ -214,7 +228,7 @@ def _check_evaluation(entries: dict) -> None:
     dim = entries["d"]
     if command == "converge":
         try:
-            schedule = [(int(dd), float(ee)) for dd, ee in entries["schedule"]]
+            schedule = [(_as_int(dd), float(ee)) for dd, ee in entries["schedule"]]
             dim = max(dd for dd, _ in schedule)
         except (TypeError, ValueError):
             raise ConfigError("config key schedule: expected pairs of "

@@ -133,7 +133,9 @@ def kernel_fractional_norm(H) -> float:
     to the unit-normalized composition of fractional integrals.
 
     Integrating the kernel against phi equals this constant times the
-    composition implemented by :func:`cylfbm.fraccalc.kh_operator`.
+    forward transform :func:`cylfbm.fraccalc.kh_operator` of phi; the
+    Girsanov shift is divided by it before
+    :func:`cylfbm.fraccalc.kh_inverse_matrix` is applied.
     """
     H = as_hurst(H)
     return c_factor(H) * float(special.gamma(H + 0.5))

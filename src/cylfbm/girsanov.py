@@ -25,11 +25,8 @@ LOW_ESS_FRACTION = 0.10
 
 @dataclass(frozen=True)
 class ShiftProcess:
-    """Per-component shift values u_k(s) on grid nodes.
-
-    ``values`` has shape (d, n_nodes) for deterministic shifts or
-    (d, n_nodes, n_paths) for pathwise ones.
-    """
+    """Per-component pathwise shift values u_k(s) on grid nodes, with shape
+    (d, n_nodes, n_paths)."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -64,7 +61,7 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
         raise DomainError("one increment set per shift component is required")
     n_paths = increments[0].values.shape[0]
     out = np.zeros((d, n_paths))
-    v = np.empty(shifts.values.shape[1:])  # (nodes,) or (nodes, paths), reused per component
+    v = np.empty(shifts.values.shape[1:])  # (nodes, paths), reused per component
     for k in range(d):
         H = hursts.value(k + 1)
         M = kh_inverse_matrix(H, grid)
@@ -73,7 +70,7 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
         if not np.all(np.isfinite(v)):
             raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
         dW = increments[k].values  # (paths, cells)
-        stoch = dW @ v[:-1] if v.ndim == 1 else np.einsum("jp,pj->p", v[:-1], dW)
+        stoch = np.einsum("jp,pj->p", v[:-1], dW)
         quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
         out[k] = -stoch - 0.5 * quad
     return out

@@ -130,6 +130,13 @@ class TestRunBasics:
         ({"command": "validate", "d": 0}, "d"),
         ({"command": "validate", "d": 10}, "d"),
         ({"command": "simulate", "d": 0}, "d"),
+        ({"command": "girsanov", "mc": {"n_paths": 100, "seed": -1}}, "mc.seed"),
+        ({"command": "verify-suite", "mc": {"n_paths": 100, "seed": -1}}, "mc.seed"),
+        ({"command": "converge", "schedule": [[2.5, 0.1], [2, 0.05]]}, "schedule"),
+        ({"command": "converge", "schedule": [[True, 0.1], [2, 0.05]]}, "schedule"),
+        ({"command": "girsanov", "d": True}, "d"),
+        ({"command": "girsanov", "drift": {"region_axis": 0}}, "drift.region_axis"),
+        ({"command": "validate", "drift": {"region_axis": 9}}, "drift.region_axis"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
@@ -138,6 +145,12 @@ class TestRunBasics:
         rc = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert f"config key {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        rc = cli.main(["--seed", "-1", "--out", str(tmp_path / "o"), "simulate"])
+        assert rc == cli.EXIT_CONFIG
+        assert "config key mc.seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_solve_command(self, tmp_path):

@@ -17,13 +17,12 @@ def model(sequences):
 
 class TestShiftToWiener:
     def test_zero(self, grid64):
-        u = fraccalc.GridFunction(grid64, np.zeros(grid64.n_nodes))
-        assert np.all(fraccalc.kh_inverse_ac(0.1, u).values == 0.0)
+        u = np.zeros(grid64.n_nodes)
+        assert np.all(fraccalc.kh_inverse_matrix(0.1, grid64) @ u == 0.0)
 
     def test_constant_profile(self, grid64):
         H, c = 0.1, 0.7
-        u = fraccalc.GridFunction(grid64, np.full(grid64.n_nodes, c))
-        out = fraccalc.kh_inverse_ac(H, u).values
+        out = fraccalc.kh_inverse_matrix(H, grid64) @ np.full(grid64.n_nodes, c)
         exact = c * grid64.nodes ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
             / special.gamma(0.5 - H)
         assert np.max(np.abs(out - exact)) < 1e-12
@@ -31,9 +30,8 @@ class TestShiftToWiener:
     def test_bounded_shift_bounded_output(self, grid64):
         H, cap = 0.12, 0.9
         rng = np.random.default_rng(0)
-        u = fraccalc.GridFunction(grid64, np.clip(rng.standard_normal(grid64.n_nodes),
-                                                  -cap, cap))
-        out = fraccalc.kh_inverse_ac(H, u).values
+        u = np.clip(rng.standard_normal(grid64.n_nodes), -cap, cap)
+        out = fraccalc.kh_inverse_matrix(H, grid64) @ u
         const = grid64.t_end ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
             / special.gamma(0.5 - H)
         assert np.max(np.abs(out)) <= cap * const + 1e-12
@@ -44,10 +42,15 @@ class TestStochasticExponential:
         children = cylinder.component_seed_sequences(seed, d)
         return [fbm.wiener_increments(grid, n, children[k]) for k in range(d)]
 
+    def _pathwise(self, grid, profiles, n):
+        """The same (d, n_nodes) shift profiles on every one of n paths."""
+        return girsanov.ShiftProcess(
+            grid, np.broadcast_to(profiles[:, :, None], profiles.shape + (n,)))
+
     def test_zero_shift_unit_weight(self, sequences, grid64):
         hs, _ = sequences
         incs = self._increments(grid64, 2, 100, 3)
-        shifts = girsanov.ShiftProcess(grid64, np.zeros((2, grid64.n_nodes)))
+        shifts = self._pathwise(grid64, np.zeros((2, grid64.n_nodes)), 100)
         w = girsanov.stochastic_exponential(shifts, incs, hs)
         assert np.all(w.values == 1.0)
 
@@ -56,25 +59,25 @@ class TestStochasticExponential:
         n = 50_000
         incs = self._increments(grid64, 2, n, 7)
         rng = np.random.default_rng(1)
-        shifts = girsanov.ShiftProcess(
-            grid64, np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1))
+        shifts = self._pathwise(
+            grid64, np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1), n)
         w = girsanov.stochastic_exponential(shifts, incs, hs).values
         se = np.std(w, ddof=1) / math.sqrt(n)
         assert abs(np.mean(w) - 1.0) < 3 * se
 
     def test_lognormal_moments(self, sequences, grid64):
-        # deterministic shift: the log weight is Gaussian with mean -s/2 and
-        # variance s, where s is the discrete quadratic variation
+        # a shift that is the same on every path: the log weight is Gaussian
+        # with mean -s/2 and variance s, where s is the discrete quadratic
+        # variation
         hs, _ = sequences
         n = 50_000
         incs = self._increments(grid64, 2, n, 11)
-        shifts = girsanov.ShiftProcess(grid64, np.stack([
-            0.5 * np.ones(grid64.n_nodes), 0.3 * grid64.nodes]))
-        logs = girsanov.component_log_weights(shifts, incs, hs)
+        profiles = np.stack([0.5 * np.ones(grid64.n_nodes), 0.3 * grid64.nodes])
+        logs = girsanov.component_log_weights(self._pathwise(grid64, profiles, n), incs, hs)
         h = grid64.step
         for k in range(2):
             H = hs.value(k + 1)
-            v = fraccalc.kh_inverse_matrix(H, grid64) @ shifts.values[k]
+            v = fraccalc.kh_inverse_matrix(H, grid64) @ profiles[k]
             s2 = float(np.sum(v[:-1] ** 2) * h)
             mean_se = math.sqrt(s2 / n)
             var_se = s2 * math.sqrt(2.0 / n)
@@ -85,7 +88,7 @@ class TestStochasticExponential:
         hs, _ = sequences
         incs = self._increments(grid64, 3, 500, 13)
         rng = np.random.default_rng(2)
-        shifts = girsanov.ShiftProcess(grid64, rng.standard_normal((3, grid64.n_nodes)))
+        shifts = self._pathwise(grid64, rng.standard_normal((3, grid64.n_nodes)), 500)
         joint = girsanov.stochastic_exponential(shifts, incs, hs).log_values
         parts = np.zeros(500)
         for k in range(3):
@@ -100,7 +103,7 @@ class TestStochasticExponential:
         bad = np.zeros((1, grid64.n_nodes))
         bad[0, 5] = np.inf
         with pytest.raises(fbm.DomainError):
-            girsanov.stochastic_exponential(girsanov.ShiftProcess(grid64, bad), incs, hs)
+            girsanov.stochastic_exponential(self._pathwise(grid64, bad, 10), incs, hs)
 
 
 def hs_shifted(hs, k):
@@ -219,20 +222,17 @@ class TestBlockMemory:
         assert res.mean_weight == weights.mean
         assert res.ess_fraction == (weights.sum ** 2 / weights.sum_sq) / n
 
-    @pytest.mark.parametrize("pathwise", [False, True])
-    def test_log_weights_match_fresh_integrands(self, sequences, grid64, pathwise):
+    def test_log_weights_match_fresh_integrands(self, sequences, grid64):
         # one reused integrand buffer gives the floats of a fresh one per component
         hs, _ = sequences
         n = 300
         rng = np.random.default_rng(12)
         incs = [fbm.wiener_increments(grid64, n, 50 + k) for k in range(3)]
-        shape = (3, grid64.n_nodes, n) if pathwise else (3, grid64.n_nodes)
-        shifts = girsanov.ShiftProcess(grid64, rng.standard_normal(shape))
+        shifts = girsanov.ShiftProcess(grid64, rng.standard_normal((3, grid64.n_nodes, n)))
         got = girsanov.component_log_weights(shifts, incs, hs)
         for k in range(3):
             v = fraccalc.kh_inverse_matrix(hs.value(k + 1), grid64) @ shifts.values[k]
-            dW = incs[k].values
-            stoch = np.einsum("jp,pj->p", v[:-1], dW) if pathwise else dW @ v[:-1]
+            stoch = np.einsum("jp,pj->p", v[:-1], incs[k].values)
             quad = np.sum(v[:-1] ** 2, axis=0) * grid64.step
             assert np.array_equal(got[k], -stoch - 0.5 * quad)
 
