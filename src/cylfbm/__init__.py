@@ -6,7 +6,7 @@ lemma-check suite.
 
 import importlib
 
-from . import cylinder, drift, fbm, fraccalc, girsanov, solver, verify
+from . import cylinder, drift, fbm, fraccalc, girsanov, solver
 
 __all__ = ["fbm", "fraccalc", "cylinder", "drift", "girsanov", "solver", "verify", "cli"]
 
@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # `cli` loads on first access, so `python -m cylfbm.cli` does not find it
-    # already imported by the package
-    if name == "cli":
-        return importlib.import_module(".cli", __name__)
+    # already imported by the package; `verify` too, so that only the lemma
+    # suite loads scipy.integrate
+    if name in ("cli", "verify"):
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,8 @@ use fixed 17-significant-digit formatting so identical configurations diff
 byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
 fraction, mean weight and low-ESS flag) appear only in comment headers.
 Functionals, the evaluation time, the initial point, the seed and the
-halfspace axis are checked when the configuration loads.
+region (kind, ball radius, halfspace axis) are checked when the
+configuration loads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import cylinder, drift, fbm, girsanov, solver, verify
+from . import cylinder, drift, fbm, girsanov, solver
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,7 +57,7 @@ _SCHEMA = {
     "drift.decay_ratio": (float, 1.0, None),
     "drift.a": (float, 1.0, None),
     "drift.b": (float, -0.5, None),
-    "drift.region_kind": (str, "halfspace", "halfspace or ball"),
+    "drift.region_kind": (str, "halfspace", " or ".join(drift.REGION_KINDS)),
     "drift.region_axis": (int, 1, "1-based normal coordinate, at most sequences.d_max"),
     "drift.region_offset": (float, 0.0, None),
     "drift.region_radius": (float, 1.0, None),
@@ -160,7 +161,7 @@ def load_config(mapping: dict) -> RunConfig:
             raw = flat[key]
             try:
                 if typ is float:
-                    val = float(raw)
+                    val = _as_float(raw)
                 elif typ is int:
                     val = _as_int(raw)
                 elif typ is list:
@@ -182,6 +183,12 @@ def load_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
     if entries["mc.seed"] < 0:
         raise ConfigError(f"config key mc.seed: must be >= 0, got {entries['mc.seed']}")
+    if entries["drift.region_kind"] not in drift.REGION_KINDS:
+        raise ConfigError(f"config key drift.region_kind: expected one of "
+                          f"{', '.join(drift.REGION_KINDS)}, got {entries['drift.region_kind']!r}")
+    if entries["drift.region_kind"] == "ball" and not entries["drift.region_radius"] > 0.0:
+        raise ConfigError(f"config key drift.region_radius: a ball needs a radius > 0, "
+                          f"got {entries['drift.region_radius']!r}")
     _check_x0(entries["x0"])
     command = entries["command"]
     if command in ("solve", "girsanov", "converge"):
@@ -208,10 +215,17 @@ def _as_int(raw) -> int:
     return int(raw)
 
 
+def _as_float(raw) -> float:
+    """A real-valued entry; booleans raise ValueError."""
+    if isinstance(raw, bool):
+        raise ValueError
+    return float(raw)
+
+
 def _check_x0(x0: list) -> None:
     """Every coordinate of the initial point must be a finite number."""
     try:
-        ok = all(math.isfinite(float(v)) for v in x0)
+        ok = all(math.isfinite(_as_float(v)) for v in x0)
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -228,7 +242,7 @@ def _check_evaluation(entries: dict) -> None:
     dim = entries["d"]
     if command == "converge":
         try:
-            schedule = [(_as_int(dd), float(ee)) for dd, ee in entries["schedule"]]
+            schedule = [(_as_int(dd), _as_float(ee)) for dd, ee in entries["schedule"]]
             dim = max(dd for dd, _ in schedule)
         except (TypeError, ValueError):
             raise ConfigError("config key schedule: expected pairs of "
@@ -422,6 +436,9 @@ def _cmd_converge(cfg: RunConfig) -> ResultTable:
 
 
 def _cmd_verify(cfg: RunConfig) -> ResultTable:
+    # the lemma suite alone needs scipy.integrate; the sampling commands skip it
+    from . import verify
+
     results = verify.run_all(seed=cfg["mc.seed"])
     table = ResultTable(columns=["check_id", "status", "measured", "bound", "slack"])
     for res in results:
@@ -447,7 +464,6 @@ def run(cfg: RunConfig, out_dir=None) -> int:
     validation failure, 2 numerical failure.
     """
     out = Path(out_dir or cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     try:
         table = _DISPATCH[cfg.command](cfg)
     except (ConfigError, fbm.DomainError, cylinder.SequenceConstraintError) as exc:
@@ -462,6 +478,8 @@ def run(cfg: RunConfig, out_dir=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     })
     name = "report.csv" if cfg.command == "verify-suite" else "results.csv"
+    # made only now, so a rejected run leaves no empty directory behind
+    out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / name)
     if cfg.command == "converge":
         _emit_converge_plotdata(table, out / "plotdata")

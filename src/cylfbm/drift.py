@@ -21,6 +21,7 @@ from .cylinder import WeightSequence
 from .fbm import DomainError
 
 _ENVELOPE_CUTOFF = 1e-8  # relative tail mass ignored when boxing a maximization
+REGION_KINDS = ("halfspace", "ball")
 
 
 def _norm_cdf(x):
@@ -45,7 +46,7 @@ class Region:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("halfspace", "ball"):
+        if self.kind not in REGION_KINDS:
             raise DomainError(f"unknown region kind {self.kind!r}")
         if self.kind == "ball" and self.radius <= 0:
             raise DomainError("ball region needs a positive radius")

@@ -1,8 +1,8 @@
 """One-dimensional fractional Brownian motion with rough paths (Hurst index below 1/2).
 
-Covariance, the lower-triangular Volterra kernel and its grid discretization,
-exact-law (Cholesky) and kernel-construction sampling, Gaussian conditioning,
-and the empirical local non-determinism constant.
+Covariance, the lower-triangular Volterra kernel and its closed-form grid
+discretization, exact-law (Cholesky) and kernel-construction sampling,
+Gaussian conditioning, and the empirical local non-determinism constant.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 class DomainError(ValueError):
@@ -150,8 +150,8 @@ def _beta_tail(H: float, z) -> np.ndarray:
 def _log_kernel(H: float, t, u, log_diff=None) -> np.ndarray:
     """Elementwise log of the (positive) kernel at (t, u), 0 < u < t.
 
-    ``log_diff`` may carry log(t - u) directly, which keeps singular-cell
-    quadrature stable when t - u underflows.
+    ``log_diff`` may carry log(t - u) directly, which keeps quadrature next
+    to the singularity at u = t stable when t - u underflows.
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -174,79 +174,17 @@ def kernel_values(H, t: float, u) -> np.ndarray:
     return np.exp(_log_kernel(H, t, u))
 
 
-def kernel_K(H, t: float, s: float) -> float:
-    """Volterra kernel value at 0 < s < t.
-
-    The interior integral of u^(H-3/2) (u-s)^(H-1/2) is computed by adaptive
-    quadrature after substituting away the endpoint singularity at u = s;
-    relative error is far below 1e-8.
-    """
-    H = as_hurst(H)
-    if s <= 0 or s >= t:
-        raise DomainError("kernel requires 0 < s < t")
-    p = H + 0.5
-
-    def g(v):
-        return (s + v ** (1.0 / p)) ** (H - 1.5) / p
-
-    inner, _ = integrate.quad(g, 0.0, (t - s) ** p, epsabs=1e-14, epsrel=1e-11, limit=200)
-    return c_factor(H) * (
-        (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
-        + (0.5 - H) * s ** (0.5 - H) * inner
-    )
-
-
-def _singular_cell_integrand(v, H: float, t, q: float, power: int, at_top: bool):
-    """Integrand in v of integral K(t,u)^power du over a singular cell.
-
-    ``at_top`` selects the cell ending at t, substituted by v = (t-u)^q;
-    otherwise the cell starting at 0, substituted by v = u^q.  t may be a
-    scalar or an array of row times sharing the same v.
-    """
-    if at_top:
-        lk = _log_kernel(H, t, t - v ** (1.0 / q), log_diff=np.log(v) / q)
-    else:
-        lk = _log_kernel(H, t, v ** (1.0 / q))
-    return np.exp(power * lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
-
-
-def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> float:
-    """integral_a^b K(t,u)^power du for power in {1, 2}.
-
-    Integrable endpoint singularities at u = t and u = 0 are removed by the
-    substitution v = (t-u)^q resp. v = u^q with q = power*(H-1/2) + 1.
-    """
-    H = as_hurst(H)
-    if not 0 <= a < b <= t:
-        raise DomainError("cell integral requires 0 <= a < b <= t")
-    if power not in (1, 2):
-        raise DomainError("power must be 1 or 2")
-    q = power * (H - 0.5) + 1.0
-    touches_top = b >= t * (1 - 1e-14)
-    touches_zero = a <= 0.0
-    if touches_top and touches_zero:
-        mid = 0.5 * (a + b)
-        return kernel_cell_integral(H, t, a, mid, power) + kernel_cell_integral(
-            H, t, mid, b, power
-        )
-    if touches_top or touches_zero:
-        upper = (t - a) ** q if touches_top else b ** q
-        val, _ = integrate.quad(_singular_cell_integrand, 0.0, upper,
-                                args=(H, t, q, power, touches_top),
-                                epsabs=1e-13, epsrel=1e-10, limit=200)
-        return val
-    x, w = np.polynomial.legendre.leggauss(16)
-    u = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(w * np.exp(power * _log_kernel(H, t, u))))
-
-
 def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) -> np.ndarray:
     """Cell integrals of u -> K(u, s) in the first argument.
 
     Returns kappa with kappa[j] = integral over (t_{start+j}, t_{start+j+1})
     of K(u, s) du for the cells right of node start_index (where t_start = s).
     The first cell crosses the u -> s singularity and is substituted away.
+    Only the stochastic derivative calls this; it imports ``scipy.integrate``
+    itself, so that sampling never loads it.
     """
+    from scipy import integrate
+
     H = as_hurst(H)
     nodes = grid.nodes
     if not np.isclose(nodes[start_index], s):
@@ -278,37 +216,26 @@ def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) ->
 # ---------------------------------------------------------------------------
 
 
+def _kernel_primitive(H: float, z: np.ndarray) -> np.ndarray:
+    """G(z) with integral_a^b K(t,u) du = c_H t^p / p (G(b/t) - G(a/t)), p = H + 1/2.
+
+    G(z) = B(3/2-H, p) I_z(3/2-H, p) + (1/2-H) z^p T(z), T = :func:`_beta_tail`:
+    the first kernel term is an incomplete beta after u = tw, the second
+    integrates by parts, and their coefficients add up to 1/p.
+    """
+    a, p = 1.5 - H, H + 0.5
+    return special.beta(a, p) * special.betainc(a, p, z) + (0.5 - H) * z ** p * _beta_tail(H, z)
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel_matrix_entries(H: float, t_end: float, n_cells: int) -> np.ndarray:
-    grid = TimeGrid(t_end, n_cells)
-    h = grid.step
-    N = n_cells
-    M = np.zeros((N, N))
-    x, w = np.polynomial.legendre.leggauss(12)
-    for i in range(3, N + 1):
-        # interior cells 2..i-1: smooth integrand, fixed Gauss-Legendre
-        t = i * h
-        left = np.arange(1, i - 1) * h
-        u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h
-        vals = 0.5 * h * np.sum(w[:, None] * np.exp(_log_kernel(H, t, u)), axis=0)
-        M[i - 1, 1 : i - 1] = vals
-    if N > 1:
-        # every first-column cell is (0, h) and every diagonal cell has length
-        # h, so after substitution rows 2..N share the interval [0, h^q]
-        q = (H - 0.5) + 1.0  # H + 0.5 rounds differently in the last bit
-        t = np.arange(2, N + 1) * h
-        rows = np.arange(1, N)
-
-        def singular_cells(at_top):
-            val, _ = integrate.quad_vec(_singular_cell_integrand, 0.0, h ** q,
-                                        args=(H, t, q, 1, at_top),
-                                        epsabs=1e-13, epsrel=1e-10, norm="max")
-            return val
-
-        M[rows, 0] = singular_cells(False)
-        M[rows, rows] = singular_cells(True)
-    M[0, 0] = kernel_cell_integral(H, h, 0.0, h)
-    M = M / h
+    h = TimeGrid(t_end, n_cells).step
+    rows = np.arange(1, n_cells + 1)
+    # z[i, j] = t_j / t_{i+1}, clipped at 1: cells above the diagonal difference to 0
+    z = np.minimum(np.arange(n_cells + 1)[None, :] / rows[:, None], 1.0)
+    G = _kernel_primitive(H, z)
+    p = H + 0.5
+    M = (c_factor(H) * (rows * h) ** p / (p * h))[:, None] * (G[:, 1:] - G[:, :-1])
     M.flags.writeable = False
     return M
 
@@ -317,11 +244,9 @@ def kernel_matrix(H, grid: TimeGrid) -> np.ndarray:
     """Lower-triangular cell discretization of the Volterra kernel (read-only).
 
     Row i (0-based) acts for the node t_{i+1}; column j holds the mean
-    kernel value over the Wiener cell (t_j, t_{j+1}].  Interior cells use
-    12-point Gauss-Legendre per row.  Diagonal and first-column cells
-    integrate across the (integrable) singularities: after the substitution
-    of :func:`kernel_cell_integral` they share one interval, so each family
-    is one vector-valued adaptive integration over all rows at once.
+    kernel value over the Wiener cell (t_j, t_{j+1}], in closed form: each
+    cell integral is a difference of :func:`_kernel_primitive`, singular
+    cells included.
     """
     return _kernel_matrix_entries(as_hurst(H), float(grid.t_end), int(grid.n_cells))
 

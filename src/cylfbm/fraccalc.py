@@ -69,7 +69,9 @@ def kh_operator(H, grid: TimeGrid, values: np.ndarray) -> np.ndarray:
 
 
 def kh_inverse_matrix(H, grid: TimeGrid) -> np.ndarray:
-    """Matrix form of :func:`kh_inverse_ac`, applicable to (n_nodes, ...) arrays."""
+    """Matrix of the inverse transform g -> s^(H-1/2) I^(1/2-H)[u^(1/2-H) g](s)
+    on node values g (the weak derivative of the input), applicable to
+    (n_nodes, ...) arrays; its node-0 row is 0."""
     H = as_hurst(H)
     W = weighted_integral_matrix(0.5 - H, 0.5 - H, float(grid.t_end), int(grid.n_cells))
     pref = np.zeros(grid.n_nodes)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cylfbm import cli, drift, fbm
 
@@ -51,3 +52,74 @@ def constant_drift(values, weights) -> drift.DriftSpec:
     return drift.DriftSpec(components=comps, weights=weights,
                            c_bounds=np.abs(values) / np.where(lam > 0, lam, 1.0),
                            d_bounds=np.full(len(values), np.inf))
+
+
+# -- scalar quadrature references for the kernel, independent of the closed
+# form the kernel matrix is built from
+
+
+def kernel_K(H, t: float, s: float) -> float:
+    """Volterra kernel value at 0 < s < t.
+
+    The interior integral of u^(H-3/2) (u-s)^(H-1/2) is computed by adaptive
+    quadrature after substituting away the endpoint singularity at u = s;
+    relative error is far below 1e-8.
+    """
+    H = fbm.as_hurst(H)
+    if s <= 0 or s >= t:
+        raise fbm.DomainError("kernel requires 0 < s < t")
+    p = H + 0.5
+
+    def g(v):
+        return (s + v ** (1.0 / p)) ** (H - 1.5) / p
+
+    inner, _ = integrate.quad(g, 0.0, (t - s) ** p, epsabs=1e-14, epsrel=1e-11, limit=200)
+    return fbm.c_factor(H) * (
+        (t / s) ** (H - 0.5) * (t - s) ** (H - 0.5)
+        + (0.5 - H) * s ** (0.5 - H) * inner
+    )
+
+
+def _singular_cell_integrand(v, H: float, t, q: float, power: int, at_top: bool):
+    """Integrand in v of integral K(t,u)^power du over a singular cell.
+
+    ``at_top`` selects the cell ending at t, substituted by v = (t-u)^q;
+    otherwise the cell starting at 0, substituted by v = u^q.
+    """
+    if at_top:
+        lk = fbm._log_kernel(H, t, t - v ** (1.0 / q), log_diff=np.log(v) / q)
+    else:
+        lk = fbm._log_kernel(H, t, v ** (1.0 / q))
+    return np.exp(power * lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
+
+
+def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> float:
+    """integral_a^b K(t,u)^power du for power in {1, 2}.
+
+    Integrable endpoint singularities at u = t and u = 0 are removed by the
+    substitution v = (t-u)^q resp. v = u^q with q = power*(H-1/2) + 1 and
+    integrated by adaptive quadrature; other cells use 16-point
+    Gauss-Legendre.
+    """
+    H = fbm.as_hurst(H)
+    if not 0 <= a < b <= t:
+        raise fbm.DomainError("cell integral requires 0 <= a < b <= t")
+    if power not in (1, 2):
+        raise fbm.DomainError("power must be 1 or 2")
+    q = power * (H - 0.5) + 1.0
+    touches_top = b >= t * (1 - 1e-14)
+    touches_zero = a <= 0.0
+    if touches_top and touches_zero:
+        mid = 0.5 * (a + b)
+        return kernel_cell_integral(H, t, a, mid, power) + kernel_cell_integral(
+            H, t, mid, b, power
+        )
+    if touches_top or touches_zero:
+        upper = (t - a) ** q if touches_top else b ** q
+        val, _ = integrate.quad(_singular_cell_integrand, 0.0, upper,
+                                args=(H, t, q, power, touches_top),
+                                epsabs=1e-13, epsrel=1e-10, limit=200)
+        return val
+    x, w = np.polynomial.legendre.leggauss(16)
+    u = 0.5 * (b - a) * x + 0.5 * (a + b)
+    return 0.5 * (b - a) * float(np.sum(w * np.exp(power * fbm._log_kernel(H, t, u))))

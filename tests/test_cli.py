@@ -137,6 +137,15 @@ class TestRunBasics:
         ({"command": "girsanov", "d": True}, "d"),
         ({"command": "girsanov", "drift": {"region_axis": 0}}, "drift.region_axis"),
         ({"command": "validate", "drift": {"region_axis": 9}}, "drift.region_axis"),
+        ({"command": "simulate", "grid": {"n_cells": 16, "t_end": True}}, "grid.t_end"),
+        ({"command": "solve", "drift": {"epsilon": True}}, "drift.epsilon"),
+        ({"command": "girsanov", "t_eval": False}, "t_eval"),
+        ({"command": "converge", "schedule": [[1, True]]}, "schedule"),
+        ({"command": "solve", "x0": [True]}, "x0"),
+        ({"command": "simulate", "drift": {"region_kind": "foo"}}, "drift.region_kind"),
+        ({"command": "verify-suite", "drift": {"region_kind": "foo"}}, "drift.region_kind"),
+        ({"command": "simulate", "drift": {"region_kind": "ball", "region_radius": 0.0}},
+         "drift.region_radius"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
@@ -145,6 +154,14 @@ class TestRunBasics:
         rc = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert f"config key {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_at_run_leaves_no_directory(self, tmp_path, capsys):
+        # the sequence constraints are checked when the model is built
+        cfg = cli.load_config({"command": "simulate", "mc": {"n_paths": 100},
+                               "grid": {"n_cells": 16}, "sequences": {"hurst_first": 0.2}})
+        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
+        assert "1/12" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
@@ -170,6 +187,32 @@ class TestRunBasics:
         assert cli.main(["--schema"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "sup" in out
+
+
+class TestImportPath:
+    def test_sampling_commands_skip_quadrature_and_lemma_suite(self, tmp_path):
+        # only verify-suite (and the stochastic derivative) need scipy.integrate;
+        # the package still resolves `verify` on access, as the tracer does
+        script = f"""
+import sys
+import cylfbm
+from cylfbm import cli
+for command in ("girsanov", "converge"):
+    cfg = cli.load_config({{"command": command, "grid": {{"n_cells": 16}},
+                           "mc": {{"n_paths": 200, "seed": 3}}}})
+    assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK
+loaded = sorted({{"scipy.integrate", "cylfbm.verify"}} & set(sys.modules))
+assert not loaded, loaded
+assert getattr(cylfbm, "verify").__name__ == "cylfbm.verify"
+cfg = cli.load_config({{"command": "verify-suite", "mc": {{"seed": 0}}}})
+assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/verify") == cli.EXIT_OK
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "verify" / "report.csv").exists()
 
 
 class TestVerifySuiteCommand:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cylfbm import fbm
 from cylfbm.verify import _graded_half
 
-from conftest import covariance_se
+from conftest import covariance_se, kernel_cell_integral, kernel_K
 
 # frozen high-precision oracle values (25-digit Gamma/quadrature arithmetic)
 C_FACTOR_QUARTER = 0.64599800374075197
@@ -53,13 +54,13 @@ class TestCFactor:
 class TestKernel:
     def test_divergence_at_upper_endpoint(self):
         t = 1.0
-        near = fbm.kernel_K(0.2, t, t * (1 - 1e-6))
-        far = fbm.kernel_K(0.2, t, t * (1 - 1e-3))
+        near = kernel_K(0.2, t, t * (1 - 1e-6))
+        far = kernel_K(0.2, t, t * (1 - 1e-3))
         assert near > far
 
     def test_frozen_quadrature_oracle(self):
         for (H, t, s), val in KERNEL_ORACLE.items():
-            assert fbm.kernel_K(H, t, s) == pytest.approx(val, rel=1e-6)
+            assert kernel_K(H, t, s) == pytest.approx(val, rel=1e-6)
 
     def test_square_integral_matches_variance(self):
         # sum of exact cell integrals of K^2 over (0, t) equals t^(2H)
@@ -67,24 +68,24 @@ class TestKernel:
             grid = fbm.TimeGrid(1.0, 32)
             t = 1.0
             total = sum(
-                fbm.kernel_cell_integral(H, t, grid.nodes[j], grid.nodes[j + 1], 2)
+                kernel_cell_integral(H, t, grid.nodes[j], grid.nodes[j + 1], 2)
                 for j in range(32)
             )
             assert total == pytest.approx(t ** (2 * H), abs=1e-4)
 
     def test_domain_errors(self):
         with pytest.raises(fbm.DomainError):
-            fbm.kernel_K(0.2, 1.0, 1.0)
+            kernel_K(0.2, 1.0, 1.0)
         with pytest.raises(fbm.DomainError):
-            fbm.kernel_K(0.2, 1.0, 0.0)
+            kernel_K(0.2, 1.0, 0.0)
         with pytest.raises(fbm.DomainError):
-            fbm.kernel_K(0.2, 0.5, 0.7)
+            kernel_K(0.2, 0.5, 0.7)
 
     def test_vectorized_matches_scalar(self):
         s = np.array([0.2, 0.5, 0.9])
         vec = fbm.kernel_values(0.1, 1.0, s)
         for si, vi in zip(s, vec):
-            assert vi == pytest.approx(fbm.kernel_K(0.1, 1.0, si), rel=1e-10)
+            assert vi == pytest.approx(kernel_K(0.1, 1.0, si), rel=1e-10)
 
 
 class TestKernelMatrix:
@@ -109,28 +110,41 @@ class TestKernelMatrix:
             t = i * h
             first.append(cells[i - 1, 0])
             diag.append(cells[i - 1, i - 1])
-            first_oracle.append(fbm.kernel_cell_integral(H, t, 0.0, h))
-            diag_oracle.append(fbm.kernel_cell_integral(H, t, (i - 1) * h, t))
+            first_oracle.append(kernel_cell_integral(H, t, 0.0, h))
+            diag_oracle.append(kernel_cell_integral(H, t, (i - 1) * h, t))
         np.testing.assert_allclose(first, first_oracle, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(diag, diag_oracle, rtol=1e-10, atol=0.0)
 
-    def test_scalar_quad_calls_independent_of_grid(self, monkeypatch):
-        # the singular cells of all rows are integrated together; a build
-        # must not fall back to one scalar quad per row
-        calls = []
-        quad = fbm.integrate.quad
+    @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
+    def test_every_cell_matches_scalar_oracle(self, H):
+        grid = fbm.TimeGrid(1.0, 16)
+        h = grid.step
+        cells = fbm.kernel_matrix(H, grid) * h
+        rows, cols = np.tril_indices(16)
+        oracle = [kernel_cell_integral(H, (i + 1) * h, j * h, (j + 1) * h)
+                  for i, j in zip(rows, cols)]
+        np.testing.assert_allclose(cells[rows, cols], oracle, rtol=1e-10, atol=0.0)
 
-        def counting_quad(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
+    @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
+    def test_row_sums_are_full_kernel_integrals(self, H):
+        # h sum_j M[i, j] = integral_0^t K(t,u) du = c_H t^p B(3/2-H, p) / p
+        grid = fbm.TimeGrid(1.0, 128)
+        p = H + 0.5
+        t = grid.nodes[1:]
+        full = fbm.c_factor(H) * t ** p * special.beta(1.5 - H, p) / p
+        np.testing.assert_allclose(fbm.kernel_matrix(H, grid).sum(axis=1) * grid.step,
+                                   full, rtol=1e-12, atol=0.0)
 
-        monkeypatch.setattr(fbm.integrate, "quad", counting_quad)
-        counts = {}
+    def test_build_runs_no_quadrature(self, monkeypatch):
+        # every cell is a difference of a closed-form primitive
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel matrix build called scipy.integrate")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        monkeypatch.setattr(integrate, "quad_vec", refuse)
         for n_cells in (16, 128):
-            calls.clear()
-            fbm._kernel_matrix_entries.__wrapped__(0.08, 1.0, n_cells)
-            counts[n_cells] = len(calls)
-        assert counts[16] == counts[128]
+            M = fbm._kernel_matrix_entries.__wrapped__(0.08, 1.0, n_cells)
+            assert M.shape == (n_cells, n_cells)
 
 
 def kernel_sample(H, grid, n_paths, seed) -> np.ndarray:
