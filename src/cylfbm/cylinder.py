@@ -8,18 +8,15 @@ direction, each scaled by its weight.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import (
-    DomainError,
-    LndConstants,
-    TimeGrid,
-    fbm_from_increments,
-    sample_fbm,
-    wiener_increments,
-)
+from . import fbm
+from .fbm import DomainError, LndConstants, TimeGrid, WienerIncrements
 
 SUP_HURST_LIMIT = 1.0 / 12.0
 SUM_HURST_LIMIT = 1.0 / 6.0
@@ -193,6 +190,67 @@ def component_seed_sequences(seed, d: int) -> list:
     return ss.spawn(d)
 
 
+# ---------------------------------------------------------------------------
+# component lanes
+# ---------------------------------------------------------------------------
+
+# paths per chunk of the per-component work; a multiple of the BLAS kernels'
+# column blocking, so a chunked product equals the unchunked one unless the
+# last chunk is narrow
+PATH_CHUNK = 2048
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def path_chunks(n_paths: int) -> list:
+    """Slices of PATH_CHUNK consecutive paths covering 0..n_paths; the last
+    one takes the remainder."""
+    return [slice(a, min(a + PATH_CHUNK, n_paths)) for a in range(0, n_paths, PATH_CHUNK)]
+
+
+def run_component_lanes(d: int, work, scratch_size: int) -> None:
+    """Call ``work(k, scratch)`` for every component k < d, in
+    min(d, :func:`usable_cpus`) lanes.
+
+    Lane i takes the components k = i, i + lanes, ... in order and runs on
+    its own thread, lane 0 on the calling one; one lane is the plain loop.
+    Each lane owns one float scratch array of ``scratch_size`` entries,
+    allocated here on the calling thread, and ``work`` writes only its
+    component's part of the outputs, so the results do not depend on the lane
+    count.  ``work`` must release the interpreter lock to overlap (numpy
+    kernels do) and must not call traced functions.  A lane stops at its
+    first failing component; once every lane has finished, the error of the
+    lowest-numbered failing component is raised.
+    """
+    n_lanes = max(1, min(d, usable_cpus()))
+    scratch = [np.empty(scratch_size) for _ in range(n_lanes)]
+    errors = {}
+
+    def lane(i):
+        for k in range(i, d, n_lanes):
+            try:
+                work(k, scratch[i])
+            except Exception as exc:  # re-raised on the calling thread below
+                errors[k] = exc
+                return
+
+    threads = [threading.Thread(target=lane, args=(i,)) for i in range(1, n_lanes)]
+    for t in threads:
+        t.start()
+    try:
+        lane(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid,
                    n_paths: int, seed: int, method: str = "cholesky",
                    keep_increments: bool = False) -> CylEnsemble:
@@ -201,34 +259,59 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     Component k is lambda_k times a scalar sample with index H_k, drawn from
     an independent substream spawned per component (fixed order), so the
     first d' components coincide path-by-path with a d'-truncated run.
-    The default exact-law factorization has no driving increments; request
-    the kernel construction with ``keep_increments`` when the measure-change
-    machinery needs them.  The kernel construction writes each component's
-    product straight into its slice of ``values``, so the block holds the
-    ensemble and one component's increments (all d with ``keep_increments``).
+    The default exact-law factorization (the Cholesky factor of the node
+    covariance times standard normals drawn node-major) has no driving
+    increments; request the kernel construction (the kernel matrix times
+    N(0, step) cell increments drawn path-major) with ``keep_increments``
+    when the measure-change machinery needs them.
+
+    Both methods run one loop in :func:`run_component_lanes`: each lane
+    writes its components' products straight into their slices of
+    ``values``, one path chunk at a time, so the block holds the ensemble,
+    chunk-sized scratch per lane and, with ``keep_increments``, the d
+    increment arrays.
     """
     if d < 1:
         raise DomainError("truncation level must be >= 1")
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
+    if method == "kernel":
+        factors = [fbm.kernel_matrix(hs.value(k + 1), grid) for k in range(d)]
+    elif method == "cholesky":
+        factors = [fbm.cholesky_factor(hs.value(k + 1), grid) for k in range(d)]
+    else:
+        raise DomainError(f"unknown sampling method {method!r}")
     children = component_seed_sequences(seed, d)
     lam = ws.head_array(d)
+    n, step_sd = grid.n_cells, math.sqrt(grid.step)
     values = np.empty((d, grid.n_nodes, n_paths))
-    incs = [] if (keep_increments and method == "kernel") else None
-    for k in range(d):
-        H = hs.value(k + 1)
-        if method == "kernel":
-            inc = wiener_increments(grid, n_paths, children[k])
-            fbm_from_increments(H, inc, values[k], lam[k])
-            if incs is not None:
-                incs.append(inc)
-        elif method == "cholesky":
-            path = sample_fbm(H, grid, n_paths, children[k])
-            values[k] = lam[k] * path.values.T
-        else:
-            raise DomainError(f"unknown sampling method {method!r}")
+    incs = ([np.empty((n_paths, n)) for _ in range(d)]
+            if keep_increments and method == "kernel" else None)
+    chunks = path_chunks(n_paths)
+
+    def fill(k, scratch):
+        rng = np.random.default_rng(children[k])
+        out = values[k]
+        out[0] = 0.0
+        if method == "cholesky":  # node-major normals, drawn in place
+            rng.standard_normal(out=out[1:])
+        for s in chunks:
+            width = s.stop - s.start
+            if method == "kernel":
+                dW = incs[k][s] if incs is not None else scratch[: width * n].reshape(width, n)
+                rng.standard_normal(out=dW)
+                dW *= step_sd
+                z = dW.T
+            else:  # a copy: the product cannot overwrite its own input
+                z = scratch[: n * width].reshape(n, width)
+                z[...] = out[1:, s]
+            np.matmul(factors[k], z, out=out[1:, s])
+            out[1:, s] *= lam[k]
+
+    run_component_lanes(d, fill, chunks[0].stop * n)
     return CylEnsemble(d=d, grid=grid, values=values, hursts=hs, weights=ws,
-                       increments=tuple(incs) if incs is not None else None)
+                       increments=None if incs is None else tuple(
+                           WienerIncrements(grid=grid, values=v) for v in incs))
 
 
 def composite_scaling(ws: WeightSequence, lnd: list, d: int) -> np.ndarray:

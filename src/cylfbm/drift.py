@@ -124,21 +124,42 @@ def evaluate(spec: DriftSpec, t: float, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _structure_eval(st: JumpExpStructure, t: float, y: np.ndarray) -> np.ndarray:
+def _projection_norm(st: JumpExpStructure, y: np.ndarray) -> np.ndarray:
+    """Euclidean norm over paths of the rows of y in ``st.coords`` (a fresh
+    array; rows past y's first axis read as zero).  One row gives |y_c|,
+    which is exactly sqrt(y_c^2)."""
     avail = [c for c in st.coords if c < y.shape[0]]
-    m = y.shape[1]
+    if len(avail) == 1:
+        return np.abs(y[avail[0]])
     if avail:
-        norm_w = st.scale * np.sqrt(np.sum(y[avail, :] ** 2, axis=0))
-    else:
-        norm_w = np.zeros(m)
-    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
+        return np.sqrt(np.sum(y[avail, :] ** 2, axis=0))
+    return np.zeros(y.shape[1])
+
+
+def _damped_amplitude(st: JumpExpStructure, t: float, rho: np.ndarray) -> np.ndarray:
+    """amp e^-t exp(-decay |w| / 2) with |w| = scale * rho, computed in place
+    over ``rho`` and returned.  Halving the decay rather than the product
+    changes no value: halving is exact unless the product is subnormal
+    (exp gives 1 either way) or overflows (exp gives 0 either way)."""
+    rho *= st.scale
+    rho *= -st.decay / 2.0
+    np.exp(rho, out=rho)
+    rho *= st.amp * math.exp(-t)
+    return rho
+
+
+def _structure_eval(st: JumpExpStructure, t: float, y: np.ndarray) -> np.ndarray:
     reg = st.region
-    if reg.kind == "halfspace":
-        w_axis = st.scale * y[reg.axis, :] if reg.axis in avail else np.zeros(m)
-        inside = w_axis <= reg.offset
-    else:
-        inside = norm_w <= reg.radius
-    return amp * np.where(inside, st.a, st.b)
+    rho = _projection_norm(st, y)
+    if reg.kind == "ball":
+        factor = np.where(st.scale * rho <= reg.radius, st.a, st.b)
+    elif reg.axis in st.coords and reg.axis < y.shape[0]:
+        factor = np.where(st.scale * y[reg.axis] <= reg.offset, st.a, st.b)
+    else:  # a halfspace whose axis the component does not read
+        factor = st.a if 0.0 <= reg.offset else st.b
+    amp = _damped_amplitude(st, t, rho)
+    amp *= factor
+    return amp
 
 
 def indicator_exponential_family(
@@ -425,25 +446,33 @@ class MollifiedDrift:
         return self.evaluator(t, z)
 
 
+def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
+    """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
+    place over ``u`` in the operation order of :func:`_norm_cdf`."""
+    u /= eps
+    u /= np.sqrt(2.0)
+    special.erf(u, out=u)
+    u += 1.0
+    u *= 0.5
+    u *= st.a - st.b
+    u += st.b
+    return u
+
+
 def _mollified_structure_value(st: JumpExpStructure, eps: float, t: float,
                                z: np.ndarray) -> np.ndarray:
-    avail = list(st.coords)
-    m = z.shape[1]
-    norm_w = st.scale * np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
-    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
     reg = st.region
+    rho = _projection_norm(st, z)
     if reg.kind == "halfspace":
-        if reg.axis in avail:
-            c = reg.offset / st.scale
-            smooth = st.b + (st.a - st.b) * _norm_cdf((c - z[reg.axis, :]) / eps)
+        if reg.axis in st.coords:
+            smooth = _smoothed_step(st, eps, reg.offset / st.scale - z[reg.axis])
         else:
-            inside = 0.0 <= reg.offset
-            smooth = np.full(m, st.a if inside else st.b)
+            smooth = st.a if 0.0 <= reg.offset else st.b
     else:
-        rad = reg.radius / st.scale
-        rho = np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
-        smooth = st.b + (st.a - st.b) * _norm_cdf((rad - rho) / eps)
-    return amp * smooth
+        smooth = _smoothed_step(st, eps, reg.radius / st.scale - rho)
+    amp = _damped_amplitude(st, t, rho)
+    amp *= smooth
+    return amp
 
 
 def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
@@ -454,34 +483,23 @@ def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
     out = np.zeros((d, m))
     if not avail:
         return out
-    sq = np.sum(z[avail, :] ** 2, axis=0)
-    rho = np.sqrt(sq)
-    norm_w = st.scale * rho
-    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
+    rho = _projection_norm(st, z)
+    amp = _damped_amplitude(st, t, rho.copy())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
+    damp = -(st.decay * st.scale / 2.0) * unit * amp  # (len(avail), m)
     reg = st.region
     if reg.kind == "halfspace":
         if reg.axis in avail:
-            c = reg.offset / st.scale
-            u = (c - z[reg.axis, :]) / eps
-            smooth = st.b + (st.a - st.b) * _norm_cdf(u)
-            dsmooth_axis = -(st.a - st.b) * _norm_pdf(u) / eps
+            u = (reg.offset / st.scale - z[reg.axis, :]) / eps
+            out[avail, :] = damp * (st.b + (st.a - st.b) * _norm_cdf(u))
+            out[reg.axis, :] += amp * (-(st.a - st.b) * _norm_pdf(u) / eps)
         else:
-            smooth = np.full(m, st.a if 0.0 <= reg.offset else st.b)
-            dsmooth_axis = None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
-        damp = -(st.decay * st.scale / 2.0) * unit * amp  # (len(avail), m)
-        out[avail, :] = damp * smooth
-        if dsmooth_axis is not None:
-            out[reg.axis, :] += amp * dsmooth_axis
+            out[avail, :] = damp * (st.a if 0.0 <= reg.offset else st.b)
     else:
-        rad = reg.radius / st.scale
-        u = (rad - rho) / eps
+        u = (reg.radius / st.scale - rho) / eps
         smooth = st.b + (st.a - st.b) * _norm_cdf(u)
         dsmooth_drho = -(st.a - st.b) * _norm_pdf(u) / eps
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
-        damp = -(st.decay * st.scale / 2.0) * unit * amp
         out[avail, :] = damp * smooth + amp * dsmooth_drho * unit
     return out
 

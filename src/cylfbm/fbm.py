@@ -1,8 +1,10 @@
 """One-dimensional fractional Brownian motion with rough paths (Hurst index below 1/2).
 
 Covariance, the lower-triangular Volterra kernel and its closed-form grid
-discretization, exact-law (Cholesky) and kernel-construction sampling,
-Gaussian conditioning, and the empirical local non-determinism constant.
+discretization, the Cholesky factor of the node covariance and exact-law
+sampling with it, Gaussian conditioning, and the empirical local
+non-determinism constant.  :func:`cylfbm.cylinder.sample_cyl_fbm` samples
+the weighted components from the kernel matrix or the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -61,9 +63,12 @@ class TimeGrid:
     def step(self) -> float:
         return self.t_end / self.n_cells
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_cells + 1)
+        """The grid nodes, built once per grid and read-only."""
+        nodes = np.linspace(0.0, self.t_end, self.n_cells + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def n_nodes(self) -> int:
@@ -272,15 +277,6 @@ def exact_covariance_matrix(H, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def wiener_increments(grid: TimeGrid, n_paths: int, seed) -> WienerIncrements:
-    """Independent N(0, step) increments per cell, reproducible from the seed."""
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((n_paths, grid.n_cells)) * np.sqrt(grid.step)
-    return WienerIncrements(grid=grid, values=vals)
-
-
 def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     scale = float(np.mean(np.diag(C)))
     for jit in JITTER_LADDER:
@@ -293,30 +289,24 @@ def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     )
 
 
+def cholesky_factor(H, grid: TimeGrid) -> np.ndarray:
+    """Lower Cholesky factor of :func:`exact_covariance_matrix`, with the
+    jitter ladder as fallback."""
+    return _cholesky_with_jitter(exact_covariance_matrix(as_hurst(H), grid))
+
+
 def sample_fbm(H, grid: TimeGrid, n_paths: int, seed) -> ScalarPath:
     """Exact-law paths at the grid nodes from the Cholesky factor of the node
-    covariance; node 0 is exactly zero.  Deterministic given the seed."""
+    covariance and node-major standard normals; node 0 is exactly zero.
+    Deterministic given the seed."""
     H = as_hurst(H)
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
+    L = cholesky_factor(H, grid)
     rng = np.random.default_rng(seed)
-    L = _cholesky_with_jitter(exact_covariance_matrix(H, grid))
     body = (L @ rng.standard_normal((grid.n_cells, n_paths))).T
     vals = np.concatenate([np.zeros((n_paths, 1)), body], axis=1)
     return ScalarPath(grid=grid, values=vals)
-
-
-def fbm_from_increments(H, inc: WienerIncrements, out: np.ndarray, scale: float) -> np.ndarray:
-    """Write scale times the kernel matrix applied to the Wiener increments
-    into ``out``, node-major with shape (n_nodes, n_paths), and return it.
-
-    Row 0 is exactly 0; rows 1.. receive the matrix product directly, so no
-    path-major copy of the sample is ever made.
-    """
-    np.matmul(kernel_matrix(H, inc.grid), inc.values.T, out=out[1:])
-    out[0] = 0.0
-    out *= scale
-    return out
 
 
 # ---------------------------------------------------------------------------

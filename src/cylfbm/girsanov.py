@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drift as drift_mod
-from .cylinder import HurstSequence, WeightSequence, sample_cyl_fbm
+from .cylinder import (
+    HurstSequence,
+    WeightSequence,
+    path_chunks,
+    run_component_lanes,
+    sample_cyl_fbm,
+)
 from .fbm import DomainError, TimeGrid, kernel_fractional_norm
 from .fraccalc import kh_inverse_matrix
 
@@ -52,7 +58,9 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
 
     The Wiener-frame integrand is evaluated at the left node of each cell
     (the adapted choice), which makes the weights exactly mean one for
-    adapted shifts, not just in the continuum limit.
+    adapted shifts, not just in the continuum limit.  The components run in
+    :func:`cylfbm.cylinder.run_component_lanes`, one path chunk at a time,
+    with the integrand in the lane's chunk-sized scratch.
     """
     grid = shifts.grid
     h = grid.step
@@ -60,19 +68,23 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
     if len(increments) < d:
         raise DomainError("one increment set per shift component is required")
     n_paths = increments[0].values.shape[0]
-    out = np.zeros((d, n_paths))
-    v = np.empty(shifts.values.shape[1:])  # (nodes, paths), reused per component
-    for k in range(d):
-        H = hursts.value(k + 1)
-        M = kh_inverse_matrix(H, grid)
-        with np.errstate(invalid="ignore"):
-            np.matmul(M, shifts.values[k], out=v)
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
-        dW = increments[k].values  # (paths, cells)
-        stoch = np.einsum("jp,pj->p", v[:-1], dW)
-        quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
-        out[k] = -stoch - 0.5 * quad
+    n_nodes = grid.n_nodes
+    inverses = [kh_inverse_matrix(hursts.value(k + 1), grid) for k in range(d)]
+    out = np.empty((d, n_paths))
+    chunks = path_chunks(n_paths)
+
+    def weigh(k, scratch):
+        for s in chunks:
+            v = scratch[: n_nodes * (s.stop - s.start)].reshape(n_nodes, -1)
+            with np.errstate(invalid="ignore"):
+                np.matmul(inverses[k], shifts.values[k][:, s], out=v)
+            if not np.all(np.isfinite(v)):
+                raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
+            stoch = np.einsum("jp,pj->p", v[:-1], increments[k].values[s])
+            quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
+            out[k, s] = -stoch - 0.5 * quad
+
+    run_component_lanes(d, weigh, n_nodes * chunks[0].stop)
     return out
 
 
@@ -98,7 +110,8 @@ def make_functional(phi_id: str):
     """Named functionals for estimator targets.
 
     "coordinate:<i>" picks the 1-based i-th coordinate (i >= 1);
-    "clipped_norm:<cap>" is the Euclidean norm clipped at cap (bounded).
+    "clipped_norm:<cap>" is the Euclidean norm clipped at a finite cap > 0
+    (bounded).
     """
     kind, _, arg = phi_id.partition(":")
     if kind not in ("coordinate", "clipped_norm"):
@@ -115,6 +128,8 @@ def make_functional(phi_id: str):
             return z[num - 1]
 
         return phi
+    if not (math.isfinite(num) and num > 0.0):
+        raise DomainError(f"functional {phi_id!r}: the cap must be finite and positive")
 
     def phi(z: np.ndarray) -> np.ndarray:
         return np.minimum(np.sqrt(np.sum(z ** 2, axis=0)), num)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -123,3 +124,71 @@ def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> flo
     x, w = np.polynomial.legendre.leggauss(16)
     u = 0.5 * (b - a) * x + 0.5 * (a + b)
     return 0.5 * (b - a) * float(np.sum(w * np.exp(power * fbm._log_kernel(H, t, u))))
+
+
+# -- the example drift family's formulas written pass by pass: references for
+# the fused evaluations in cylfbm.drift, which must reproduce them bit for bit
+
+
+def structure_eval_reference(st: drift.JumpExpStructure, t: float, y: np.ndarray) -> np.ndarray:
+    avail = [c for c in st.coords if c < y.shape[0]]
+    m = y.shape[1]
+    if avail:
+        norm_w = st.scale * np.sqrt(np.sum(y[avail, :] ** 2, axis=0))
+    else:
+        norm_w = np.zeros(m)
+    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
+    reg = st.region
+    if reg.kind == "halfspace":
+        w_axis = st.scale * y[reg.axis, :] if reg.axis in avail else np.zeros(m)
+        inside = w_axis <= reg.offset
+    else:
+        inside = norm_w <= reg.radius
+    return amp * np.where(inside, st.a, st.b)
+
+
+def mollified_value_reference(st: drift.JumpExpStructure, eps: float, t: float,
+                              z: np.ndarray) -> np.ndarray:
+    avail = list(st.coords)
+    m = z.shape[1]
+    norm_w = st.scale * np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
+    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
+    reg = st.region
+    if reg.kind == "halfspace":
+        if reg.axis in avail:
+            c = reg.offset / st.scale
+            smooth = st.b + (st.a - st.b) * drift._norm_cdf((c - z[reg.axis, :]) / eps)
+        else:
+            smooth = np.full(m, st.a if 0.0 <= reg.offset else st.b)
+    else:
+        rad = reg.radius / st.scale
+        rho = np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
+        smooth = st.b + (st.a - st.b) * drift._norm_cdf((rad - rho) / eps)
+    return amp * smooth
+
+
+def mollified_grad_reference(st: drift.JumpExpStructure, eps: float, t: float,
+                             z: np.ndarray, d: int) -> np.ndarray:
+    avail = list(st.coords)
+    m = z.shape[1]
+    out = np.zeros((d, m))
+    if not avail:
+        return out
+    rho = np.sqrt(np.sum(z[avail, :] ** 2, axis=0))
+    amp = st.amp * math.exp(-t) * np.exp(-st.decay * (st.scale * rho) / 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
+    damp = -(st.decay * st.scale / 2.0) * unit * amp
+    reg = st.region
+    if reg.kind == "halfspace":
+        if reg.axis in avail:
+            u = (reg.offset / st.scale - z[reg.axis, :]) / eps
+            out[avail, :] = damp * (st.b + (st.a - st.b) * drift._norm_cdf(u))
+            out[reg.axis, :] += amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps)
+        else:
+            out[avail, :] = damp * np.full(m, st.a if 0.0 <= reg.offset else st.b)
+    else:
+        u = (reg.radius / st.scale - rho) / eps
+        smooth = st.b + (st.a - st.b) * drift._norm_cdf(u)
+        out[avail, :] = damp * smooth + amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps) * unit
+    return out

@@ -146,6 +146,10 @@ class TestRunBasics:
         ({"command": "verify-suite", "drift": {"region_kind": "foo"}}, "drift.region_kind"),
         ({"command": "simulate", "drift": {"region_kind": "ball", "region_radius": 0.0}},
          "drift.region_radius"),
+        ({"command": "girsanov", "phis": ["clipped_norm:nan"]}, "phis"),
+        ({"command": "solve", "phis": ["clipped_norm:-1"]}, "phis"),
+        ({"command": "converge", "phis": ["clipped_norm:inf"]}, "phis"),
+        ({"command": "girsanov", "phis": ["coordinate:1", "clipped_norm:0"]}, "phis"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
@@ -192,11 +196,20 @@ class TestRunBasics:
 class TestImportPath:
     def test_sampling_commands_skip_quadrature_and_lemma_suite(self, tmp_path):
         # only verify-suite (and the stochastic derivative) need scipy.integrate;
-        # the package still resolves `verify` on access, as the tracer does
+        # the package still resolves `verify` on access, as the tracer does.
+        # Only the sampling commands run component lanes: verify-suite and
+        # validate start no thread.
         script = f"""
 import sys
+import threading
 import cylfbm
 from cylfbm import cli
+started = []
+start = threading.Thread.start
+def counted_start(thread):
+    started.append(thread.name)
+    start(thread)
+threading.Thread.start = counted_start
 for command in ("girsanov", "converge"):
     cfg = cli.load_config({{"command": command, "grid": {{"n_cells": 16}},
                            "mc": {{"n_paths": 200, "seed": 3}}}})
@@ -204,8 +217,15 @@ for command in ("girsanov", "converge"):
 loaded = sorted({{"scipy.integrate", "cylfbm.verify"}} & set(sys.modules))
 assert not loaded, loaded
 assert getattr(cylfbm, "verify").__name__ == "cylfbm.verify"
+assert started or cylfbm.cylinder.usable_cpus() == 1, "lanes start no thread"
+active = threading.active_count()
+started.clear()
 cfg = cli.load_config({{"command": "verify-suite", "mc": {{"seed": 0}}}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/verify") == cli.EXIT_OK
+cfg = cli.load_config({{"command": "validate", "grid": {{"n_cells": 16}}, "d": 2}})
+assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate") == cli.EXIT_OK
+assert not started, started
+assert threading.active_count() == active
 """
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

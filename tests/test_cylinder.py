@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from cylfbm import cylinder, fbm
+from cylfbm import cylinder, fbm, girsanov
 
 
 class TestSequences:
@@ -113,6 +115,83 @@ class TestEnsembles:
             target = lam ** 2 * fbm.covariance(H, grid64.nodes[i], grid64.nodes[j])
             se = np.std(ens.values[k, i, :] * ens.values[k, j, :], ddof=1) / np.sqrt(n)
             assert abs(emp - target) < 3 * se
+
+
+def in_lanes(monkeypatch, lanes, fn):
+    """``fn()`` with the components run in ``lanes`` lanes, thread switches
+    forced often."""
+    monkeypatch.setattr(cylinder, "usable_cpus", lambda: lanes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestComponentLanes:
+    @pytest.mark.parametrize("n_paths", [100, 2049, 10000])
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("method", ["kernel", "cholesky"])
+    def test_lane_count_changes_no_output(self, monkeypatch, sequences, grid64,
+                                          method, keep, n_paths):
+        # one lane is the reference; four lanes on a smaller box still work
+        hs, ws = sequences
+        d = 4
+
+        def run():
+            ens = cylinder.sample_cyl_fbm(hs, ws, d, grid64, n_paths, 61, method=method,
+                                          keep_increments=keep)
+            logs = None
+            if ens.increments is not None:
+                shifts = girsanov.ShiftProcess(grid64, np.sin(ens.values) * 0.3)
+                logs = girsanov.component_log_weights(shifts, ens.increments, hs)
+            return ens, logs
+
+        ref, ref_logs = in_lanes(monkeypatch, 1, run)
+        assert (ref.increments is not None) == (keep and method == "kernel")
+        for lanes in (2, 4):
+            ens, logs = in_lanes(monkeypatch, lanes, run)
+            assert np.array_equal(ens.values, ref.values)
+            if ref.increments is None:
+                assert ens.increments is None
+            else:
+                for a, b in zip(ens.increments, ref.increments):
+                    assert np.array_equal(a.values, b.values)
+                assert np.array_equal(logs, ref_logs)
+
+    @pytest.mark.parametrize("n_paths", [100, 2049, 10000])
+    def test_chunked_increments_are_one_draw(self, monkeypatch, sequences, grid64, n_paths):
+        hs, ws = sequences
+        ens = in_lanes(monkeypatch, 2, lambda: cylinder.sample_cyl_fbm(
+            hs, ws, 3, grid64, n_paths, 62, method="kernel", keep_increments=True))
+        children = cylinder.component_seed_sequences(62, 3)
+        for k in range(3):
+            rng = np.random.default_rng(children[k])
+            whole = rng.standard_normal((n_paths, grid64.n_cells)) * np.sqrt(grid64.step)
+            assert np.array_equal(ens.increments[k].values, whole)
+
+    def test_cholesky_sample_is_scaled_factor_product(self, sequences, grid64):
+        # node-major standard normals, as the scalar exact-law sampler draws them
+        hs, ws = sequences
+        ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 300, 63)
+        children = cylinder.component_seed_sequences(63, 2)
+        for k in range(2):
+            scalar = fbm.sample_fbm(hs.value(k + 1), grid64, 300, children[k])
+            assert np.array_equal(ens.values[k], ws.value(k + 1) * scalar.values.T)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 4])
+    def test_lowest_failing_component_named(self, monkeypatch, sequences, grid64, lanes):
+        hs, ws = sequences
+        ens = cylinder.sample_cyl_fbm(hs, ws, 4, grid64, 50, 64, method="kernel",
+                                      keep_increments=True)
+        shift = np.zeros((4, grid64.n_nodes, 50))
+        shift[2, 7, 3] = np.nan  # component 3
+        shift[3, 9, 1] = np.inf  # component 4, in another lane
+        shifts = girsanov.ShiftProcess(grid64, shift)
+        with pytest.raises(fbm.DomainError, match="in component 3$"):
+            in_lanes(monkeypatch, lanes, lambda: girsanov.component_log_weights(
+                shifts, ens.increments, hs))
 
 
 class TestDiagonalOperators:

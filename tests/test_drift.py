@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import constant_drift
+from conftest import (
+    constant_drift,
+    mollified_grad_reference,
+    mollified_value_reference,
+    structure_eval_reference,
+)
 from cylfbm import cli, cylinder, drift, fbm
 
 
@@ -243,3 +248,54 @@ class TestMollifiedStaysInClass:
         scaling = cylinder.composite_scaling(weights, lnd, d)
         report = drift.validate_drift_class(molli_spec, d, scaling)
         assert report.passed
+
+
+class TestFusedEvaluation:
+    """The fused evaluations give the pass-by-pass formulas' floats exactly
+    (at scales and decay rates that are not powers of two, where regrouping
+    their products would round differently)."""
+
+    REGIONS = {
+        "halfspace-axis0": drift.Region("halfspace", axis=0, offset=0.0),
+        "halfspace-axis1": drift.Region("halfspace", axis=1, offset=0.3),
+        "halfspace-axis3-negative-offset": drift.Region("halfspace", axis=3, offset=-0.2),
+        "ball": drift.Region("ball", radius=0.8),
+    }
+    PROJ_SETS = {
+        "own": None,
+        # two coordinates each; the fourth reads coordinate 4, past a 4-row
+        # state
+        "pairs": ((0, 1), (1, 2), (2, 0), (3, 4), (4, 0)),
+    }
+
+    @staticmethod
+    def states(n_rows, scale_first):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((n_rows, 400)) * 1.5
+        z[:, :10] = 0.0  # the origin and a vanishing norm
+        z[1, 10:20] = 0.3 / (4.5 * scale_first)  # on the axis-1 interface
+        z[:, 20:25] = 40.0  # an underflowing amplitude
+        return z
+
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    @pytest.mark.parametrize("proj", sorted(PROJ_SETS))
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_raw_mollified_and_gradient_bitwise(self, weights, region, proj, t):
+        ws5 = cylinder.WeightSequence.geometric(0.5, 0.5, 5)
+        spec = drift.indicator_exponential_family(
+            ws5, 5, region=self.REGIONS[region], proj_sets=self.PROJ_SETS[proj],
+            decay_first=0.7, decay_ratio=0.9, proj_scale_first=1.3, proj_scale_ratio=4.5)
+        y = self.states(4, spec.components[0].structure.scale)
+        raw = drift.evaluate(spec, t, y)
+        for k in range(4):
+            st = spec.components[k].structure
+            assert np.array_equal(raw[k], structure_eval_reference(st, t, y))
+        for d in (2, 4):
+            md = drift.mollify(spec, d, 0.05)
+            z = y[:d]
+            val = md.evaluator(t, z)
+            grad = md.gradient_evaluator(t, z)
+            for k in range(d):
+                st = md.base.components[k].structure
+                assert np.array_equal(val[k], mollified_value_reference(st, 0.05, t, z))
+                assert np.array_equal(grad[k], mollified_grad_reference(st, 0.05, t, z, d))

@@ -16,6 +16,16 @@ KERNEL_ORACLE = {
 }
 
 
+class TestTimeGrid:
+    def test_nodes_built_once_and_read_only(self):
+        grid = fbm.TimeGrid(2.0, 8)
+        assert grid.nodes is grid.nodes
+        assert np.array_equal(grid.nodes, np.linspace(0.0, 2.0, 9))
+        with pytest.raises(ValueError):
+            grid.nodes[1] = 0.5
+        assert grid == fbm.TimeGrid(2.0, 8) and hash(grid) == hash(fbm.TimeGrid(2.0, 8))
+
+
 class TestCovariance:
     def test_zero_time(self):
         assert fbm.covariance(0.25, 1.0, 0.0) == 0.0
@@ -148,9 +158,15 @@ class TestKernelMatrix:
 
 
 def kernel_sample(H, grid, n_paths, seed) -> np.ndarray:
-    """Kernel-construction paths, node-major with shape (n_nodes, n_paths)."""
-    inc = fbm.wiener_increments(grid, n_paths, seed)
-    return fbm.fbm_from_increments(H, inc, np.empty((grid.n_nodes, n_paths)), 1.0)
+    """Kernel-construction paths, node-major with shape (n_nodes, n_paths):
+    the kernel matrix times N(0, step) cell increments drawn path-major, as
+    :func:`cylfbm.cylinder.sample_cyl_fbm` draws them (at any H, which the
+    summable sequences it takes do not allow)."""
+    rng = np.random.default_rng(seed)
+    dW = rng.standard_normal((n_paths, grid.n_cells)) * np.sqrt(grid.step)
+    out = np.zeros((grid.n_nodes, n_paths))
+    out[1:] = fbm.kernel_matrix(H, grid) @ dW.T
+    return out
 
 
 class TestSampling:

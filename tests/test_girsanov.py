@@ -38,9 +38,10 @@ class TestShiftToWiener:
 
 
 class TestStochasticExponential:
-    def _increments(self, grid, d, n, seed):
-        children = cylinder.component_seed_sequences(seed, d)
-        return [fbm.wiener_increments(grid, n, children[k]) for k in range(d)]
+    def _increments(self, sequences, grid, d, n, seed):
+        hs, ws = sequences
+        return cylinder.sample_cyl_fbm(hs, ws, d, grid, n, seed, method="kernel",
+                                       keep_increments=True).increments
 
     def _pathwise(self, grid, profiles, n):
         """The same (d, n_nodes) shift profiles on every one of n paths."""
@@ -49,7 +50,7 @@ class TestStochasticExponential:
 
     def test_zero_shift_unit_weight(self, sequences, grid64):
         hs, _ = sequences
-        incs = self._increments(grid64, 2, 100, 3)
+        incs = self._increments(sequences, grid64, 2, 100, 3)
         shifts = self._pathwise(grid64, np.zeros((2, grid64.n_nodes)), 100)
         w = girsanov.stochastic_exponential(shifts, incs, hs)
         assert np.all(w.values == 1.0)
@@ -57,7 +58,7 @@ class TestStochasticExponential:
     def test_unit_mean(self, sequences, grid64):
         hs, _ = sequences
         n = 50_000
-        incs = self._increments(grid64, 2, n, 7)
+        incs = self._increments(sequences, grid64, 2, n, 7)
         rng = np.random.default_rng(1)
         shifts = self._pathwise(
             grid64, np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1), n)
@@ -71,7 +72,7 @@ class TestStochasticExponential:
         # variation
         hs, _ = sequences
         n = 50_000
-        incs = self._increments(grid64, 2, n, 11)
+        incs = self._increments(sequences, grid64, 2, n, 11)
         profiles = np.stack([0.5 * np.ones(grid64.n_nodes), 0.3 * grid64.nodes])
         logs = girsanov.component_log_weights(self._pathwise(grid64, profiles, n), incs, hs)
         h = grid64.step
@@ -86,7 +87,7 @@ class TestStochasticExponential:
 
     def test_dimensionwise_additivity(self, sequences, grid64):
         hs, _ = sequences
-        incs = self._increments(grid64, 3, 500, 13)
+        incs = self._increments(sequences, grid64, 3, 500, 13)
         rng = np.random.default_rng(2)
         shifts = self._pathwise(grid64, rng.standard_normal((3, grid64.n_nodes)), 500)
         joint = girsanov.stochastic_exponential(shifts, incs, hs).log_values
@@ -99,7 +100,7 @@ class TestStochasticExponential:
 
     def test_nonfinite_shift_rejected(self, sequences, grid64):
         hs, _ = sequences
-        incs = self._increments(grid64, 1, 10, 17)
+        incs = self._increments(sequences, grid64, 1, 10, 17)
         bad = np.zeros((1, grid64.n_nodes))
         bad[0, 5] = np.inf
         with pytest.raises(fbm.DomainError):
@@ -183,7 +184,7 @@ class TestWeakSolutionEstimator:
 
 class TestBlockMemory:
     """A Monte Carlo block holds the sample (or the shift written over it),
-    the Wiener increments and one (n_nodes, n_paths) integrand buffer."""
+    the Wiener increments and one chunk-sized integrand scratch per lane."""
 
     def test_estimator_peak(self, model, grid64):
         hs, ws, spec = model
@@ -224,10 +225,11 @@ class TestBlockMemory:
 
     def test_log_weights_match_fresh_integrands(self, sequences, grid64):
         # one reused integrand buffer gives the floats of a fresh one per component
-        hs, _ = sequences
+        hs, ws = sequences
         n = 300
         rng = np.random.default_rng(12)
-        incs = [fbm.wiener_increments(grid64, n, 50 + k) for k in range(3)]
+        incs = cylinder.sample_cyl_fbm(hs, ws, 3, grid64, n, 50, method="kernel",
+                                       keep_increments=True).increments
         shifts = girsanov.ShiftProcess(grid64, rng.standard_normal((3, grid64.n_nodes, n)))
         got = girsanov.component_log_weights(shifts, incs, hs)
         for k in range(3):
