@@ -6,8 +6,9 @@ artifact); the only environment override is the output directory.  CSV bodies
 use fixed 17-significant-digit formatting so identical configurations diff
 byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
 fraction, mean weight and low-ESS flag) appear only in comment headers.
-Functionals, the evaluation time, the initial point, the seed and the
-region (kind, ball radius, halfspace axis) are checked when the
+Functionals (at least one for the pricing commands), the evaluation time,
+the initial point, the seed, the region (kind, ball radius, halfspace axis)
+and the finiteness of every real-valued entry are checked when the
 configuration loads.
 """
 
@@ -172,6 +173,8 @@ def load_config(mapping: dict) -> RunConfig:
                     val = str(raw)
             except (TypeError, ValueError):
                 raise ConfigError(f"config key {key}: expected {typ.__name__}, got {raw!r}")
+            if typ is float and not math.isfinite(val):
+                raise ConfigError(f"config key {key}: expected a finite number, got {raw!r}")
             entries[key] = val
         else:
             entries[key] = default
@@ -235,9 +238,9 @@ def _check_x0(x0: list) -> None:
 def _check_evaluation(entries: dict) -> None:
     """For the commands that price functionals at t_eval: reject a truncation
     level below 1 or past sequences.d_max, a mollifier width that is not
-    finite and positive, functionals that are unknown or read past the state
-    dimension (for converge, the largest schedule level) and a t_eval that is
-    not a grid node."""
+    finite and positive, an empty list of functionals, functionals that are
+    unknown or read past the state dimension (for converge, the largest
+    schedule level) and a t_eval that is not a grid node."""
     command, d_max = entries["command"], entries["sequences.d_max"]
     dim = entries["d"]
     if command == "converge":
@@ -254,6 +257,8 @@ def _check_evaluation(entries: dict) -> None:
         _check_level("d", dim, d_max)
     if command == "solve":
         _check_widths("drift.epsilon", [entries["drift.epsilon"]])
+    if not entries["phis"]:
+        raise ConfigError("config key phis: at least one functional is required")
     for phi_id in entries["phis"]:
         try:
             girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))

@@ -252,8 +252,8 @@ def run_component_lanes(d: int, work, scratch_size: int) -> None:
 
 
 def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid,
-                   n_paths: int, seed: int, method: str = "cholesky",
-                   keep_increments: bool = False) -> CylEnsemble:
+                   n_paths: int, seed, method: str = "cholesky",
+                   keep_increments: bool = False, out: tuple | None = None) -> CylEnsemble:
     """Sample d independent weighted components on the grid.
 
     Component k is lambda_k times a scalar sample with index H_k, drawn from
@@ -265,9 +265,18 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     N(0, step) cell increments drawn path-major) with ``keep_increments``
     when the measure-change machinery needs them.
 
+    ``seed`` is an int or a SeedSequence, whose d spawned children seed the
+    components, or the d per-component Generators themselves.  A Generator
+    continues its stream across calls, and the kernel construction draws
+    path-major, so consecutive kernel calls on the same Generators draw the
+    increments of one call on all their paths.  ``out`` is a (values,
+    increments) pair of arrays of shape (d, n_nodes, n_paths) and (d, n_paths,
+    n_cells), the second None without kept increments, that the sample is
+    written into in place of fresh arrays.
+
     Both methods run one loop in :func:`run_component_lanes`: each lane
     writes its components' products straight into their slices of
-    ``values``, one path chunk at a time, so the block holds the ensemble,
+    ``values``, one path chunk at a time, so a call holds the ensemble,
     chunk-sized scratch per lane and, with ``keep_increments``, the d
     increment arrays.
     """
@@ -281,20 +290,26 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
         factors = [fbm.cholesky_factor(hs.value(k + 1), grid) for k in range(d)]
     else:
         raise DomainError(f"unknown sampling method {method!r}")
-    children = component_seed_sequences(seed, d)
+    if isinstance(seed, (list, tuple)):
+        rngs = seed[:d]
+    else:
+        rngs = [np.random.default_rng(c) for c in component_seed_sequences(seed, d)]
     lam = ws.head_array(d)
     n, step_sd = grid.n_cells, math.sqrt(grid.step)
-    values = np.empty((d, grid.n_nodes, n_paths))
-    incs = ([np.empty((n_paths, n)) for _ in range(d)]
-            if keep_increments and method == "kernel" else None)
+    kept = keep_increments and method == "kernel"
+    if out is None:
+        values = np.empty((d, grid.n_nodes, n_paths))
+        incs = np.empty((d, n_paths, n)) if kept else None
+    else:
+        values, incs = out[0], (out[1] if kept else None)
     chunks = path_chunks(n_paths)
 
     def fill(k, scratch):
-        rng = np.random.default_rng(children[k])
-        out = values[k]
-        out[0] = 0.0
+        rng = rngs[k]
+        vals = values[k]
+        vals[0] = 0.0
         if method == "cholesky":  # node-major normals, drawn in place
-            rng.standard_normal(out=out[1:])
+            rng.standard_normal(out=vals[1:])
         for s in chunks:
             width = s.stop - s.start
             if method == "kernel":
@@ -304,11 +319,11 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
                 z = dW.T
             else:  # a copy: the product cannot overwrite its own input
                 z = scratch[: n * width].reshape(n, width)
-                z[...] = out[1:, s]
-            np.matmul(factors[k], z, out=out[1:, s])
-            out[1:, s] *= lam[k]
+                z[...] = vals[1:, s]
+            np.matmul(factors[k], z, out=vals[1:, s])
+            vals[1:, s] *= lam[k]
 
-    run_component_lanes(d, fill, chunks[0].stop * n)
+    run_component_lanes(d, fill, 0 if incs is not None else chunks[0].stop * n)
     return CylEnsemble(d=d, grid=grid, values=values, hursts=hs, weights=ws,
                        increments=None if incs is None else tuple(
                            WienerIncrements(grid=grid, values=v) for v in incs))

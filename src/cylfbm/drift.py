@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .cylinder import WeightSequence
+from .cylinder import WeightSequence, run_component_lanes
 from .fbm import DomainError
 
 _ENVELOPE_CUTOFF = 1e-8  # relative tail mass ignored when boxing a maximization
@@ -73,10 +73,12 @@ class JumpExpStructure:
 class DriftComponent:
     """One component map b_k with its declared envelope.
 
-    ``fn(t, y)`` is vectorized over the trailing axis of y (shape (dy, m));
-    coordinates beyond dy are treated as zero.  ``deps`` lists the 0-based
-    coordinates the map reads, ``decay_rate`` r certifies
-    |b_k| <= sup_bound * exp(-r * |y restricted to deps|).
+    ``fn(t, y)`` takes a time t with states y of shape (dy, m), or a vector t
+    of node times with states of shape (dy, n_nodes, m), node i at time t[i],
+    and returns the y.shape[1:] values; coordinates beyond dy are treated as
+    zero.  ``deps`` lists the 0-based coordinates the map reads,
+    ``decay_rate`` r certifies |b_k| <= sup_bound * exp(-r * |y restricted
+    to deps|).
     """
 
     fn: object
@@ -85,8 +87,16 @@ class DriftComponent:
     decay_rate: float = 0.0
     structure: JumpExpStructure | None = None
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+    def __call__(self, t, y: np.ndarray) -> np.ndarray:
         return self.fn(t, y)
+
+    def write(self, t, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write ``fn(t, y)`` into ``out``; a closed-form component allocates
+        nothing and works in ``scratch`` (:func:`_workspace_size` floats)."""
+        if self.structure is not None:
+            _structure_eval(self.structure, t, y, out, scratch)
+        else:
+            out[...] = self.fn(t, y)
 
 
 @dataclass(frozen=True)
@@ -108,15 +118,56 @@ class DriftSpec:
         return len(self.components)
 
 
-def evaluate(spec: DriftSpec, t: float, y: np.ndarray) -> np.ndarray:
-    """Evaluate the first min(dy, d_max) components at time t on states y of
-    shape (dy, m): a state has no coordinate for the rows past dy."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+def evaluate(spec: DriftSpec, t, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the first min(dy, d_max) components on states y with dy rows:
+    a state has no coordinate for the rows past dy.
+
+    A time t takes states of shape (dy, m) and runs the components in turn.
+    A vector t of node times takes states of shape (dy, n_nodes, m), node i
+    at time t[i], and runs the components in
+    :func:`cylfbm.cylinder.run_component_lanes`; the values equal the
+    per-node calls bit for bit.  The rows are written into ``out`` (a fresh
+    array by default) and returned.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.ndim(t) == 0:
+        y = np.atleast_2d(y)
     comps = spec.components[: y.shape[0]]
-    out = np.empty((len(comps), y.shape[1]))
-    for k, comp in enumerate(comps):
-        out[k] = comp(t, y)
+    if out is None:
+        out = np.empty((len(comps),) + y.shape[1:])
+    _run_components(len(comps), t, y.shape[1:],
+                    lambda k, scratch: comps[k].write(t, y, out[k], scratch))
     return out
+
+
+def _workspace_size(t, shape: tuple) -> int:
+    """Floats of scratch one closed-form component needs on states with
+    trailing shape ``shape`` at time(s) t: a float array, a mask and one
+    float per node."""
+    n = math.prod(shape)
+    return n + -(-n // 8) + np.size(t)
+
+
+def _workspace(scratch: np.ndarray, t, shape: tuple) -> tuple:
+    """The float array, the boolean mask and the per-node floats of
+    :func:`_workspace_size`, as views of ``scratch``."""
+    n = math.prod(shape)
+    nb = -(-n // 8)
+    return (scratch[:n].reshape(shape), scratch[n : n + nb].view(np.bool_)[:n].reshape(shape),
+            scratch[n + nb : n + nb + np.size(t)])
+
+
+def _run_components(n: int, t, shape: tuple, work) -> None:
+    """Call ``work(k, scratch)`` for each component k < n: in turn at one
+    time, in component lanes at a vector of node times.  Every scratch
+    array is allocated on the calling thread."""
+    size = _workspace_size(t, shape)
+    if np.ndim(t) == 0:
+        scratch = np.empty(size)
+        for k in range(n):
+            work(k, scratch)
+    else:
+        run_component_lanes(n, work, size)
 
 
 # ---------------------------------------------------------------------------
@@ -124,41 +175,72 @@ def evaluate(spec: DriftSpec, t: float, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _projection_norm(st: JumpExpStructure, y: np.ndarray) -> np.ndarray:
-    """Euclidean norm over paths of the rows of y in ``st.coords`` (a fresh
-    array; rows past y's first axis read as zero).  One row gives |y_c|,
-    which is exactly sqrt(y_c^2)."""
+def _projection_norm(st: JumpExpStructure, y: np.ndarray, out: np.ndarray | None = None,
+                     tmp: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm over the rows of y in ``st.coords`` (rows past y's
+    first axis read as zero), written into ``out`` (fresh by default) with
+    ``tmp`` as workspace.  One row gives |y_c|, which is exactly sqrt(y_c^2);
+    several are summed in row order, as a sum over the first axis adds them."""
     avail = [c for c in st.coords if c < y.shape[0]]
-    if len(avail) == 1:
-        return np.abs(y[avail[0]])
-    if avail:
-        return np.sqrt(np.sum(y[avail, :] ** 2, axis=0))
-    return np.zeros(y.shape[1])
+    if out is None:
+        out = np.empty(y.shape[1:])
+    if not avail:
+        out[...] = 0.0
+    elif len(avail) == 1:
+        np.abs(y[avail[0]], out=out)
+    else:
+        tmp = np.empty(y.shape[1:]) if tmp is None else tmp
+        np.square(y[avail[0]], out=out)
+        for c in avail[1:]:
+            out += np.square(y[c], out=tmp)
+        np.sqrt(out, out=out)
+    return out
 
 
-def _damped_amplitude(st: JumpExpStructure, t: float, rho: np.ndarray) -> np.ndarray:
+def _damped_amplitude(st: JumpExpStructure, t, rho: np.ndarray,
+                      node: np.ndarray | None = None) -> np.ndarray:
     """amp e^-t exp(-decay |w| / 2) with |w| = scale * rho, computed in place
     over ``rho`` and returned.  Halving the decay rather than the product
     changes no value: halving is exact unless the product is subnormal
-    (exp gives 1 either way) or overflows (exp gives 0 either way)."""
+    (exp gives 1 either way) or overflows (exp gives 0 either way).  At a
+    vector of node times the factor amp e^-t is formed per node, with
+    math.exp as at one time, in ``node``."""
     rho *= st.scale
     rho *= -st.decay / 2.0
     np.exp(rho, out=rho)
-    rho *= st.amp * math.exp(-t)
+    if np.ndim(t) == 0:
+        rho *= st.amp * math.exp(-t)
+    else:
+        for i, s in enumerate(t):
+            node[i] = st.amp * math.exp(-s)
+        rho *= node[:, None]
     return rho
 
 
-def _structure_eval(st: JumpExpStructure, t: float, y: np.ndarray) -> np.ndarray:
+def _structure_eval(st: JumpExpStructure, t, y: np.ndarray, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """The component's values at t on states y, written into ``out`` (fresh
+    by default); all workspace is taken from ``scratch``."""
+    shape = y.shape[1:]
+    out = np.empty(shape) if out is None else out
+    if scratch is None:
+        scratch = np.empty(_workspace_size(t, shape))
+    tmp, inside, node = _workspace(scratch, t, shape)
     reg = st.region
-    rho = _projection_norm(st, y)
+    rho = _projection_norm(st, y, out, tmp)
     if reg.kind == "ball":
-        factor = np.where(st.scale * rho <= reg.radius, st.a, st.b)
+        np.less_equal(np.multiply(rho, st.scale, out=tmp), reg.radius, out=inside)
     elif reg.axis in st.coords and reg.axis < y.shape[0]:
-        factor = np.where(st.scale * y[reg.axis] <= reg.offset, st.a, st.b)
+        np.less_equal(np.multiply(y[reg.axis], st.scale, out=tmp), reg.offset, out=inside)
     else:  # a halfspace whose axis the component does not read
-        factor = st.a if 0.0 <= reg.offset else st.b
-    amp = _damped_amplitude(st, t, rho)
-    amp *= factor
+        inside = None
+    amp = _damped_amplitude(st, t, rho, node)
+    if inside is None:
+        amp *= st.a if 0.0 <= reg.offset else st.b
+    else:  # the indicator factor a or b, selected in place
+        np.copyto(tmp, st.b)
+        np.copyto(tmp, st.a, where=inside)
+        amp *= tmp
     return amp
 
 
@@ -242,9 +324,14 @@ def _exp_ball_integral(n: int, rate: float) -> float:
     return surface * special.gamma(n) / rate ** n
 
 
+def _zero_component(t, y: np.ndarray) -> np.ndarray:
+    """Zero values for the states y: a read-only view, nothing allocated."""
+    return np.broadcast_to(0.0, y.shape[1:])
+
+
 def zero_drift(weights: WeightSequence, d_max: int) -> DriftSpec:
     comps = tuple(
-        DriftComponent(fn=lambda t, y: np.zeros(y.shape[1]), deps=(), sup_bound=0.0)
+        DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0)
         for _ in range(d_max)
     )
     zeros = np.zeros(d_max)
@@ -404,8 +491,7 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
     comps = []
     for k, comp in enumerate(spec.components):
         if k >= d:
-            comps.append(DriftComponent(fn=lambda t, y: np.zeros(y.shape[1]),
-                                        deps=(), sup_bound=0.0))
+            comps.append(DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0))
         elif comp.structure is not None:
             kept = tuple(c for c in comp.deps if c < d)
             st = replace(comp.structure, coords=kept)
@@ -427,8 +513,11 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
 class MollifiedDrift:
     """Smoothed truncated drift acting on d coordinates.
 
-    ``evaluator(t, Z)`` maps states of shape (d, m) to drift rows (d, m);
-    ``gradient_evaluator(t, Z)`` returns the Jacobian stack (d, d, m).
+    ``evaluator(t, Z, out=None)`` maps states Z to d drift rows under the
+    time contract of :func:`evaluate` (a time t with Z of shape (d, m), or
+    node times with Z of shape (d, n_nodes, m), the components then in
+    lanes); ``gradient_evaluator(t, Z)`` returns the Jacobian stack (d, d, m)
+    at one time.
     For the example family the smoothing of the indicator factor is evaluated
     in closed form along the jump's normal coordinate (an error-function
     profile); the damped amplitude is kept pointwise, so the evaluator is
@@ -442,8 +531,8 @@ class MollifiedDrift:
     evaluator: object
     gradient_evaluator: object
 
-    def __call__(self, t: float, z: np.ndarray) -> np.ndarray:
-        return self.evaluator(t, z)
+    def __call__(self, t, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.evaluator(t, z, out=out)
 
 
 def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
@@ -459,18 +548,22 @@ def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarra
     return u
 
 
-def _mollified_structure_value(st: JumpExpStructure, eps: float, t: float,
-                               z: np.ndarray) -> np.ndarray:
+def _mollified_structure_value(st: JumpExpStructure, eps: float, t, z: np.ndarray,
+                               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The mollified component's values at t on states z, written into
+    ``out``; all workspace is taken from ``scratch``."""
+    tmp, _, node = _workspace(scratch, t, z.shape[1:])
     reg = st.region
-    rho = _projection_norm(st, z)
+    rho = _projection_norm(st, z, out, tmp)
     if reg.kind == "halfspace":
         if reg.axis in st.coords:
-            smooth = _smoothed_step(st, eps, reg.offset / st.scale - z[reg.axis])
+            smooth = _smoothed_step(st, eps, np.subtract(reg.offset / st.scale, z[reg.axis],
+                                                         out=tmp))
         else:
             smooth = st.a if 0.0 <= reg.offset else st.b
     else:
-        smooth = _smoothed_step(st, eps, reg.radius / st.scale - rho)
-    amp = _damped_amplitude(st, t, rho)
+        smooth = _smoothed_step(st, eps, np.subtract(reg.radius / st.scale, rho, out=tmp))
+    amp = _damped_amplitude(st, t, rho, node)
     amp *= smooth
     return amp
 
@@ -513,12 +606,20 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
 
-    def evaluator(t: float, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        out = np.zeros((d, z.shape[1]))
-        for k, comp in enumerate(comps):
-            if comp.sup_bound != 0.0:
-                out[k] = _mollified_structure_value(comp.structure, eps, t, z)
+    def evaluator(t, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if np.ndim(t) == 0:
+            z = np.atleast_2d(z)
+        if out is None:
+            out = np.empty((d,) + z.shape[1:])
+
+        def work(k, scratch):
+            if comps[k].sup_bound != 0.0:
+                _mollified_structure_value(comps[k].structure, eps, t, z, out[k], scratch)
+            else:
+                out[k] = 0.0
+
+        _run_components(d, t, z.shape[1:], work)
         return out
 
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ every functional of one estimator call is priced on the same weighted sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from . import drift as drift_mod
 from .cylinder import (
     HurstSequence,
     WeightSequence,
+    component_seed_sequences,
     path_chunks,
     run_component_lanes,
     sample_cyl_fbm,
@@ -178,25 +180,23 @@ class RunningMoments:
 
 
 def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
-                weights: WeightSequence, grid: TimeGrid) -> ShiftProcess:
+                weights: WeightSequence, grid: TimeGrid,
+                out: np.ndarray | None = None) -> ShiftProcess:
     """Pathwise shift -b_k(s, X_s)/(lambda_k * kernel_fractional_norm(H_k)) of
     states X with shape (d, n_nodes, n_paths).
 
-    The drift is evaluated once per node for all d rows.  The kernel
+    ``drift_eval(t, y, out=None)`` is called once, on all nodes at once (the
+    node-time form of :func:`cylfbm.drift.evaluate`), and writes its rows
+    into ``out`` (a fresh array by default); X is left intact.  The kernel
     normalization makes the discrete measure change reproduce the drift b
     exactly, cell by cell.
-
-    The shift is written over X, node by node (node i of the shift reads
-    only node i of X), and the returned values are X itself: copy whatever
-    of the states is still needed before the call.
     """
     d = X.shape[0]
-    for i, s in enumerate(grid.nodes):
-        X[:, i, :] = drift_eval(s, X[:, i, :])[:d]
+    U = drift_eval(grid.nodes, X, out=out)[:d]
     scale = weights.head_array(d) * np.array(
         [kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
-    X /= -scale[:, None, None]
-    return ShiftProcess(grid, X)
+    U /= -scale[:, None, None]
+    return ShiftProcess(grid, U)
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,11 @@ def _start_point(x, d: int) -> np.ndarray:
     return np.concatenate([x, np.zeros(d - len(x))])
 
 
+def _chunk(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A contiguous array of ``shape`` at the front of a flat buffer."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
 def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
                             hursts: HurstSequence, weights: WeightSequence,
                             d: int, grid: TimeGrid, n_paths: int, seed,
@@ -238,28 +243,51 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     the stochastic-exponential weight of :func:`drift_shift`.  Returns the
     weighted average and standard error per functional, the mean weight and
     the effective-sample-size fraction (flagged when below 10%).
+
+    Each block of :func:`mc_blocks` is streamed one path chunk
+    (:func:`cylfbm.cylinder.path_chunks`) at a time: sample, states at t,
+    drift shift and log-weights, in chunk buffers allocated once per call.
+    Only the states at t and the log-weights are kept per path, so the
+    memory held is set by the chunk, not by the block.  The per-component
+    Generators continue across a block's chunks, so the sums equal those of
+    the whole block at once.
     """
     phis = {phi_id: make_functional(phi_id) for phi_id in phi_ids}
     x = _start_point(x, d)
     lam = weights.head_array(d)
-    eval_fn = drift_eval if drift_eval is not None else (
-        lambda tt, yy: drift_mod.evaluate(spec, tt, yy))
+    eval_fn = drift_eval if drift_eval is not None else functools.partial(
+        drift_mod.evaluate, spec)
     # reject components whose shift b_k / lambda_k is undefined
     probe = eval_fn(0.0, np.zeros((d, 1)))
     for k in range(d):
         if lam[k] == 0.0 and (spec.c_bounds[k] > 0 or abs(float(probe[k])) > 0):
             raise DomainError(f"component {k + 1} has zero weight but non-zero drift")
     idx_t = _node_index(grid, t)
+    n_nodes, n_cells = grid.n_nodes, grid.n_cells
+    width = path_chunks(min(block_size, n_paths))[0].stop
+    # chunk buffers: the states, their Wiener increments and the drift rows
+    states = np.empty(d * n_nodes * width)
+    increments = np.empty(d * width * n_cells)
+    shifts = np.empty(probe.shape[0] * n_nodes * width)
     moments = {phi_id: RunningMoments() for phi_id in phis}
     weight_moments = RunningMoments()
     for m, block_seed in mc_blocks(n_paths, seed, block_size):
-        ens = sample_cyl_fbm(hursts, weights, d, grid, m, block_seed,
-                             method="kernel", keep_increments=True)
-        X = ens.values
-        X += x[:, None, None]  # in place: a second (d, nodes, paths) array raises peak memory
-        X_t = X[:, idx_t, :].copy()  # drift_shift overwrites X
-        shift = drift_shift(eval_fn, X, hursts, weights, grid)
-        w = stochastic_exponential(shift, ens.increments, hursts).values
+        rngs = [np.random.default_rng(c) for c in component_seed_sequences(block_seed, d)]
+        X_t = np.empty((d, m))
+        log_w = np.empty(m)
+        for s in path_chunks(m):
+            c = s.stop - s.start
+            ens = sample_cyl_fbm(hursts, weights, d, grid, c, rngs, method="kernel",
+                                 keep_increments=True,
+                                 out=(_chunk(states, (d, n_nodes, c)),
+                                      _chunk(increments, (d, c, n_cells))))
+            X = ens.values
+            X += x[:, None, None]
+            X_t[:, s] = X[:, idx_t, :]
+            shift = drift_shift(eval_fn, X, hursts, weights, grid,
+                                out=_chunk(shifts, (probe.shape[0], n_nodes, c)))
+            log_w[s] = stochastic_exponential(shift, ens.increments, hursts).log_values
+        w = np.exp(log_w, out=log_w)
         weight_moments.add(w)
         for phi_id, phi in phis.items():
             moments[phi_id].add(phi(X_t) * w)

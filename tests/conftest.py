@@ -1,11 +1,13 @@
+import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from cylfbm import cli, drift, fbm
+from cylfbm import cli, cylinder, drift, fbm, girsanov
 
 
 @pytest.fixture(scope="session")
@@ -41,11 +43,57 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def in_lanes(monkeypatch, lanes, fn):
+    """``fn()`` with the components run in ``lanes`` lanes, thread switches
+    forced often."""
+    monkeypatch.setattr(cylinder, "usable_cpus", lambda: lanes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, seed,
+                              block_size=girsanov.DEFAULT_BLOCK_SIZE,
+                              drift_eval=None) -> girsanov.EstimatorResult:
+    """The reweighting estimator with each Monte Carlo block at once: the
+    block's whole sample and Wiener increments, the drift called node by
+    node into a fresh shift array, and the states at t copied out of the
+    sample.  The streamed estimator must reproduce it bit for bit."""
+    drift_eval = drift_eval or functools.partial(drift.evaluate, spec)
+    x = girsanov._start_point(x, d)
+    idx_t = girsanov._node_index(grid, t)
+    scale = ws.head_array(d) * np.array(
+        [fbm.kernel_fractional_norm(hs.value(k + 1)) for k in range(d)])
+    phis = {phi_id: girsanov.make_functional(phi_id) for phi_id in phi_ids}
+    moments = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
+    weights = girsanov.RunningMoments()
+    for m, blk in girsanov.mc_blocks(n_paths, seed, block_size):
+        ens = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk, method="kernel",
+                                      keep_increments=True)
+        X = ens.values + x[:, None, None]
+        U = np.empty_like(X)
+        for i, s in enumerate(grid.nodes):
+            U[:, i, :] = drift_eval(s, X[:, i, :])[:d]
+        U /= -scale[:, None, None]
+        w = girsanov.stochastic_exponential(girsanov.ShiftProcess(grid, U),
+                                            ens.increments, hs).values
+        weights.add(w)
+        X_t = X[:, idx_t, :].copy()
+        for phi_id, phi in phis.items():
+            moments[phi_id].add(phi(X_t) * w)
+    return girsanov.EstimatorResult(
+        estimates={phi_id: (mom.mean, mom.stderr) for phi_id, mom in moments.items()},
+        mean_weight=weights.mean, ess_fraction=(weights.sum ** 2 / weights.sum_sq) / n_paths)
+
+
 def constant_drift(values, weights) -> drift.DriftSpec:
     """Constant drift vector: bounded but not integrable."""
     values = np.asarray(values, dtype=float)
     comps = tuple(
-        drift.DriftComponent(fn=(lambda t, y, v=float(v): np.full(y.shape[1], v)),
+        drift.DriftComponent(fn=(lambda t, y, v=float(v): np.full(y.shape[1:], v)),
                              deps=(0,), sup_bound=abs(float(v)))
         for v in values
     )

@@ -4,6 +4,7 @@ One test per criterion; each prints a single pass/fail line (run with -s to
 watch them as they complete).  Tolerances are pinned here, not configurable.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_criterion_04_martingale_weights(model):
     for m, blk in girsanov.mc_blocks(n, np.random.SeedSequence(404), n // 4):
         ens = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk,
                                       method="kernel", keep_increments=True)
-        shifts = girsanov.drift_shift(lambda t, y: drift.evaluate(spec, t, y),
+        shifts = girsanov.drift_shift(functools.partial(drift.evaluate, spec),
                                       ens.values, hs, ws, grid)
         logs = girsanov.component_log_weights(shifts, ens.increments, hs)
         joint = girsanov.stochastic_exponential(shifts, ens.increments, hs)

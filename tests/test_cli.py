@@ -150,6 +150,15 @@ class TestRunBasics:
         ({"command": "solve", "phis": ["clipped_norm:-1"]}, "phis"),
         ({"command": "converge", "phis": ["clipped_norm:inf"]}, "phis"),
         ({"command": "girsanov", "phis": ["coordinate:1", "clipped_norm:0"]}, "phis"),
+        ({"command": "girsanov", "grid": {"n_cells": 16, "t_end": float("nan")}}, "grid.t_end"),
+        ({"command": "simulate", "sequences": {"weight_first": float("nan")}},
+         "sequences.weight_first"),
+        ({"command": "girsanov", "drift": {"amp_first": float("nan")}}, "drift.amp_first"),
+        ({"command": "girsanov", "drift": {"a": float("inf")}}, "drift.a"),
+        ({"command": "verify-suite", "t_eval": float("-inf")}, "t_eval"),
+        ({"command": "solve", "phis": []}, "phis"),
+        ({"command": "girsanov", "phis": []}, "phis"),
+        ({"command": "converge", "phis": []}, "phis"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"

@@ -1,8 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
+from conftest import in_lanes
 from cylfbm import cylinder, fbm, girsanov
 
 
@@ -117,18 +116,6 @@ class TestEnsembles:
             assert abs(emp - target) < 3 * se
 
 
-def in_lanes(monkeypatch, lanes, fn):
-    """``fn()`` with the components run in ``lanes`` lanes, thread switches
-    forced often."""
-    monkeypatch.setattr(cylinder, "usable_cpus", lambda: lanes)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        return fn()
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestComponentLanes:
     @pytest.mark.parametrize("n_paths", [100, 2049, 10000])
     @pytest.mark.parametrize("keep", [False, True])
@@ -170,6 +157,28 @@ class TestComponentLanes:
             rng = np.random.default_rng(children[k])
             whole = rng.standard_normal((n_paths, grid64.n_cells)) * np.sqrt(grid64.step)
             assert np.array_equal(ens.increments[k].values, whole)
+
+    @pytest.mark.parametrize("n_paths", [100, 2049, 5000])
+    def test_generators_continue_across_calls(self, sequences, grid64, n_paths):
+        # calls on one path chunk each, on the same Generators and into one
+        # pair of buffers, give the increments and values of one whole call
+        hs, ws = sequences
+        d, width = 3, cylinder.PATH_CHUNK
+        whole = cylinder.sample_cyl_fbm(hs, ws, d, grid64, n_paths, 65, method="kernel",
+                                        keep_increments=True)
+        rngs = [np.random.default_rng(c) for c in cylinder.component_seed_sequences(65, d)]
+        values = np.empty((d, grid64.n_nodes, width))
+        incs = np.empty((d, width, grid64.n_cells))
+        for s in cylinder.path_chunks(n_paths):
+            c = s.stop - s.start
+            ens = cylinder.sample_cyl_fbm(hs, ws, d, grid64, c, rngs, method="kernel",
+                                          keep_increments=True,
+                                          out=(values[:, :, :c], incs[:, :c]))
+            assert np.shares_memory(ens.values, values)
+            assert np.array_equal(ens.values, whole.values[:, :, s])
+            for k in range(d):
+                assert np.shares_memory(ens.increments[k].values, incs)
+                assert np.array_equal(ens.increments[k].values, whole.increments[k].values[s])
 
     def test_cholesky_sample_is_scaled_factor_product(self, sequences, grid64):
         # node-major standard normals, as the scalar exact-law sampler draws them

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from conftest import (
     constant_drift,
+    in_lanes,
     mollified_grad_reference,
     mollified_value_reference,
     structure_eval_reference,
@@ -299,3 +302,37 @@ class TestFusedEvaluation:
                 st = md.base.components[k].structure
                 assert np.array_equal(val[k], mollified_value_reference(st, 0.05, t, z))
                 assert np.array_equal(grad[k], mollified_grad_reference(st, 0.05, t, z, d))
+
+
+class TestNodeTimeContract:
+    """At a vector of node times with states of shape (dy, n_nodes, m), a
+    drift equals its per-node calls stacked along the node axis, bit for
+    bit, in one lane and in two."""
+
+    @pytest.mark.parametrize("region", sorted(TestFusedEvaluation.REGIONS))
+    @pytest.mark.parametrize("proj", sorted(TestFusedEvaluation.PROJ_SETS))
+    def test_matches_stacked_node_calls(self, monkeypatch, region, proj):
+        ws5 = cylinder.WeightSequence.geometric(0.5, 0.5, 5)
+        spec = drift.indicator_exponential_family(
+            ws5, 5, region=TestFusedEvaluation.REGIONS[region],
+            proj_sets=TestFusedEvaluation.PROJ_SETS[proj],
+            decay_first=0.7, decay_ratio=0.9, proj_scale_first=1.3, proj_scale_ratio=4.5)
+        grid = fbm.TimeGrid(1.0, 8)
+        base = TestFusedEvaluation.states(4, spec.components[0].structure.scale)
+        # every node keeps the interface, origin and underflow columns
+        y = np.stack([np.roll(base, 7 * i, axis=1) for i in range(grid.n_nodes)], axis=1)
+        evaluators = {
+            "raw": functools.partial(drift.evaluate, spec),
+            "mollified": drift.mollify(spec, 4, 0.05),
+            "truncated": functools.partial(drift.evaluate, drift.truncate_drift(spec, 2)),
+            "zero": functools.partial(drift.evaluate, drift.zero_drift(ws5, 4)),
+            "constant": functools.partial(drift.evaluate,
+                                          constant_drift([0.2, -0.1, 0.0, 0.3], ws5)),
+        }
+        for name, fn in evaluators.items():
+            ref = np.stack([fn(s, y[:, i, :]) for i, s in enumerate(grid.nodes)], axis=1)
+            one = in_lanes(monkeypatch, 1, lambda: fn(grid.nodes, y))
+            out = np.empty_like(ref)
+            two = in_lanes(monkeypatch, 2, lambda: fn(grid.nodes, y, out=out))
+            assert np.array_equal(one, ref), name
+            assert two is out and np.array_equal(two, one), name

@@ -8,8 +8,9 @@ class TestKernelTransformPair:
     def test_zero_maps_to_zero(self):
         g = fbm.TimeGrid(1.0, 64)
         z = np.zeros(g.n_nodes)
-        assert np.all(fraccalc.kh_operator(0.2, g, z) == 0.0)
-        assert np.all(fraccalc.kh_inverse_matrix(0.2, g) @ z == 0.0)
+        for H in (0.1, 0.12, 0.2):
+            assert np.all(fraccalc.kh_operator(H, g, z) == 0.0)
+            assert np.all(fraccalc.kh_inverse_matrix(H, g) @ z == 0.0)
 
     def test_linearity_machine_precision(self):
         g = fbm.TimeGrid(1.0, 128)
@@ -33,20 +34,21 @@ class TestKernelTransformPair:
 
     def test_inverse_constant_closed_form(self):
         # constant weak derivative: the output follows the beta-function profile
-        for H in (0.1, 0.3):
+        for H, cells in ((0.1, 256), (0.1, 64), (0.12, 64), (0.3, 256)):
             c = 0.8
-            g = fbm.TimeGrid(1.0, 256)
+            g = fbm.TimeGrid(1.0, cells)
             out = fraccalc.kh_inverse_matrix(H, g) @ np.full(g.n_nodes, c)
             exact = c * g.nodes ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
                 / special.gamma(0.5 - H)
             assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_inverse_bounded_for_bounded_input(self):
-        g = fbm.TimeGrid(1.0, 256)
         rng = np.random.default_rng(5)
-        up = np.clip(rng.standard_normal(g.n_nodes), -1, 1)
-        out = fraccalc.kh_inverse_matrix(0.1, g) @ up
-        # bounded inputs map to outputs below the constant-profile envelope
-        env = special.beta(1.4, 0.4) / special.gamma(0.4)
-        assert np.max(np.abs(out)) <= env * 1.0 + 1e-12
-        assert out[0] == 0.0
+        for H, cap, cells in ((0.1, 1.0, 256), (0.12, 0.9, 64)):
+            g = fbm.TimeGrid(1.0, cells)
+            up = np.clip(rng.standard_normal(g.n_nodes), -cap, cap)
+            out = fraccalc.kh_inverse_matrix(H, g) @ up
+            # bounded inputs map to outputs below the constant-profile envelope
+            env = g.t_end ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) / special.gamma(0.5 - H)
+            assert np.max(np.abs(out)) <= env * cap + 1e-12
+            assert out[0] == 0.0

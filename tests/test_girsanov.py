@@ -1,10 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy import special
 
-from conftest import constant_drift, traced_peak
+from conftest import block_estimator_reference, constant_drift, in_lanes, traced_peak
 from cylfbm import cylinder, drift, fbm, fraccalc, girsanov
 
 
@@ -13,28 +13,6 @@ def model(sequences):
     hs, ws = sequences
     spec = drift.indicator_exponential_family(ws, 4)
     return hs, ws, spec
-
-
-class TestShiftToWiener:
-    def test_zero(self, grid64):
-        u = np.zeros(grid64.n_nodes)
-        assert np.all(fraccalc.kh_inverse_matrix(0.1, grid64) @ u == 0.0)
-
-    def test_constant_profile(self, grid64):
-        H, c = 0.1, 0.7
-        out = fraccalc.kh_inverse_matrix(H, grid64) @ np.full(grid64.n_nodes, c)
-        exact = c * grid64.nodes ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
-            / special.gamma(0.5 - H)
-        assert np.max(np.abs(out - exact)) < 1e-12
-
-    def test_bounded_shift_bounded_output(self, grid64):
-        H, cap = 0.12, 0.9
-        rng = np.random.default_rng(0)
-        u = np.clip(rng.standard_normal(grid64.n_nodes), -cap, cap)
-        out = fraccalc.kh_inverse_matrix(H, grid64) @ u
-        const = grid64.t_end ** (0.5 - H) * special.beta(1.5 - H, 0.5 - H) \
-            / special.gamma(0.5 - H)
-        assert np.max(np.abs(out)) <= cap * const + 1e-12
 
 
 class TestStochasticExponential:
@@ -183,45 +161,24 @@ class TestWeakSolutionEstimator:
 
 
 class TestBlockMemory:
-    """A Monte Carlo block holds the sample (or the shift written over it),
-    the Wiener increments and one chunk-sized integrand scratch per lane."""
+    """The estimator streams each Monte Carlo block in path chunks: it holds
+    the chunk's states, increments and drift shift, one chunk-sized scratch
+    array per lane, and per path only the states at t and the weights."""
 
     def test_estimator_peak(self, model, grid64):
         hs, ws, spec = model
-        d, m = 4, 4000
+        d = 4
         args = (spec, ["coordinate:2", "clipped_norm:2"], np.zeros(d), 1.0, hs, ws, d, grid64)
         girsanov.weak_solution_estimator(*args, 50, seed=2)  # fill the kernel caches
-        peak = traced_peak(lambda: girsanov.weak_solution_estimator(*args, m, seed=3))
-        assert peak <= 2.5 * d * grid64.n_nodes * m * 8
-
-    def test_estimator_matches_reference_from_copies(self, model, grid64):
-        # the shift goes to a fresh array and the states stay intact
-        hs, ws, spec = model
-        d, n, x = 3, 2500, np.array([0.1, -0.2, 0.0])
-        phi_ids = ["coordinate:2", "clipped_norm:2"]
-        scale = ws.head_array(d) * np.array(
-            [fbm.kernel_fractional_norm(hs.value(k + 1)) for k in range(d)])
-        moments = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
-        weights = girsanov.RunningMoments()
-        for m, blk in girsanov.mc_blocks(n, 41, 1000):
-            ens = cylinder.sample_cyl_fbm(hs, ws, d, grid64, m, blk,
-                                          method="kernel", keep_increments=True)
-            X = ens.values + x[:, None, None]
-            U = np.empty_like(X)
-            for i, s in enumerate(grid64.nodes):
-                U[:, i, :] = drift.evaluate(spec, s, X[:, i, :])[:d]
-            U /= -scale[:, None, None]
-            w = girsanov.stochastic_exponential(girsanov.ShiftProcess(grid64, U),
-                                                ens.increments, hs).values
-            weights.add(w)
-            for phi_id in phi_ids:
-                moments[phi_id].add(girsanov.make_functional(phi_id)(X[:, -1, :]) * w)
-        res = girsanov.weak_solution_estimator(spec, phi_ids, x, 1.0, hs, ws, d, grid64,
-                                               n, 41, block_size=1000)
-        assert res.estimates == {phi_id: (mom.mean, mom.stderr)
-                                 for phi_id, mom in moments.items()}
-        assert res.mean_weight == weights.mean
-        assert res.ess_fraction == (weights.sum ** 2 / weights.sum_sq) / n
+        lanes = max(1, min(d, cylinder.usable_cpus()))
+        chunk = d * grid64.n_nodes * cylinder.PATH_CHUNK * 8
+        peaks = {}
+        for m in (4000, 16000):
+            peaks[m] = traced_peak(lambda: girsanov.weak_solution_estimator(*args, m, seed=3))
+            # three chunk arrays, per-lane drift workspace and integrand
+            # scratch, and a few (d + 1)-float vectors per path
+            assert peaks[m] <= (3.1 + 1.2 * lanes / d) * chunk + 4 * (d + 1) * m * 8
+        assert peaks[16000] - peaks[4000] <= 4 * (d + 1) * 12000 * 8
 
     def test_log_weights_match_fresh_integrands(self, sequences, grid64):
         # one reused integrand buffer gives the floats of a fresh one per component
@@ -237,6 +194,26 @@ class TestBlockMemory:
             stoch = np.einsum("jp,pj->p", v[:-1], incs[k].values)
             quad = np.sum(v[:-1] ** 2, axis=0) * grid64.step
             assert np.array_equal(got[k], -stoch - 0.5 * quad)
+
+
+class TestStreamedEstimator:
+    @pytest.mark.parametrize("n_paths, block_size", [
+        (100, girsanov.DEFAULT_BLOCK_SIZE), (2048, girsanov.DEFAULT_BLOCK_SIZE),
+        (2049, girsanov.DEFAULT_BLOCK_SIZE), (10000, girsanov.DEFAULT_BLOCK_SIZE),
+        (7000, 3000), (2500, 1000)])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("mollified", [False, True])
+    def test_equals_block_at_once(self, monkeypatch, model, grid64, n_paths, block_size,
+                                  lanes, mollified):
+        hs, ws, spec = model
+        d, x = 3, np.array([0.1, -0.2, 0.0])
+        phi_ids = ["coordinate:2", "clipped_norm:2"]
+        drift_eval = drift.mollify(spec, d, 0.1) if mollified else None
+        args = (spec, phi_ids, x, 1.0, hs, ws, d, grid64, n_paths, 41, block_size, drift_eval)
+        ref = block_estimator_reference(*args)
+        res = in_lanes(monkeypatch, lanes, lambda: girsanov.weak_solution_estimator(*args))
+        assert res.estimates == ref.estimates
+        assert (res.mean_weight, res.ess_fraction) == (ref.mean_weight, ref.ess_fraction)
 
 
 class TestMonteCarloBlocks:
@@ -290,7 +267,7 @@ class TestWeightsAcrossGrid:
             grid_t = fbm.TimeGrid(cells / 64.0, cells)
             ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid_t, n, seed=43,
                                           method="kernel", keep_increments=True)
-            shifts = girsanov.drift_shift(lambda t, y: drift.evaluate(spec, t, y),
+            shifts = girsanov.drift_shift(functools.partial(drift.evaluate, spec),
                                           ens.values, hs, ws, grid_t)
             w = girsanov.stochastic_exponential(shifts, ens.increments, hs).values
             assert np.all(w > 0)
