@@ -213,9 +213,9 @@ def path_chunks(n_paths: int) -> list:
     return [slice(a, min(a + PATH_CHUNK, n_paths)) for a in range(0, n_paths, PATH_CHUNK)]
 
 
-def run_component_lanes(d: int, work, scratch_size: int) -> None:
+def run_component_lanes(d: int, work, scratch_size: int, max_lanes: int | None = None) -> None:
     """Call ``work(k, scratch)`` for every component k < d, in
-    min(d, :func:`usable_cpus`) lanes.
+    min(d, :func:`usable_cpus`, ``max_lanes``) lanes.
 
     Lane i takes the components k = i, i + lanes, ... in order and runs on
     its own thread, lane 0 on the calling one; one lane is the plain loop.
@@ -227,7 +227,7 @@ def run_component_lanes(d: int, work, scratch_size: int) -> None:
     first failing component; once every lane has finished, the error of the
     lowest-numbered failing component is raised.
     """
-    n_lanes = max(1, min(d, usable_cpus()))
+    n_lanes = max(1, min(d, usable_cpus(), max_lanes or d))
     scratch = [np.empty(scratch_size) for _ in range(n_lanes)]
     errors = {}
 

@@ -11,6 +11,7 @@ mollification produce the smooth approximants handed to the solvers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -78,7 +79,10 @@ class DriftComponent:
     and returns the y.shape[1:] values; coordinates beyond dy are treated as
     zero.  ``deps`` lists the 0-based coordinates the map reads,
     ``decay_rate`` r certifies |b_k| <= sup_bound * exp(-r * |y restricted
-    to deps|).
+    to deps|).  A component with closed-form ``structure`` has
+    ``fn = functools.partial(_structure_eval, structure)``, which also takes
+    ``out`` and ``scratch`` (see :meth:`write`): direct calls and
+    :func:`evaluate` run that one function.
     """
 
     fn: object
@@ -91,10 +95,11 @@ class DriftComponent:
         return self.fn(t, y)
 
     def write(self, t, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write ``fn(t, y)`` into ``out``; a closed-form component allocates
-        nothing and works in ``scratch`` (:func:`_workspace_size` floats)."""
+        """Write ``fn(t, y)`` into ``out``.  A closed-form component's ``fn``
+        is ``fn(t, y, out, scratch)``: it writes into ``out``, works in
+        ``scratch`` (:func:`_workspace_size` floats) and allocates nothing."""
         if self.structure is not None:
-            _structure_eval(self.structure, t, y, out, scratch)
+            self.fn(t, y, out, scratch)
         else:
             out[...] = self.fn(t, y)
 
@@ -122,12 +127,12 @@ def evaluate(spec: DriftSpec, t, y: np.ndarray, out: np.ndarray | None = None) -
     """Evaluate the first min(dy, d_max) components on states y with dy rows:
     a state has no coordinate for the rows past dy.
 
-    A time t takes states of shape (dy, m) and runs the components in turn.
-    A vector t of node times takes states of shape (dy, n_nodes, m), node i
-    at time t[i], and runs the components in
-    :func:`cylfbm.cylinder.run_component_lanes`; the values equal the
-    per-node calls bit for bit.  The rows are written into ``out`` (a fresh
-    array by default) and returned.
+    A time t takes states of shape (dy, m); a vector t of node times takes
+    states of shape (dy, n_nodes, m), node i at time t[i], and the values
+    equal the per-node calls bit for bit.  The components run in
+    :func:`cylfbm.cylinder.run_component_lanes`, in one lane at one time
+    (:func:`_max_lanes`).  The rows are written into ``out`` (a fresh array
+    by default) and returned.
     """
     y = np.asarray(y, dtype=float)
     if np.ndim(t) == 0:
@@ -135,9 +140,17 @@ def evaluate(spec: DriftSpec, t, y: np.ndarray, out: np.ndarray | None = None) -
     comps = spec.components[: y.shape[0]]
     if out is None:
         out = np.empty((len(comps),) + y.shape[1:])
-    _run_components(len(comps), t, y.shape[1:],
-                    lambda k, scratch: comps[k].write(t, y, out[k], scratch))
+    run_component_lanes(len(comps), lambda k, scratch: comps[k].write(t, y, out[k], scratch),
+                        _workspace_size(t, y.shape[1:]), _max_lanes(t))
     return out
+
+
+def _max_lanes(t) -> int | None:
+    """Lanes for one drift call: one at a single time, as the strong solver
+    calls the drift once per step, where starting a lane thread per call
+    costs more than the components' work (lanes there made converge-sched's
+    run_s 48% slower); the usable CPUs at a vector of node times."""
+    return 1 if np.ndim(t) == 0 else None
 
 
 def _workspace_size(t, shape: tuple) -> int:
@@ -155,19 +168,6 @@ def _workspace(scratch: np.ndarray, t, shape: tuple) -> tuple:
     nb = -(-n // 8)
     return (scratch[:n].reshape(shape), scratch[n : n + nb].view(np.bool_)[:n].reshape(shape),
             scratch[n + nb : n + nb + np.size(t)])
-
-
-def _run_components(n: int, t, shape: tuple, work) -> None:
-    """Call ``work(k, scratch)`` for each component k < n: in turn at one
-    time, in component lanes at a vector of node times.  Every scratch
-    array is allocated on the calling thread."""
-    size = _workspace_size(t, shape)
-    if np.ndim(t) == 0:
-        scratch = np.empty(size)
-        for k in range(n):
-            work(k, scratch)
-    else:
-        run_component_lanes(n, work, size)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def indicator_exponential_family(
                               region=region, a=a, b=b)
         n_dep = len(st.coords)
         comps.append(DriftComponent(
-            fn=(lambda tt, yy, _st=st: _structure_eval(_st, tt, yy)),
+            fn=functools.partial(_structure_eval, st),
             deps=st.coords,
             sup_bound=float(amps[k]) * peak,
             decay_rate=float(decays[k]) * float(scales[k]) / 2.0,
@@ -496,7 +496,7 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
             kept = tuple(c for c in comp.deps if c < d)
             st = replace(comp.structure, coords=kept)
             comps.append(replace(comp, structure=st, deps=kept,
-                                 fn=(lambda tt, yy, _st=st: _structure_eval(_st, tt, yy))))
+                                 fn=functools.partial(_structure_eval, st)))
         elif comp.sup_bound == 0.0:
             comps.append(comp)
         else:
@@ -619,7 +619,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
             else:
                 out[k] = 0.0
 
-        _run_components(d, t, z.shape[1:], work)
+        run_component_lanes(d, work, _workspace_size(t, z.shape[1:]), _max_lanes(t))
         return out
 
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:

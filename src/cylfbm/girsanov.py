@@ -55,14 +55,22 @@ class GirsanovWeight:
         return np.exp(self.log_values)
 
 
-def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequence) -> np.ndarray:
+def _inverse_matrices(hursts: HurstSequence, d: int, grid: TimeGrid) -> list:
+    """The inverse-transform matrix of each of the first d components."""
+    return [kh_inverse_matrix(hursts.value(k + 1), grid) for k in range(d)]
+
+
+def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequence,
+                          inverses=None) -> np.ndarray:
     """Log stochastic exponential per component, shape (d, n_paths).
 
     The Wiener-frame integrand is evaluated at the left node of each cell
     (the adapted choice), which makes the weights exactly mean one for
     adapted shifts, not just in the continuum limit.  The components run in
     :func:`cylfbm.cylinder.run_component_lanes`, one path chunk at a time,
-    with the integrand in the lane's chunk-sized scratch.
+    with the integrand in the lane's chunk-sized scratch.  ``inverses`` are
+    the d :func:`cylfbm.fraccalc.kh_inverse_matrix` matrices of the grid,
+    built here by default.
     """
     grid = shifts.grid
     h = grid.step
@@ -71,7 +79,8 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
         raise DomainError("one increment set per shift component is required")
     n_paths = increments[0].values.shape[0]
     n_nodes = grid.n_nodes
-    inverses = [kh_inverse_matrix(hursts.value(k + 1), grid) for k in range(d)]
+    if inverses is None:
+        inverses = _inverse_matrices(hursts, d, grid)
     out = np.empty((d, n_paths))
     chunks = path_chunks(n_paths)
 
@@ -90,13 +99,15 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
     return out
 
 
-def stochastic_exponential(shifts: ShiftProcess, increments, hursts: HurstSequence) -> GirsanovWeight:
+def stochastic_exponential(shifts: ShiftProcess, increments, hursts: HurstSequence,
+                           inverses=None) -> GirsanovWeight:
     """Joint change-of-measure weight for a multi-component shift.
 
     The measure change acts dimension-wise: the joint log weight is the sum
-    of the per-component log weights in component order.
+    of the per-component log weights (:func:`component_log_weights`, with
+    its ``inverses``) in component order.
     """
-    logs = component_log_weights(shifts, increments, hursts)
+    logs = component_log_weights(shifts, increments, hursts, inverses)
     total = np.zeros(logs.shape[1])
     for k in range(logs.shape[0]):
         total += logs[k]
@@ -250,17 +261,31 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     Only the states at t and the log-weights are kept per path, so the
     memory held is set by the chunk, not by the block.  The per-component
     Generators continue across a block's chunks, so the sums equal those of
-    the whole block at once.
+    the whole block at once.  The inverse-transform matrices are built once
+    per call.
+
+    ``drift_eval`` (default: :func:`cylfbm.drift.evaluate` of ``spec``)
+    must follow the node-time contract of :func:`drift_shift`:
+    ``drift_eval(t, y, out=None)`` with a vector t of node times and states
+    y of shape (d, n_nodes, m), writing at least d rows of shape
+    (n_nodes, m) into ``out`` (fresh when None) and returning it, as
+    :func:`cylfbm.drift.evaluate` and a :class:`cylfbm.drift.MollifiedDrift`
+    do.  A callable that does not take that form is rejected with a
+    DomainError.
     """
     phis = {phi_id: make_functional(phi_id) for phi_id in phi_ids}
     x = _start_point(x, d)
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else functools.partial(
         drift_mod.evaluate, spec)
+    try:
+        probe = eval_fn(grid.nodes[:1], np.zeros((d, 1, 1)), out=None)
+    except TypeError as exc:
+        raise DomainError("drift_eval must take (node times, states of shape "
+                          "(d, n_nodes, m), out=None) and return the drift rows") from exc
     # reject components whose shift b_k / lambda_k is undefined
-    probe = eval_fn(0.0, np.zeros((d, 1)))
     for k in range(d):
-        if lam[k] == 0.0 and (spec.c_bounds[k] > 0 or abs(float(probe[k])) > 0):
+        if lam[k] == 0.0 and (spec.c_bounds[k] > 0 or abs(float(probe[k, 0, 0])) > 0):
             raise DomainError(f"component {k + 1} has zero weight but non-zero drift")
     idx_t = _node_index(grid, t)
     n_nodes, n_cells = grid.n_nodes, grid.n_cells
@@ -269,6 +294,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     states = np.empty(d * n_nodes * width)
     increments = np.empty(d * width * n_cells)
     shifts = np.empty(probe.shape[0] * n_nodes * width)
+    inverses = _inverse_matrices(hursts, d, grid)
     moments = {phi_id: RunningMoments() for phi_id in phis}
     weight_moments = RunningMoments()
     for m, block_seed in mc_blocks(n_paths, seed, block_size):
@@ -286,7 +312,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
             X_t[:, s] = X[:, idx_t, :]
             shift = drift_shift(eval_fn, X, hursts, weights, grid,
                                 out=_chunk(shifts, (probe.shape[0], n_nodes, c)))
-            log_w[s] = stochastic_exponential(shift, ens.increments, hursts).log_values
+            log_w[s] = stochastic_exponential(shift, ens.increments, hursts,
+                                              inverses).log_values
         w = np.exp(log_w, out=log_w)
         weight_moments.add(w)
         for phi_id, phi in phis.items():

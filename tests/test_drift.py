@@ -336,3 +336,14 @@ class TestNodeTimeContract:
             two = in_lanes(monkeypatch, 2, lambda: fn(grid.nodes, y, out=out))
             assert np.array_equal(one, ref), name
             assert two is out and np.array_equal(two, one), name
+
+    def test_one_time_starts_no_lane(self, monkeypatch, jump_spec):
+        # the solver calls the drift once per step, where a lane thread per
+        # call costs more than the components' work
+        monkeypatch.setattr(cylinder, "usable_cpus", lambda: 2)
+        started = []
+        monkeypatch.setattr(cylinder.threading.Thread, "start", lambda th: started.append(th))
+        y = np.random.default_rng(3).standard_normal((4, 50))
+        drift.evaluate(jump_spec, 0.5, y)
+        drift.mollify(jump_spec, 4, 0.1)(0.5, y)
+        assert started == []

@@ -215,6 +215,23 @@ class TestStreamedEstimator:
         assert res.estimates == ref.estimates
         assert (res.mean_weight, res.ess_fraction) == (ref.mean_weight, ref.ess_fraction)
 
+    def test_inverses_built_once_per_call(self, monkeypatch, model, grid64):
+        hs, ws, spec = model
+        built = []
+        real = girsanov.kh_inverse_matrix
+        monkeypatch.setattr(girsanov, "kh_inverse_matrix",
+                            lambda H, grid: built.append(H) or real(H, grid))
+        girsanov.weak_solution_estimator(spec, ["coordinate:1"], 0.0, 1.0, hs, ws, 3, grid64,
+                                         7000, 41, block_size=3000)
+        assert built == [hs.value(k + 1) for k in range(3)]
+
+    def test_plain_drift_callable_rejected(self, model, grid64):
+        hs, ws, spec = model
+        with pytest.raises(fbm.DomainError, match="node times"):
+            girsanov.weak_solution_estimator(
+                spec, ["coordinate:1"], 0.0, 1.0, hs, ws, 3, grid64, 100, 41,
+                drift_eval=lambda t, y: drift.evaluate(spec, t, y))
+
 
 class TestMonteCarloBlocks:
     def test_blocks_are_first_spawn_children(self):
