@@ -201,6 +201,7 @@ def load_config(mapping: dict) -> RunConfig:
     elif command == "simulate":
         # the noise extends past sequences.d_max by the tail rule
         _check_level("d", entries["d"], math.inf)
+        _check_noise_level(entries)
     if command in ("validate", "solve", "converge", "girsanov") \
             and entries["drift.region_kind"] == "halfspace":
         axis, d_max = entries["drift.region_axis"], entries["sequences.d_max"]
@@ -238,9 +239,10 @@ def _check_x0(x0: list) -> None:
 def _check_evaluation(entries: dict) -> None:
     """For the commands that price functionals at t_eval: reject a truncation
     level below 1 or past sequences.d_max, a mollifier width that is not
-    finite and positive, an empty list of functionals, functionals that are
-    unknown or read past the state dimension (for converge, the largest
-    schedule level) and a t_eval that is not a grid node."""
+    finite and positive, an initial point or functionals with more
+    coordinates than the state (for converge, at the largest schedule level),
+    an empty list of functionals, unknown functionals and a t_eval that is
+    not a grid node."""
     command, d_max = entries["command"], entries["sequences.d_max"]
     dim = entries["d"]
     if command == "converge":
@@ -257,6 +259,9 @@ def _check_evaluation(entries: dict) -> None:
         _check_level("d", dim, d_max)
     if command == "solve":
         _check_widths("drift.epsilon", [entries["drift.epsilon"]])
+    if len(entries["x0"]) > dim:
+        raise ConfigError(f"config key x0: {len(entries['x0'])} coordinates exceed "
+                          f"the {dim}-dimensional state")
     if not entries["phis"]:
         raise ConfigError("config key phis: at least one functional is required")
     for phi_id in entries["phis"]:
@@ -284,6 +289,21 @@ def _check_level(key: str, level: int, d_max: float) -> None:
     if level > d_max:
         raise ConfigError(f"config key {key}: truncation level {level} exceeds "
                           f"sequences.d_max = {d_max}")
+
+
+def _check_noise_level(entries: dict) -> None:
+    """simulate's level d must keep a Hurst index, which far out the tail rule
+    underflows to 0.  A sequence that breaks its own constraints is left to
+    the run, which names the constraint."""
+    try:
+        hs = cylinder.HurstSequence.geometric(
+            entries["sequences.hurst_first"], entries["sequences.hurst_ratio"],
+            entries["sequences.d_max"])
+    except cylinder.SequenceConstraintError:
+        return
+    if hs.value(entries["d"]) == 0.0:
+        raise ConfigError(f"config key d: truncation level {entries['d']} has no Hurst "
+                          "index (hurst_first * hurst_ratio^(d-1) underflows to 0)")
 
 
 def _check_widths(key: str, widths: list) -> None:

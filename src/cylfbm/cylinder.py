@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fbm
-from .fbm import DomainError, LndConstants, TimeGrid, WienerIncrements
+from .fbm import DomainError, TimeGrid, WienerIncrements
 
 SUP_HURST_LIMIT = 1.0 / 12.0
 SUM_HURST_LIMIT = 1.0 / 6.0
@@ -184,10 +184,13 @@ class CylEnsemble:
         return self.values.shape[2]
 
 
-def component_seed_sequences(seed, d: int) -> list:
-    """Deterministic per-component seed streams; prefix-stable in d."""
+def child_seed(seed, i: int) -> np.random.SeedSequence:
+    """Child i of ``seed`` (an int or a SeedSequence), equal to what a first
+    ``spawn()`` would give; the caller's SeedSequence is never mutated, so
+    one seed always names one sample."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(d)
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +260,16 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     """Sample d independent weighted components on the grid.
 
     Component k is lambda_k times a scalar sample with index H_k, drawn from
-    an independent substream spawned per component (fixed order), so the
-    first d' components coincide path-by-path with a d'-truncated run.
+    an independent substream per component, so the first d' components
+    coincide path-by-path with a d'-truncated run.
     The default exact-law factorization (the Cholesky factor of the node
     covariance times standard normals drawn node-major) has no driving
     increments; request the kernel construction (the kernel matrix times
     N(0, step) cell increments drawn path-major) with ``keep_increments``
     when the measure-change machinery needs them.
 
-    ``seed`` is an int or a SeedSequence, whose d spawned children seed the
-    components, or the d per-component Generators themselves.  A Generator
+    ``seed`` is an int or a SeedSequence, whose :func:`child_seed` k seeds
+    component k, or the d per-component Generators themselves.  A Generator
     continues its stream across calls, and the kernel construction draws
     path-major, so consecutive kernel calls on the same Generators draw the
     increments of one call on all their paths.  ``out`` is a (values,
@@ -293,7 +296,7 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
     if isinstance(seed, (list, tuple)):
         rngs = seed[:d]
     else:
-        rngs = [np.random.default_rng(c) for c in component_seed_sequences(seed, d)]
+        rngs = [np.random.default_rng(child_seed(seed, k)) for k in range(d)]
     lam = ws.head_array(d)
     n, step_sd = grid.n_cells, math.sqrt(grid.step)
     kept = keep_increments and method == "kernel"
@@ -331,6 +334,4 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
 
 def composite_scaling(ws: WeightSequence, lnd: list, d: int) -> np.ndarray:
     """Per-component factors lambda_k * sqrt(K_k) used by the drift-class checks."""
-    vals = np.asarray([c.estimate if isinstance(c, LndConstants) else float(c)
-                       for c in lnd][:d])
-    return ws.head_array(d) * np.sqrt(vals)
+    return ws.head_array(d) * np.sqrt(np.asarray(lnd[:d], dtype=float))

@@ -22,6 +22,7 @@ from .cylinder import WeightSequence, run_component_lanes
 from .fbm import DomainError
 
 _ENVELOPE_CUTOFF = 1e-8  # relative tail mass ignored when boxing a maximization
+LND_FLOOR = 0.4  # non-determinism constants the family's integral constants assume
 REGION_KINDS = ("halfspace", "ball")
 
 
@@ -257,14 +258,13 @@ def indicator_exponential_family(
     proj_sets: tuple | None = None,
     proj_scale_first: float = 1.0,
     proj_scale_ratio: float = 2.0,
-    lnd_floor: float = 0.4,
 ) -> DriftSpec:
     """Bounded jump drift family: damped exponential amplitude times a region
     indicator, composed with per-component scaled projections.
 
     Component k reads the coordinates in proj_sets[k] (default: its own).
     The declared integral constants assume the non-determinism constants stay
-    above ``lnd_floor``; the class validator measures against the actual
+    above ``LND_FLOOR``; the class validator measures against the actual
     scaling.  Summability of the declared constants is certified from the
     geometric parameter ratios.
     """
@@ -296,8 +296,8 @@ def indicator_exponential_family(
         ))
         c_bounds[k] = amps[k] * peak / lam[k]
         # integral of the envelope over the n_dep scaled coordinates:
-        # amp*peak * int exp(-decay*scale*sqrt(lnd_floor)*lam_dep|x|/2) dx
-        rate = decays[k] * scales[k] * math.sqrt(lnd_floor) / 2.0
+        # amp*peak * int exp(-decay*scale*sqrt(LND_FLOOR)*lam_dep|x|/2) dx
+        rate = decays[k] * scales[k] * math.sqrt(LND_FLOOR) / 2.0
         dep_lam = np.array([weights.value(c + 1) for c in st.coords])
         vol = _exp_ball_integral(n_dep, rate) / np.prod(dep_lam)
         d_bounds[k] = amps[k] * peak * vol / lam[k]

@@ -1,10 +1,10 @@
 """One-dimensional fractional Brownian motion with rough paths (Hurst index below 1/2).
 
 Covariance, the lower-triangular Volterra kernel and its closed-form grid
-discretization, the Cholesky factor of the node covariance and exact-law
-sampling with it, Gaussian conditioning, and the empirical local
-non-determinism constant.  :func:`cylfbm.cylinder.sample_cyl_fbm` samples
-the weighted components from the kernel matrix or the Cholesky factor.
+discretization, the Cholesky factor of the node covariance, Gaussian
+conditioning, and the empirical local non-determinism constant.
+:func:`cylfbm.cylinder.sample_cyl_fbm`, the one sampler, draws the weighted
+components from the kernel matrix or the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -28,22 +28,12 @@ class FactorizationError(RuntimeError):
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
 
-@dataclass(frozen=True)
-class HurstParam:
-    """Roughness index, strictly inside (0, 1/2)."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value < 0.5):
-            raise DomainError(f"Hurst parameter must be in (0, 1/2), got {self.value}")
-
-
 def as_hurst(H) -> float:
-    """Accept a HurstParam or a bare float; validate and return the float."""
-    if isinstance(H, HurstParam):
-        return H.value
-    return HurstParam(float(H)).value
+    """The roughness index as a float, checked to lie strictly inside (0, 1/2)."""
+    H = float(H)
+    if not (0.0 < H < 0.5):
+        raise DomainError(f"Hurst parameter must be in (0, 1/2), got {H}")
+    return H
 
 
 @dataclass(frozen=True)
@@ -84,30 +74,6 @@ class WienerIncrements:
 
     grid: TimeGrid
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScalarPath:
-    """Sampled scalar paths, shape (n_paths, n_nodes); node 0 is exactly 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class LndConstants:
-    """Empirical local non-determinism constant at separation ``r``."""
-
-    hurst: float
-    r: float
-    estimate: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        if not (0.0 < self.estimate <= 1.0):
-            raise DomainError(
-                f"local non-determinism estimate must lie in (0, 1], got {self.estimate}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +239,7 @@ def exact_covariance_matrix(H, grid: TimeGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# exact-law factor
 # ---------------------------------------------------------------------------
 
 
@@ -293,20 +259,6 @@ def cholesky_factor(H, grid: TimeGrid) -> np.ndarray:
     """Lower Cholesky factor of :func:`exact_covariance_matrix`, with the
     jitter ladder as fallback."""
     return _cholesky_with_jitter(exact_covariance_matrix(as_hurst(H), grid))
-
-
-def sample_fbm(H, grid: TimeGrid, n_paths: int, seed) -> ScalarPath:
-    """Exact-law paths at the grid nodes from the Cholesky factor of the node
-    covariance and node-major standard normals; node 0 is exactly zero.
-    Deterministic given the seed."""
-    H = as_hurst(H)
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    L = cholesky_factor(H, grid)
-    rng = np.random.default_rng(seed)
-    body = (L @ rng.standard_normal((grid.n_cells, n_paths))).T
-    vals = np.concatenate([np.zeros((n_paths, 1)), body], axis=1)
-    return ScalarPath(grid=grid, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +296,13 @@ def schur_conditional_variance(cov: np.ndarray, target: int, conditioning,
     return value
 
 
-def fbm_conditional_variance_times(H, times, target: int, conditioning, **kw):
-    """Conditional variance with explicit (possibly repeated) sample times."""
-    return schur_conditional_variance(covariance_matrix(H, times), target, conditioning, **kw)
-
-
-def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> LndConstants:
+def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> float:
     """Empirical local non-determinism constant.
 
     Minimizes, over grid nodes t >= r, the variance of B_t conditioned on all
-    nodes at distance >= r, normalized by r^2H.  The grid used is recorded;
-    convergence of the estimate to the true constant under grid refinement is
-    not asserted.
+    nodes at distance >= r, normalized by r^2H; the estimate must lie in
+    (0, 1].  Convergence of the estimate to the true constant under grid
+    refinement is not asserted.
     """
     H = as_hurst(H)
     if not (0.0 < r <= grid.t_end):
@@ -376,4 +323,6 @@ def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> LndConstants:
         best = min(best, val / r ** (2 * H))
     if not found:
         raise DomainError("grid too coarse: no conditioning nodes at distance >= r")
-    return LndConstants(hurst=H, r=r, estimate=float(best), grid=grid)
+    if not (0.0 < best <= 1.0):
+        raise DomainError(f"local non-determinism estimate must lie in (0, 1], got {best}")
+    return float(best)

@@ -19,7 +19,7 @@ from . import drift as drift_mod
 from .cylinder import (
     HurstSequence,
     WeightSequence,
-    component_seed_sequences,
+    child_seed,
     path_chunks,
     run_component_lanes,
     sample_cyl_fbm,
@@ -31,38 +31,15 @@ DEFAULT_BLOCK_SIZE = 25_000
 LOW_ESS_FRACTION = 0.10
 
 
-@dataclass(frozen=True)
-class ShiftProcess:
-    """Per-component pathwise shift values u_k(s) on grid nodes, with shape
-    (d, n_nodes, n_paths)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class GirsanovWeight:
-    """Per-path change-of-measure weights, kept in log form."""
-
-    log_values: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.exp(self.log_values)
-
-
 def _inverse_matrices(hursts: HurstSequence, d: int, grid: TimeGrid) -> list:
     """The inverse-transform matrix of each of the first d components."""
     return [kh_inverse_matrix(hursts.value(k + 1), grid) for k in range(d)]
 
 
-def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequence,
-                          inverses=None) -> np.ndarray:
-    """Log stochastic exponential per component, shape (d, n_paths).
+def component_log_weights(shifts: np.ndarray, grid: TimeGrid, increments,
+                          hursts: HurstSequence, inverses=None) -> np.ndarray:
+    """Log stochastic exponential per component of the shifts u_k(s) on the
+    grid nodes, shape (d, n_nodes, n_paths); returns shape (d, n_paths).
 
     The Wiener-frame integrand is evaluated at the left node of each cell
     (the adapted choice), which makes the weights exactly mean one for
@@ -72,9 +49,8 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
     the d :func:`cylfbm.fraccalc.kh_inverse_matrix` matrices of the grid,
     built here by default.
     """
-    grid = shifts.grid
     h = grid.step
-    d = shifts.d
+    d = shifts.shape[0]
     if len(increments) < d:
         raise DomainError("one increment set per shift component is required")
     n_paths = increments[0].values.shape[0]
@@ -88,7 +64,7 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
         for s in chunks:
             v = scratch[: n_nodes * (s.stop - s.start)].reshape(n_nodes, -1)
             with np.errstate(invalid="ignore"):
-                np.matmul(inverses[k], shifts.values[k][:, s], out=v)
+                np.matmul(inverses[k], shifts[k][:, s], out=v)
             if not np.all(np.isfinite(v)):
                 raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
             stoch = np.einsum("jp,pj->p", v[:-1], increments[k].values[s])
@@ -99,19 +75,19 @@ def component_log_weights(shifts: ShiftProcess, increments, hursts: HurstSequenc
     return out
 
 
-def stochastic_exponential(shifts: ShiftProcess, increments, hursts: HurstSequence,
-                           inverses=None) -> GirsanovWeight:
-    """Joint change-of-measure weight for a multi-component shift.
+def stochastic_exponential(shifts: np.ndarray, grid: TimeGrid, increments,
+                           hursts: HurstSequence, inverses=None) -> np.ndarray:
+    """Joint log change-of-measure weight per path for a multi-component shift.
 
     The measure change acts dimension-wise: the joint log weight is the sum
     of the per-component log weights (:func:`component_log_weights`, with
     its ``inverses``) in component order.
     """
-    logs = component_log_weights(shifts, increments, hursts, inverses)
+    logs = component_log_weights(shifts, grid, increments, hursts, inverses)
     total = np.zeros(logs.shape[1])
     for k in range(logs.shape[0]):
         total += logs[k]
-    return GirsanovWeight(log_values=total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +132,10 @@ def make_functional(phi_id: str):
 
 
 def mc_blocks(n_paths: int, seed, block_size: int):
-    """Yield (path count, seed) for each block of an n_paths sample.
-
-    Block b's seed is the b-th child of ``seed`` (an int or a SeedSequence),
-    equal to what a first ``spawn()`` would give; the caller's SeedSequence
-    is never mutated, so one seed always names one sample.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """Yield (path count, seed) for each block of an n_paths sample; block
+    b's seed is :func:`cylfbm.cylinder.child_seed` b of ``seed``."""
     for b, done in enumerate(range(0, n_paths, block_size)):
-        yield min(block_size, n_paths - done), np.random.SeedSequence(
-            ss.entropy, spawn_key=ss.spawn_key + (b,), pool_size=ss.pool_size)
+        yield min(block_size, n_paths - done), child_seed(seed, b)
 
 
 class RunningMoments:
@@ -192,9 +162,9 @@ class RunningMoments:
 
 def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
                 weights: WeightSequence, grid: TimeGrid,
-                out: np.ndarray | None = None) -> ShiftProcess:
+                out: np.ndarray | None = None) -> np.ndarray:
     """Pathwise shift -b_k(s, X_s)/(lambda_k * kernel_fractional_norm(H_k)) of
-    states X with shape (d, n_nodes, n_paths).
+    states X with shape (d, n_nodes, n_paths), in an array of that shape.
 
     ``drift_eval(t, y, out=None)`` is called once, on all nodes at once (the
     node-time form of :func:`cylfbm.drift.evaluate`), and writes its rows
@@ -207,7 +177,7 @@ def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
     scale = weights.head_array(d) * np.array(
         [kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
     U /= -scale[:, None, None]
-    return ShiftProcess(grid, U)
+    return U
 
 
 @dataclass(frozen=True)
@@ -298,7 +268,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     moments = {phi_id: RunningMoments() for phi_id in phis}
     weight_moments = RunningMoments()
     for m, block_seed in mc_blocks(n_paths, seed, block_size):
-        rngs = [np.random.default_rng(c) for c in component_seed_sequences(block_seed, d)]
+        rngs = [np.random.default_rng(child_seed(block_seed, k)) for k in range(d)]
         X_t = np.empty((d, m))
         log_w = np.empty(m)
         for s in path_chunks(m):
@@ -312,8 +282,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
             X_t[:, s] = X[:, idx_t, :]
             shift = drift_shift(eval_fn, X, hursts, weights, grid,
                                 out=_chunk(shifts, (probe.shape[0], n_nodes, c)))
-            log_w[s] = stochastic_exponential(shift, ens.increments, hursts,
-                                              inverses).log_values
+            log_w[s] = stochastic_exponential(shift, grid, ens.increments, hursts, inverses)
         w = np.exp(log_w, out=log_w)
         weight_moments.add(w)
         for phi_id, phi in phis.items():

@@ -71,20 +71,6 @@ class SolutionEnsemble:
         return self.paths.shape[0]
 
 
-@dataclass(frozen=True)
-class MalliavinBlock:
-    """Derivative of the solution at all later times in one noise direction.
-
-    ``values[k, i, p]`` is the k-th state coordinate of the derivative at
-    node i on path p; entries at nodes up to the base index are zero.
-    """
-
-    s_index: int
-    component: int
-    grid: TimeGrid
-    values: np.ndarray
-
-
 def _drift_callable(drift):
     if isinstance(drift, MollifiedDrift):
         return drift.evaluator
@@ -233,12 +219,14 @@ def _step_linear_equation(sol: SolutionEnsemble, j0: int, m_idx: int, g: np.ndar
     return out
 
 
-def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> MalliavinBlock:
+def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> np.ndarray:
     """Derivative of the solution in the direction of driving component m,
     based at grid node s_index: the left-rule linearisation of the solve,
     stepped forward in time with the kernel column's exact cell masses.
 
-    With zero drift the block equals the weighted kernel column exactly.
+    Entry [k, i, p] is the k-th state coordinate of the derivative at node i
+    on path p; entries at nodes up to the base index are zero.  With zero
+    drift the derivative equals the weighted kernel column exactly.
     """
     grid = sol.grid
     if not (0 <= s_index < grid.n_cells):
@@ -252,9 +240,8 @@ def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> Malliav
         raise DomainError("kernel column is undefined at time 0; pick a node >= 1")
     kernel_col = kernel_values(H_m, grid.nodes[s_index + 1 :], s)
     kappa = kernel_time_cell_integrals(H_m, s, grid, s_index)
-    values = _step_linear_equation(sol, s_index, m - 1, lam_m * kernel_col,
-                                   mass=lam_m * kappa)
-    return MalliavinBlock(s_index=s_index, component=m, grid=grid, values=values)
+    return _step_linear_equation(sol, s_index, m - 1, lam_m * kernel_col,
+                                 mass=lam_m * kappa)
 
 
 def _bump_profile(sol: SolutionEnsemble, s_index: int, m: int,

@@ -78,8 +78,7 @@ def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, see
         for i, s in enumerate(grid.nodes):
             U[:, i, :] = drift_eval(s, X[:, i, :])[:d]
         U /= -scale[:, None, None]
-        w = girsanov.stochastic_exponential(girsanov.ShiftProcess(grid, U),
-                                            ens.increments, hs).values
+        w = np.exp(girsanov.stochastic_exponential(U, grid, ens.increments, hs))
         weights.add(w)
         X_t = X[:, idx_t, :].copy()
         for phi_id, phi in phis.items():

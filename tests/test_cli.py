@@ -130,6 +130,10 @@ class TestRunBasics:
         ({"command": "validate", "d": 0}, "d"),
         ({"command": "validate", "d": 10}, "d"),
         ({"command": "simulate", "d": 0}, "d"),
+        ({"command": "simulate", "d": 1100}, "d"),  # H_d underflows to 0
+        ({"command": "solve", "d": 2, "x0": [0, 0, 5]}, "x0"),
+        ({"command": "girsanov", "d": 2, "x0": [0, 0, 5]}, "x0"),
+        ({"command": "converge", "x0": [0, 0, 0, 0, 5]}, "x0"),  # schedule level 4
         ({"command": "girsanov", "mc": {"n_paths": 100, "seed": -1}}, "mc.seed"),
         ({"command": "verify-suite", "mc": {"n_paths": 100, "seed": -1}}, "mc.seed"),
         ({"command": "converge", "schedule": [[2.5, 0.1], [2, 0.05]]}, "schedule"),

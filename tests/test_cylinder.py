@@ -131,8 +131,8 @@ class TestComponentLanes:
                                           keep_increments=keep)
             logs = None
             if ens.increments is not None:
-                shifts = girsanov.ShiftProcess(grid64, np.sin(ens.values) * 0.3)
-                logs = girsanov.component_log_weights(shifts, ens.increments, hs)
+                logs = girsanov.component_log_weights(np.sin(ens.values) * 0.3, grid64,
+                                                      ens.increments, hs)
             return ens, logs
 
         ref, ref_logs = in_lanes(monkeypatch, 1, run)
@@ -152,9 +152,8 @@ class TestComponentLanes:
         hs, ws = sequences
         ens = in_lanes(monkeypatch, 2, lambda: cylinder.sample_cyl_fbm(
             hs, ws, 3, grid64, n_paths, 62, method="kernel", keep_increments=True))
-        children = cylinder.component_seed_sequences(62, 3)
         for k in range(3):
-            rng = np.random.default_rng(children[k])
+            rng = np.random.default_rng(cylinder.child_seed(62, k))
             whole = rng.standard_normal((n_paths, grid64.n_cells)) * np.sqrt(grid64.step)
             assert np.array_equal(ens.increments[k].values, whole)
 
@@ -166,7 +165,7 @@ class TestComponentLanes:
         d, width = 3, cylinder.PATH_CHUNK
         whole = cylinder.sample_cyl_fbm(hs, ws, d, grid64, n_paths, 65, method="kernel",
                                         keep_increments=True)
-        rngs = [np.random.default_rng(c) for c in cylinder.component_seed_sequences(65, d)]
+        rngs = [np.random.default_rng(cylinder.child_seed(65, k)) for k in range(d)]
         values = np.empty((d, grid64.n_nodes, width))
         incs = np.empty((d, width, grid64.n_cells))
         for s in cylinder.path_chunks(n_paths):
@@ -181,13 +180,24 @@ class TestComponentLanes:
                 assert np.array_equal(ens.increments[k].values, whole.increments[k].values[s])
 
     def test_cholesky_sample_is_scaled_factor_product(self, sequences, grid64):
-        # node-major standard normals, as the scalar exact-law sampler draws them
+        # lambda_k L_k Z_k with node-major standard normals Z_k
         hs, ws = sequences
         ens = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 300, 63)
-        children = cylinder.component_seed_sequences(63, 2)
         for k in range(2):
-            scalar = fbm.sample_fbm(hs.value(k + 1), grid64, 300, children[k])
-            assert np.array_equal(ens.values[k], ws.value(k + 1) * scalar.values.T)
+            Z = np.random.default_rng(cylinder.child_seed(63, k)).standard_normal(
+                (grid64.n_cells, 300))
+            L = fbm.cholesky_factor(hs.value(k + 1), grid64)
+            assert np.all(ens.values[k, 0] == 0.0)
+            assert np.array_equal(ens.values[k, 1:], ws.value(k + 1) * (L @ Z))
+
+    def test_seed_sequence_names_one_sample(self, sequences, grid64):
+        # the per-component seeds are derived without spawning from the caller's
+        hs, ws = sequences
+        ss = np.random.SeedSequence(66)
+        a = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 4, ss)
+        b = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 4, ss)
+        assert np.array_equal(a.values, b.values)
+        assert ss.n_children_spawned == 0
 
     @pytest.mark.parametrize("lanes", [1, 2, 4])
     def test_lowest_failing_component_named(self, monkeypatch, sequences, grid64, lanes):
@@ -197,10 +207,9 @@ class TestComponentLanes:
         shift = np.zeros((4, grid64.n_nodes, 50))
         shift[2, 7, 3] = np.nan  # component 3
         shift[3, 9, 1] = np.inf  # component 4, in another lane
-        shifts = girsanov.ShiftProcess(grid64, shift)
         with pytest.raises(fbm.DomainError, match="in component 3$"):
             in_lanes(monkeypatch, lanes, lambda: girsanov.component_log_weights(
-                shifts, ens.increments, hs))
+                shift, grid64, ens.increments, hs))
 
 
 class TestDiagonalOperators:
@@ -208,7 +217,7 @@ class TestDiagonalOperators:
         hs, ws = sequences
         lnd = [fbm.estimate_lnd_constant(hs.value(k), grid64, 0.1) for k in (1, 2, 3)]
         combo = cylinder.composite_scaling(ws, lnd, 3)
-        direct = np.array([ws.value(k) * np.sqrt(lnd[k - 1].estimate) for k in (1, 2, 3)])
+        direct = np.array([ws.value(k) * np.sqrt(lnd[k - 1]) for k in (1, 2, 3)])
         assert np.max(np.abs(combo - direct)) < 1e-15
 
 

@@ -90,8 +90,7 @@ class TestClassValidation:
             assert e.integral_margin == e.integral_bound
 
     def test_family_passes(self, jump_spec, weights, grid64):
-        lnd = [fbm.estimate_lnd_constant(0.08 * 0.5 ** k, grid64, 0.1).estimate
-               for k in range(3)]
+        lnd = [fbm.estimate_lnd_constant(0.08 * 0.5 ** k, grid64, 0.1) for k in range(3)]
         scaling = cylinder.composite_scaling(weights, lnd, 3)
         report = drift.validate_drift_class(jump_spec, 3, scaling)
         assert report.passed
@@ -246,8 +245,7 @@ class TestMollifiedStaysInClass:
         molli_spec = drift.DriftSpec(
             components=tuple(comps), weights=weights,
             c_bounds=jump_spec.c_bounds[:d], d_bounds=jump_spec.d_bounds[:d])
-        lnd = [fbm.estimate_lnd_constant(0.08 * 0.5 ** k, grid64, 0.1).estimate
-               for k in range(d)]
+        lnd = [fbm.estimate_lnd_constant(0.08 * 0.5 ** k, grid64, 0.1) for k in range(d)]
         scaling = cylinder.composite_scaling(weights, lnd, d)
         report = drift.validate_drift_class(molli_spec, d, scaling)
         assert report.passed

@@ -169,22 +169,32 @@ def kernel_sample(H, grid, n_paths, seed) -> np.ndarray:
     return out
 
 
+def cholesky_sample(H, grid, n_paths, seed) -> np.ndarray:
+    """Exact-law paths, node-major with shape (n_nodes, n_paths): the
+    Cholesky factor of the node covariance times standard normals drawn
+    node-major, as :func:`cylfbm.cylinder.sample_cyl_fbm` draws them (at any
+    H, which the summable sequences it takes do not allow)."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((grid.n_nodes, n_paths))
+    out[1:] = fbm.cholesky_factor(H, grid) @ rng.standard_normal((grid.n_cells, n_paths))
+    return out
+
+
 class TestSampling:
     def test_determinism_bitwise(self, grid64):
-        a = fbm.sample_fbm(0.3, grid64, 50, seed=42)
-        b = fbm.sample_fbm(0.3, grid64, 50, seed=42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(cholesky_sample(0.3, grid64, 50, 42),
+                              cholesky_sample(0.3, grid64, 50, 42))
         assert np.array_equal(kernel_sample(0.3, grid64, 50, 42),
                               kernel_sample(0.3, grid64, 50, 42))
 
     def test_node_zero_exact(self, grid64):
-        p = fbm.sample_fbm(0.1, grid64, 10, seed=1)
-        assert np.all(p.values[:, 0] == 0.0)
+        p = cholesky_sample(0.1, grid64, 10, seed=1)
+        assert np.all(p[0] == 0.0)
 
     def test_cholesky_variance_at_one(self, grid64):
         n = 100_000
-        p = fbm.sample_fbm(0.3, grid64, n, seed=5)
-        v = np.var(p.values[:, -1])
+        p = cholesky_sample(0.3, grid64, n, seed=5)
+        v = np.var(p[-1])
         se = np.sqrt(2.0 / n)  # relative SE of a Gaussian variance estimate
         assert abs(v - 1.0) < 3 * se
 
@@ -192,10 +202,10 @@ class TestSampling:
         # exact-law oracle comparison at a moderate roughness where the
         # cell discretization resolves the kernel mass
         H, n = 0.3, 20_000
-        pc = fbm.sample_fbm(H, grid128, n, seed=7)
+        pc = cholesky_sample(H, grid128, n, seed=7)
         pk = kernel_sample(H, grid128, n, seed=8)
         C = fbm.exact_covariance_matrix(H, grid128)
-        emp_c = pc.values[:, 1:].T @ pc.values[:, 1:] / n
+        emp_c = pc[1:] @ pc[1:].T / n
         emp_k = pk[1:] @ pk[1:].T / n
         N = grid128.n_cells
         worst = 0.0
@@ -221,12 +231,12 @@ class TestSampling:
 
 class TestConditioning:
     def test_empty_set_is_unconditional(self, grid64):
-        v = fbm.fbm_conditional_variance_times(0.2, grid64.nodes, 10, [])
+        v = fbm.schur_conditional_variance(fbm.covariance_matrix(0.2, grid64.nodes), 10, [])
         assert v == pytest.approx(grid64.nodes[10] ** 0.4, rel=1e-12)
 
     def test_duplicate_time_gives_zero(self):
         times = [0.25, 0.5, 0.5, 1.0]
-        v = fbm.fbm_conditional_variance_times(0.2, times, 1, [2, 3])
+        v = fbm.schur_conditional_variance(fbm.covariance_matrix(0.2, times), 1, [2, 3])
         assert abs(v) < 1e-10
 
     def test_monotone_under_inclusion(self, grid64):
@@ -237,14 +247,15 @@ class TestConditioning:
             rng.shuffle(pool)
             small = pool[:5]
             big = pool[:12]
-            v_small = fbm.fbm_conditional_variance_times(0.15, grid64.nodes, tgt, small)
-            v_big = fbm.fbm_conditional_variance_times(0.15, grid64.nodes, tgt, big)
+            cov = fbm.covariance_matrix(0.15, grid64.nodes)
+            v_small = fbm.schur_conditional_variance(cov, tgt, small)
+            v_big = fbm.schur_conditional_variance(cov, tgt, big)
             assert v_big <= v_small + 1e-10
 
     def test_singular_conditioning_flagged(self):
         times = [0.5, 0.25, 0.25, 1.0]  # duplicated conditioning time
-        v, info = fbm.fbm_conditional_variance_times(0.2, times, 0, [1, 2],
-                                                     return_info=True)
+        v, info = fbm.schur_conditional_variance(fbm.covariance_matrix(0.2, times), 0, [1, 2],
+                                                 return_info=True)
         assert np.isfinite(v)
         # duplicate rows make the block singular; either the solve regularizes
         # or numpy handles the consistent system, but the call must not fail
@@ -254,24 +265,30 @@ class TestConditioning:
 class TestLndConstant:
     def test_positive_and_normalized(self, grid128):
         c = fbm.estimate_lnd_constant(0.08, grid128, r=0.1)
-        assert 0.0 < c.estimate <= 1.0
+        assert isinstance(c, float) and 0.0 < c <= 1.0
 
     def test_grid_refinement_stability(self):
         a = fbm.estimate_lnd_constant(0.08, fbm.TimeGrid(1.0, 128), r=0.1)
         b = fbm.estimate_lnd_constant(0.08, fbm.TimeGrid(1.0, 256), r=0.1)
-        assert abs(a.estimate - b.estimate) / a.estimate < 0.10
+        assert abs(a - b) / a < 0.10
 
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(fbm.DomainError):
             fbm.estimate_lnd_constant(0.2, fbm.TimeGrid(1.0, 16), r=1.0)
 
+    def test_estimate_above_one_rejected(self, monkeypatch, grid64):
+        # a conditional variance above r^2H breaks the normalization
+        monkeypatch.setattr(fbm, "schur_conditional_variance", lambda *a, **kw: 2.0)
+        with pytest.raises(fbm.DomainError, match=r"must lie in \(0, 1\]"):
+            fbm.estimate_lnd_constant(0.08, grid64, r=0.1)
+
 
 class TestLawInvariants:
     def test_empirical_covariance_matches(self, grid64):
         H, n = 0.2, 40_000
-        p = fbm.sample_fbm(H, grid64, n, seed=11)
+        p = cholesky_sample(H, grid64, n, seed=11)
         C = fbm.exact_covariance_matrix(H, grid64)
-        emp = p.values[:, 1:].T @ p.values[:, 1:] / n
+        emp = p[1:] @ p[1:].T / n
         rng = np.random.default_rng(1)
         for _ in range(10):
             i, j = rng.integers(0, 64, size=2)
@@ -280,13 +297,13 @@ class TestLawInvariants:
 
     def test_stationary_increments(self, grid64):
         H, n = 0.25, 40_000
-        p = fbm.sample_fbm(H, grid64, n, seed=13)
+        p = cholesky_sample(H, grid64, n, seed=13)
         rng = np.random.default_rng(2)
         for _ in range(10):
             i, j = sorted(rng.integers(0, 65, size=2))
             if i == j:
                 continue
-            d = p.values[:, j] - p.values[:, i]
+            d = p[j] - p[i]
             target = (grid64.nodes[j] - grid64.nodes[i]) ** (2 * H)
             se = target * np.sqrt(2.0 / n)
             assert abs(np.mean(d ** 2) - target) < 3 * se

@@ -21,26 +21,24 @@ class TestStochasticExponential:
         return cylinder.sample_cyl_fbm(hs, ws, d, grid, n, seed, method="kernel",
                                        keep_increments=True).increments
 
-    def _pathwise(self, grid, profiles, n):
+    def _pathwise(self, profiles, n):
         """The same (d, n_nodes) shift profiles on every one of n paths."""
-        return girsanov.ShiftProcess(
-            grid, np.broadcast_to(profiles[:, :, None], profiles.shape + (n,)))
+        return np.broadcast_to(profiles[:, :, None], profiles.shape + (n,))
 
     def test_zero_shift_unit_weight(self, sequences, grid64):
         hs, _ = sequences
         incs = self._increments(sequences, grid64, 2, 100, 3)
-        shifts = self._pathwise(grid64, np.zeros((2, grid64.n_nodes)), 100)
-        w = girsanov.stochastic_exponential(shifts, incs, hs)
-        assert np.all(w.values == 1.0)
+        shifts = self._pathwise(np.zeros((2, grid64.n_nodes)), 100)
+        log_w = girsanov.stochastic_exponential(shifts, grid64, incs, hs)
+        assert np.all(np.exp(log_w) == 1.0)
 
     def test_unit_mean(self, sequences, grid64):
         hs, _ = sequences
         n = 50_000
         incs = self._increments(sequences, grid64, 2, n, 7)
         rng = np.random.default_rng(1)
-        shifts = self._pathwise(
-            grid64, np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1), n)
-        w = girsanov.stochastic_exponential(shifts, incs, hs).values
+        shifts = self._pathwise(np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1), n)
+        w = np.exp(girsanov.stochastic_exponential(shifts, grid64, incs, hs))
         se = np.std(w, ddof=1) / math.sqrt(n)
         assert abs(np.mean(w) - 1.0) < 3 * se
 
@@ -52,7 +50,7 @@ class TestStochasticExponential:
         n = 50_000
         incs = self._increments(sequences, grid64, 2, n, 11)
         profiles = np.stack([0.5 * np.ones(grid64.n_nodes), 0.3 * grid64.nodes])
-        logs = girsanov.component_log_weights(self._pathwise(grid64, profiles, n), incs, hs)
+        logs = girsanov.component_log_weights(self._pathwise(profiles, n), grid64, incs, hs)
         h = grid64.step
         for k in range(2):
             H = hs.value(k + 1)
@@ -67,13 +65,12 @@ class TestStochasticExponential:
         hs, _ = sequences
         incs = self._increments(sequences, grid64, 3, 500, 13)
         rng = np.random.default_rng(2)
-        shifts = self._pathwise(grid64, rng.standard_normal((3, grid64.n_nodes)), 500)
-        joint = girsanov.stochastic_exponential(shifts, incs, hs).log_values
+        shifts = self._pathwise(rng.standard_normal((3, grid64.n_nodes)), 500)
+        joint = girsanov.stochastic_exponential(shifts, grid64, incs, hs)
         parts = np.zeros(500)
         for k in range(3):
-            single = girsanov.ShiftProcess(grid64, shifts.values[k : k + 1])
-            parts += girsanov.stochastic_exponential(single, incs[k : k + 1],
-                                                     hs_shifted(hs, k)).log_values
+            parts += girsanov.stochastic_exponential(shifts[k : k + 1], grid64,
+                                                     incs[k : k + 1], hs_shifted(hs, k))
         assert np.max(np.abs(joint - parts)) < 1e-10
 
     def test_nonfinite_shift_rejected(self, sequences, grid64):
@@ -82,7 +79,7 @@ class TestStochasticExponential:
         bad = np.zeros((1, grid64.n_nodes))
         bad[0, 5] = np.inf
         with pytest.raises(fbm.DomainError):
-            girsanov.stochastic_exponential(self._pathwise(grid64, bad, 10), incs, hs)
+            girsanov.stochastic_exponential(self._pathwise(bad, 10), grid64, incs, hs)
 
 
 def hs_shifted(hs, k):
@@ -187,10 +184,10 @@ class TestBlockMemory:
         rng = np.random.default_rng(12)
         incs = cylinder.sample_cyl_fbm(hs, ws, 3, grid64, n, 50, method="kernel",
                                        keep_increments=True).increments
-        shifts = girsanov.ShiftProcess(grid64, rng.standard_normal((3, grid64.n_nodes, n)))
-        got = girsanov.component_log_weights(shifts, incs, hs)
+        shifts = rng.standard_normal((3, grid64.n_nodes, n))
+        got = girsanov.component_log_weights(shifts, grid64, incs, hs)
         for k in range(3):
-            v = fraccalc.kh_inverse_matrix(hs.value(k + 1), grid64) @ shifts.values[k]
+            v = fraccalc.kh_inverse_matrix(hs.value(k + 1), grid64) @ shifts[k]
             stoch = np.einsum("jp,pj->p", v[:-1], incs[k].values)
             quad = np.sum(v[:-1] ** 2, axis=0) * grid64.step
             assert np.array_equal(got[k], -stoch - 0.5 * quad)
@@ -286,7 +283,7 @@ class TestWeightsAcrossGrid:
                                           method="kernel", keep_increments=True)
             shifts = girsanov.drift_shift(functools.partial(drift.evaluate, spec),
                                           ens.values, hs, ws, grid_t)
-            w = girsanov.stochastic_exponential(shifts, ens.increments, hs).values
+            w = np.exp(girsanov.stochastic_exponential(shifts, grid_t, ens.increments, hs))
             assert np.all(w > 0)
             se = np.std(w, ddof=1) / math.sqrt(n)
             assert abs(np.mean(w) - 1.0) < 3 * se

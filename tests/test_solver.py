@@ -198,9 +198,9 @@ class TestMalliavinDerivative:
         blk = solver.malliavin_derivative(sol, j0, m)
         s = grid64.nodes[j0]
         expect = ws.value(m) * fbm.kernel_values(hs.value(m), grid64.nodes[j0 + 1 :], s)
-        assert np.allclose(blk.values[m - 1, j0 + 1 :, 0], expect, rtol=1e-12)
-        assert np.all(blk.values[1] == 0.0)  # other component untouched
-        assert np.all(blk.values[:, : j0 + 1, :] == 0.0)
+        assert np.allclose(blk[m - 1, j0 + 1 :, 0], expect, rtol=1e-12)
+        assert np.all(blk[1] == 0.0)  # other component untouched
+        assert np.all(blk[:, : j0 + 1, :] == 0.0)
 
     def test_linear_drift_oracle(self):
         # scalar dX = -theta X dt + lam dB: the derivative solves a linear
@@ -218,7 +218,7 @@ class TestMalliavinDerivative:
             sub = cylinder.CylEnsemble(d=1, grid=grid, values=noise.values[:, ::stride, :],
                                        hursts=noise.hursts, weights=noise.weights)
             sol = solver.picard_solve(md_like, np.array([0.2]), sub)
-            blocks.append(solver.malliavin_derivative(sol, 128 // stride, 1).values)
+            blocks.append(solver.malliavin_derivative(sol, 128 // stride, 1))
         fine_blk, coarse_blk = blocks
         q = H + 0.5
 
@@ -256,7 +256,7 @@ class TestMalliavinDerivative:
             i = j0 + span
             two_term = lam * float(fbm.kernel_values(H, grid.nodes[i], s)) \
                 - theta * lam * float(np.sum(kappa[: i - j0]))
-            gaps.append(abs(blk.values[0, i, 0] - two_term))
+            gaps.append(abs(blk[0, i, 0] - two_term))
         r1, r2 = gaps[1] / gaps[0], gaps[2] / gaps[1]
         expected = 2.0 ** (H + 1.5)
         assert r1 == pytest.approx(expected, rel=0.25)
