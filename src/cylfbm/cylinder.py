@@ -41,6 +41,8 @@ class _GeometricTailSequence:
 
     @classmethod
     def geometric(cls, first: float, ratio: float, d_max: int):
+        if not 0.0 <= ratio < 1.0:  # before ratio ** k, which overflows for a huge ratio
+            raise SequenceConstraintError(f"geometric ratio must lie in [0, 1), got {ratio}")
         heads = tuple(first * ratio ** k for k in range(d_max))
         return cls(heads=heads, tail_ratio=ratio)
 

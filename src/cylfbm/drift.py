@@ -464,7 +464,9 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
         int_m, int_se = _integral_over_deps(comp, d, scaling, t_end, rng)
         sup_b = spec.c_bounds[k] * lam[k]
         int_b = spec.d_bounds[k] * lam[k]
-        ok = (sup_m <= sup_b * (1 + 1e-9) + 1e-12) and (
+        # inf <= inf holds, so a non-finite measure or bound fails explicitly
+        ok = np.all(np.isfinite([sup_m, sup_b, int_m, int_b, int_se])) and (
+            sup_m <= sup_b * (1 + 1e-9) + 1e-12) and (
             int_m <= int_b * (1 + 1e-9) + 3 * int_se + 1e-12)
         entries.append(ComponentBoundsCheck(
             component=k + 1, sup_measured=sup_m, sup_bound=float(sup_b),

@@ -195,7 +195,8 @@ class EstimatorResult:
 
 
 def _node_index(grid: TimeGrid, t: float) -> int:
-    idx = int(round(t / grid.step)) if math.isfinite(t) else -1
+    # range first: t / step overflows to inf for t near the largest float
+    idx = int(round(t / grid.step)) if 0.0 <= t <= grid.t_end else -1
     if not (0 <= idx <= grid.n_cells) or abs(idx * grid.step - t) > 1e-9 * max(1.0, t):
         raise DomainError(f"evaluation time {t} is not a grid node")
     return idx

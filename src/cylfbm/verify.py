@@ -2,7 +2,8 @@
 rests on: shuffle decompositions of simplex integrals, permanent bounds for
 Gaussian absolute moments, conditioning identities, beta-function simplex
 integrals, kernel increment bounds, the Haar-basis operator inequality, a
-factorial-product bound, and an occupation-density sanity check.
+factorial-product bound, and the Fourier decay of the occupation measure of
+the noise the commands sample.
 
 Identities are asserted at fixed absolute tolerances; inequalities with
 unspecified constants carry Monte Carlo three-standard-error slack.  Every
@@ -20,8 +21,11 @@ from scipy import integrate, special
 
 from .fbm import (
     DomainError,
+    TimeGrid,
     as_hurst,
     c_factor,
+    cholesky_factor,
+    covariance_matrix,
     kernel_values,
     schur_conditional_variance,
 )
@@ -710,56 +714,33 @@ def stirling_bound_check(multi_indices) -> CheckResult:
                        {"n_indices": count})
 
 
-def _fgn_circulant_eigenvalues(H: float, n_steps: int, step: float) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of the increment covariance, the
-    FFT of gamma(0..n) and its mirror gamma(n-1..1); nonnegative for H < 1/2
-    (Craigmile 2003), so only round-off negatives (above -1e-10 max) are clipped."""
-    k = np.arange(n_steps + 1, dtype=float)
-    gam = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H)) \
-        * step ** (2 * H)
-    lam = np.fft.fft(np.concatenate([gam, gam[-2:0:-1]])).real
-    if lam.min() < -1e-10 * lam.max():
-        raise DomainError("circulant embedding of the increment covariance is indefinite")
-    return np.maximum(lam, 0.0)
+def occupation_density_check(H, n_cells: int, n_paths: int, xis,
+                             seed: int = 0) -> CheckResult:
+    """Fourier transform of the fBm occupation measure on [0, 1] against its law.
 
-
-def _fgn_circulant(H: float, n_steps: int, step: float, rng) -> np.ndarray:
-    """Exact-law stationary increments by circulant embedding (Davies-Harte): the
-    real part of FFT(sqrt(lam / 2n) z), z complex standard normal, has the Toeplitz
-    increment covariance in its first n entries."""
-    lam = _fgn_circulant_eigenvalues(H, n_steps, step)
-    z = rng.standard_normal(len(lam)) + 1j * rng.standard_normal(len(lam))
-    return np.fft.fft(np.sqrt(lam / len(lam)) * z).real[:n_steps]
-
-
-def occupation_density_check(H, n_steps: int, g, theta: float, t: float,
-                             bins: int = 256, seed: int = 0) -> CheckResult:
-    """Time integral of g along one path versus the histogram occupation density.
-
-    The path is one exact-law fBm draw on the grid (`_fgn_circulant`, O(n log n)).
-    Left-endpoint time quadrature and left-value binning share cell weights,
-    so a constant g matches exactly; the reported tolerance is grid- and
-    bin-dependent.
+    Paths are L Z, L the :func:`cholesky_factor` the commands' sampler uses.  Per xi,
+    the path mean of |h sum_{j<N} exp(i xi B_{t_j})|^2 (B_{t_0} = 0) must lie within
+    3 SE (1e-12 relative if all paths agree) of the exact grid value h^2 sum_{j,j'}
+    exp(-xi^2 Var(B_{t_j} - B_{t_j'})/2), whose diagonal is the floor h.  ``details``
+    adds the continuum 2 int_0^1 (1-u) exp(-xi^2 u^2H/2) du ~ |xi|^(-1/H), in closed
+    form 2 M(1/2H) - M(1/H) with Kummer's M(s) = 1F1(s; 1 + s; -xi^2/2).
     """
     H = as_hurst(H)
-    step = t / n_steps
-    j0 = int(round(theta / step))
-    if not (0.0 <= theta < t and j0 < n_steps):
-        raise DomainError("theta must lie in [0, t), at least half a step below t")
+    grid, h = TimeGrid(1.0, n_cells), 1.0 / n_cells
     rng = np.random.default_rng(seed)
-    inc = _fgn_circulant(H, n_steps, step, rng)
-    path = np.concatenate([[0.0], np.cumsum(inc)])
-    left_vals = path[j0:-1]
-    lhs = float(np.sum(g(left_vals)) * step)
-    lo, hi = float(np.min(left_vals)), float(np.max(left_vals))
-    span = max(hi - lo, 1e-12)
-    edges = np.linspace(lo - 1e-9 * span, hi + 1e-9 * span, bins + 1)
-    hist, _ = np.histogram(left_vals, bins=edges)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    rhs = float(np.sum(g(centers) * hist * step))
-    gap = abs(lhs - rhs) / max(abs(lhs), 1e-30)
-    return CheckResult("occupation_density", gap <= 0.02, gap, 0.02, 0.02 - gap,
-                       {"lhs": lhs, "rhs": rhs, "n_steps": n_steps, "bins": bins})
+    left = np.zeros((n_cells, n_paths))
+    left[1:] = (cholesky_factor(H, grid) @ rng.standard_normal((n_cells, n_paths)))[:-1]
+    cov = covariance_matrix(H, grid.nodes[:-1])
+    var = np.add.outer(np.diag(cov), np.diag(cov)) - 2.0 * cov
+    phase = np.multiply.outer(np.asarray(xis, dtype=float), left)
+    sq = h * h * (np.sum(np.cos(phase), axis=1) ** 2 + np.sum(np.sin(phase), axis=1) ** 2)
+    mean, se = np.mean(sq, axis=1), np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
+    exact = h * h * np.array([np.sum(np.exp(-0.5 * x * x * var)) for x in xis])
+    kummer = lambda s: special.hyp1f1(s, 1.0 + s, -0.5 * np.asarray(xis, dtype=float) ** 2)
+    continuum = 2.0 * kummer(0.5 / H) - kummer(1.0 / H)
+    worst = float(np.max(np.abs(mean - exact) / np.maximum(3.0 * se, 1e-12 * exact)))
+    return CheckResult("occupation_density", worst <= 1.0, worst, 1.0, 1.0 - worst, {
+        "xi": xis, "mean": mean, "stderr": se, "grid": exact, "continuum": continuum, "floor": h})
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +778,8 @@ def run_all(seed: int = 0) -> list:
         lambda: kernel_increment_bound_check(0.1, 1.0, 0.05, 0.02, seed=seed + 8),
         lambda: haar_random_battery(seed + 9, count=20),
         lambda: stirling_battery(seed + 10, count=100),
-        lambda: occupation_density_check(
-            0.3, 2 ** 14, lambda z: np.exp(-0.5 * (z - 0.2) ** 2), 0.0, 1.0,
-            bins=256, seed=seed + 11),
+        lambda: occupation_density_check(0.08, 64, 1000, (0.5, 1.0, 2.0, 3.0),
+                                         seed=seed + 11),
     ]
     return [fn() for fn in tasks]
 

@@ -163,6 +163,9 @@ class TestRunBasics:
         ({"command": "solve", "phis": []}, "phis"),
         ({"command": "girsanov", "phis": []}, "phis"),
         ({"command": "converge", "phis": []}, "phis"),
+        ({"command": "solve", "t_eval": 1e308}, "t_eval"),  # t / step overflows
+        ({"command": "girsanov", "t_eval": 1e308}, "t_eval"),
+        ({"command": "converge", "t_eval": 1e308}, "t_eval"),
     ])
     def test_bad_functional_or_time_exits_one(self, tmp_path, capsys, params, field):
         cfg_file = tmp_path / "bad.yaml"
@@ -180,6 +183,27 @@ class TestRunBasics:
         assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
         assert "1/12" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,key,ratio", [
+        ("simulate", "hurst_ratio", 1e308), ("simulate", "hurst_ratio", -1e308),
+        ("solve", "hurst_ratio", 1e308), ("validate", "hurst_ratio", 1e308),
+        ("girsanov", "hurst_ratio", -1e308), ("simulate", "weight_ratio", 1e308),
+    ])
+    def test_out_of_range_ratio_rejected_at_run(self, tmp_path, capsys, command, key, ratio):
+        # ratio ** k overflows when the sequence heads are built
+        cfg = cli.load_config({"command": command, "mc": {"n_paths": 100},
+                               "grid": {"n_cells": 16}, "sequences": {key: ratio}})
+        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
+        assert "ratio" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_validate_fails_on_an_infinite_bound(self, tmp_path, capsys):
+        # decay_first = 0 leaves the envelope integral and its bound infinite
+        cfg = cli.load_config({"command": "validate", "grid": {"n_cells": 16},
+                               "mc": {"n_paths": 100}, "drift": {"decay_first": 0}})
+        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_NUMERICAL
+        assert "validation failed" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()  # so no row reads True
 
     def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
         rc = cli.main(["--seed", "-1", "--out", str(tmp_path / "o"), "simulate"])
@@ -252,8 +276,13 @@ class TestVerifySuiteCommand:
     def test_report_lists_all_checks(self, tmp_path):
         cfg = cli.load_config({"command": "verify-suite", "mc": {"seed": 0,
                                                                 "n_paths": 100}})
-        assert cli.run(cfg, out_dir=tmp_path) == cli.EXIT_OK
-        body = read_body(tmp_path / "report.csv")
+        bodies = []
+        for rerun in ("a", "b"):
+            assert cli.run(cfg, out_dir=tmp_path / rerun) == cli.EXIT_OK
+            bodies.append(read_body(tmp_path / rerun / "report.csv"))
+        # the occupation check samples noise, so reruns must still agree byte for byte
+        assert bodies[0] == bodies[1]
+        body = bodies[0]
         assert body[0].startswith("check_id,")
         ids = [ln.split(",")[0] for ln in body[1:]]
         for expected in ("shuffle_integral", "prod_sum", "permanent",

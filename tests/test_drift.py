@@ -106,6 +106,14 @@ class TestClassValidation:
         assert not report.passed
         assert report.entries[0].integral_measured == np.inf
 
+    def test_infinite_bound_fails(self, weights):
+        # no decay: the envelope integral and its declared bound are both
+        # infinite, and inf <= inf must not pass
+        spec = drift.indicator_exponential_family(weights, 2, decay_first=0.0)
+        report = drift.validate_drift_class(spec, 2, scaling_for(weights, 2))
+        assert np.isinf(report.entries[0].integral_bound)
+        assert not report.entries[0].passed and not report.passed
+
 
 class TestTruncation:
     def test_full_level_is_identity(self, jump_spec):

@@ -421,36 +421,75 @@ class TestStirlingBound:
         assert res.measured == verify.stirling_bound_check([[1, 2], [3]]).measured
 
 
+def _occupation_row(seed):
+    return next(r for r in verify.run_all(seed) if r.check_id == "occupation_density")
+
+
 class TestOccupationDensity:
+    # run_all checks H = 0.08; the kernel construction is the law girsanov and
+    # converge price, its kernel matrix times the cell increments' sqrt(h)
+    @pytest.mark.parametrize("factor", [
+        lambda H, grid: fbm.cholesky_factor(0.12, grid),
+        lambda H, grid: fbm.kernel_matrix(H, grid) * np.sqrt(grid.step),
+    ], ids=["cholesky-H0.12", "kernel-construction"])
+    def test_wrong_factor_fails(self, monkeypatch, factor):
+        monkeypatch.setattr(verify, "cholesky_factor", factor)
+        res = _occupation_row(0)
+        assert not res.status and res.measured > res.bound
+
+    def test_same_seed_same_result(self):
+        a, b = (verify.occupation_density_check(0.08, 64, 1000, (0.5, 1.0, 2.0, 3.0), seed=11)
+                for _ in range(2))
+        assert a.measured == b.measured
+        for key in ("mean", "stderr", "grid"):
+            assert np.array_equal(a.details[key], b.details[key])
+
+    def test_grid_value_is_the_stationary_increment_sum(self):
+        H, n = 0.08, 64
+        res = verify.occupation_density_check(H, n, 10, (0.5, 3.0), seed=0)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / n
+        for xi, grid_value in zip((0.5, 3.0), res.details["grid"]):
+            want = np.sum(np.exp(-0.5 * xi ** 2 * lag ** (2 * H))) / n ** 2
+            assert grid_value == pytest.approx(want, rel=1e-12)
+        # at xi = 3 the grid value sits above its diagonal floor h and above
+        # the continuum value, which decays faster
+        assert res.details["grid"][1] > res.details["continuum"][1] > res.details["floor"]
+
     def test_constant_is_exact(self):
-        res = verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
-                                              0.0, 1.0, bins=64, seed=1)
+        """At xi = 0 the transform is the total mass 1 on every path, with zero SE."""
+        res = verify.occupation_density_check(0.08, 64, 100, (0.0, 1.0), seed=1)
         assert res.status
-        assert res.details["lhs"] == pytest.approx(1.0, abs=1e-12)
-        assert res.details["rhs"] == pytest.approx(1.0, abs=1e-12)
+        assert res.details["mean"][0] == pytest.approx(1.0, abs=1e-12)
+        assert res.details["grid"][0] == pytest.approx(1.0, abs=1e-12)
+        assert res.details["stderr"][0] == 0.0
 
     def test_covering_indicator_is_exact(self):
-        res = verify.occupation_density_check(
-            0.3, 2 ** 10, lambda z: (np.abs(z) < 50.0).astype(float),
-            0.0, 1.0, bins=64, seed=2)
-        assert res.details["lhs"] == pytest.approx(res.details["rhs"], abs=1e-12)
+        """One cell: its left node B_0 = 0 carries the whole mass, so every xi reads 1."""
+        res = verify.occupation_density_check(0.08, 1, 100, (0.5, 3.0), seed=2)
+        assert res.status and res.measured == 0.0
+        assert np.array_equal(res.details["mean"], [1.0, 1.0])
+        assert np.array_equal(res.details["grid"], [1.0, 1.0])
 
     def test_gaussian_bump_two_percent(self):
-        res = verify.occupation_density_check(
-            0.3, 2 ** 14, lambda z: np.exp(-0.5 * (z - 0.2) ** 2), 0.0, 1.0,
-            bins=256, seed=3)
-        assert res.status and res.measured < 0.02
+        """run_all's arguments at run_all(0)'s seed pass on the real factor."""
+        res = _occupation_row(0)
+        assert res.status and res.measured < res.bound
 
-    @pytest.mark.parametrize("theta", [-0.5, 1.0, 1.5, 1.0 - 2.0 ** -12])
-    def test_theta_outside_window_rejected(self, theta):
+    @pytest.mark.parametrize("H", [-0.5, 1.0, 1.5, 1.0 - 2.0 ** -12])
+    def test_theta_outside_window_rejected(self, H):
+        """A Hurst index outside the window (0, 1/2) is rejected before any draw."""
         with pytest.raises(fbm.DomainError):
-            verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
-                                            theta, 1.0, bins=64, seed=1)
+            verify.occupation_density_check(H, 64, 10, (1.0,), seed=1)
 
     def test_interior_theta_uses_the_tail(self):
-        res = verify.occupation_density_check(0.3, 2 ** 10, lambda z: np.ones_like(z),
-                                              0.5, 1.0, bins=64, seed=1)
-        assert res.details["lhs"] == pytest.approx(0.5, abs=1e-12)
+        """At large xi the continuum value follows its tail
+        2 Gamma(1 + 1/2H) (2 / xi^2)^(1/2H), the |xi|^(-1/H) decay; the (1 - u)
+        weight and the cut at u = 1 change it by O(xi^(-1/H)) relative."""
+        H, xis = 0.3, (20.0, 40.0)
+        res = verify.occupation_density_check(H, 8, 10, xis, seed=1)
+        for xi, value in zip(xis, res.details["continuum"]):
+            tail = 2.0 * math.gamma(1.0 + 0.5 / H) * (2.0 / xi ** 2) ** (0.5 / H)
+            assert value == pytest.approx(tail, rel=1e-3)
 
 
 def _fgn_autocovariance(H, n, step):
@@ -460,23 +499,34 @@ def _fgn_autocovariance(H, n, step):
         * step ** (2 * H)
 
 
+def _fgn_from_factor(H, n_cells, step, z):
+    """Increments of the paths L Z on n_cells cells of the given step, L the
+    Cholesky factor the occupation check and the commands' sampler multiply."""
+    L = fbm.cholesky_factor(H, fbm.TimeGrid(n_cells * step, n_cells))
+    return np.diff(L @ z, axis=0, prepend=0.0)
+
+
 class TestFgnCirculant:
+    """Exact law of the fractional Gaussian noise the occupation check draws."""
+
     @pytest.mark.parametrize("H", [0.01, 0.08, 0.3, 0.45])
     @pytest.mark.parametrize("n", [16, 2 ** 14])
     def test_embedding_is_nonnegative_and_exact(self, H, n):
-        lam = verify._fgn_circulant_eigenvalues(H, n, 1.0 / n)
-        assert len(lam) == 2 * n
-        assert lam.min() > 0.0
-        gam = _fgn_autocovariance(H, n, 1.0 / n)
-        back = np.fft.ifft(lam)
-        assert np.max(np.abs(back.real[: n + 1] - gam)) <= 1e-12 * gam[0]
-        assert np.max(np.abs(back.imag)) <= 1e-12 * gam[0]
+        """On the first 16 cells of step 1/n the factor has a positive diagonal
+        and its increments have exactly the Toeplitz autocovariance."""
+        L = fbm.cholesky_factor(H, fbm.TimeGrid(16.0 / n, 16))
+        assert np.all(np.diag(L) > 0.0)
+        D = np.diff(np.eye(17), axis=0)[:, 1:]  # increments of (0, B_{t_1}, ..., B_{t_16})
+        D[0, 0] = 1.0
+        gam = _fgn_autocovariance(H, 16, 1.0 / n)
+        want = gam[np.abs(np.subtract.outer(np.arange(16), np.arange(16)))]
+        assert np.max(np.abs(D @ L @ L.T @ D.T - want)) <= 1e-12 * gam[0]
 
     @pytest.mark.parametrize("H", [0.01, 0.3])
     def test_empirical_covariance_is_toeplitz(self, H):
         n, n_draws = 32, 20_000
         rng = np.random.default_rng(11)
-        X = np.stack([verify._fgn_circulant(H, n, 1.0 / n, rng) for _ in range(n_draws)])
+        X = _fgn_from_factor(H, n, 1.0 / n, rng.standard_normal((n, n_draws))).T
         gam = _fgn_autocovariance(H, n, 1.0 / n)
         want = gam[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
         # zero-mean estimator; Var(X_i X_j) = C_ii C_jj + C_ij^2
@@ -484,8 +534,8 @@ class TestFgnCirculant:
         assert np.all(np.abs(X.T @ X / n_draws - want) <= 5.0 * se)
 
     def test_same_seed_same_draw(self):
-        a = verify._fgn_circulant(0.3, 1000, 1e-3, np.random.default_rng(5))
-        b = verify._fgn_circulant(0.3, 1000, 1e-3, np.random.default_rng(5))
+        a = _fgn_from_factor(0.3, 1000, 1e-3, np.random.default_rng(5).standard_normal(1000))
+        b = _fgn_from_factor(0.3, 1000, 1e-3, np.random.default_rng(5).standard_normal(1000))
         assert np.array_equal(a, b)
 
 
