@@ -123,7 +123,9 @@ class WeightSequence(_GeometricTailSequence):
                 raise SequenceConstraintError(f"weights must be non-negative, got {w}")
         sq = sum(w * w for w in heads)
         if self.tail_ratio > 0.0:
-            sq += _geometric_tail_sum(heads[-1] ** 2, self.tail_ratio ** 2)
+            sq += _geometric_tail_sum(heads[-1] * heads[-1], self.tail_ratio ** 2)
+        if not math.isfinite(sq):  # a float square overflows to inf
+            raise SequenceConstraintError(f"sum lambda_k^2 overflows at weight_first = {heads[0]}")
         object.__setattr__(self, "sum_squares", sq)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .cylinder import WeightSequence, run_component_lanes
 from .fbm import DomainError
@@ -27,7 +26,8 @@ REGION_KINDS = ("halfspace", "ball")
 
 
 def _norm_cdf(x):
-    return 0.5 * (1.0 + special.erf(np.asarray(x) / np.sqrt(2.0)))
+    from scipy.special import erf  # only the mollified drift loads scipy
+    return 0.5 * (1.0 + erf(np.asarray(x) / np.sqrt(2.0)))
 
 
 def _norm_pdf(x):
@@ -320,8 +320,8 @@ def _exp_ball_integral(n: int, rate: float) -> float:
         return 1.0
     if rate <= 0.0:
         return math.inf
-    surface = 2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0)
-    return surface * special.gamma(n) / rate ** n
+    surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return surface * math.gamma(n) / rate ** n
 
 
 def _zero_component(t, y: np.ndarray) -> np.ndarray:
@@ -537,12 +537,12 @@ class MollifiedDrift:
         return self.evaluator(t, z, out=out)
 
 
-def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
+def _smoothed_step(st: JumpExpStructure, eps: float, erf, u: np.ndarray) -> np.ndarray:
     """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
     place over ``u`` in the operation order of :func:`_norm_cdf`."""
     u /= eps
     u /= np.sqrt(2.0)
-    special.erf(u, out=u)
+    erf(u, out=u)
     u += 1.0
     u *= 0.5
     u *= st.a - st.b
@@ -550,7 +550,7 @@ def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarra
     return u
 
 
-def _mollified_structure_value(st: JumpExpStructure, eps: float, t, z: np.ndarray,
+def _mollified_structure_value(st: JumpExpStructure, eps: float, erf, t, z: np.ndarray,
                                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The mollified component's values at t on states z, written into
     ``out``; all workspace is taken from ``scratch``."""
@@ -559,12 +559,12 @@ def _mollified_structure_value(st: JumpExpStructure, eps: float, t, z: np.ndarra
     rho = _projection_norm(st, z, out, tmp)
     if reg.kind == "halfspace":
         if reg.axis in st.coords:
-            smooth = _smoothed_step(st, eps, np.subtract(reg.offset / st.scale, z[reg.axis],
-                                                         out=tmp))
+            smooth = _smoothed_step(st, eps, erf, np.subtract(reg.offset / st.scale,
+                                                              z[reg.axis], out=tmp))
         else:
             smooth = st.a if 0.0 <= reg.offset else st.b
     else:
-        smooth = _smoothed_step(st, eps, np.subtract(reg.radius / st.scale, rho, out=tmp))
+        smooth = _smoothed_step(st, eps, erf, np.subtract(reg.radius / st.scale, rho, out=tmp))
     amp = _damped_amplitude(st, t, rho, node)
     amp *= smooth
     return amp
@@ -605,6 +605,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
     be zero or carry its closed-form structure (:func:`truncate_drift`)."""
     if not eps > 0.0:
         raise DomainError(f"mollifier width must be positive, got {eps}")
+    from scipy.special import erf  # once per mollification, not per evaluation
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
 
@@ -617,7 +618,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
 
         def work(k, scratch):
             if comps[k].sup_bound != 0.0:
-                _mollified_structure_value(comps[k].structure, eps, t, z, out[k], scratch)
+                _mollified_structure_value(comps[k].structure, eps, erf, t, z, out[k], scratch)
             else:
                 out[k] = 0.0
 

@@ -1,8 +1,9 @@
 """One-dimensional fractional Brownian motion with rough paths (Hurst index below 1/2).
 
-Covariance, the lower-triangular Volterra kernel and its closed-form grid
-discretization, the Cholesky factor of the node covariance, Gaussian
-conditioning, and the empirical local non-determinism constant.
+Covariance, the complete and incomplete beta functions in numpy, the
+lower-triangular Volterra kernel and its closed-form grid discretization, the
+Cholesky factor of the node covariance, Gaussian conditioning, and the
+empirical local non-determinism constant.
 :func:`cylfbm.cylinder.sample_cyl_fbm`, the one sampler, draws the weighted
 components from the kernel matrix or the Cholesky factor.
 """
@@ -10,10 +11,10 @@ components from the kernel matrix or the Cholesky factor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class DomainError(ValueError):
@@ -90,13 +91,60 @@ def covariance(H, t: float, s: float) -> float:
 
 
 @functools.lru_cache(maxsize=256)
+def beta(a: float, b: float) -> float:
+    """Complete beta Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0; cached for scalar quadrature."""
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+def _beta_series(a: float, b: float, x):
+    """x^a (1-x)^b / (a B(a, b)) sum_n (a+b)_n / (a+1)_n x^n (DLMF 8.17.7), summed
+    until no term exceeds 1e-17 of the sum.  The terms shrink slowest at the
+    largest x, which so sets the number of terms for an array; later terms are
+    below half an ulp of each sum, so scalar and array calls agree bit for bit."""
+    x_max = x if isinstance(x, float) else float(np.max(x, initial=0.0))
+    ab, a1 = a + b, a + 1.0
+    term, total, n = 1.0, 1.0, 0
+    while term > 1e-17 * total:
+        term = term * x_max * ((ab + n) / (a1 + n))
+        total += term
+        n += 1
+    if isinstance(x, float):  # numpy's power, as for an array: Python's may differ by an ulp
+        pa, pb = np.power((x, 1.0 - x), (a, b)).tolist()
+        return pa * pb / (a * beta(a, b)) * total
+    term, total = np.ones_like(x), np.ones_like(x)
+    for k in range(n):  # the same recurrence, elementwise
+        term *= x
+        term *= (ab + k) / (a1 + k)
+        total += term
+    return x ** a * (1.0 - x) ** b / (a * beta(a, b)) * total
+
+
+def betainc(a: float, b: float, x):
+    """Both tails (I_x(a, b), I_{1-x}(b, a)) of the regularized incomplete beta
+    function, a, b > 0 scalars, x in [0, 1] a float or an array: one power
+    series in x up to x = (a+1)/(a+b+2), in 1 - x with a, b swapped above, and
+    the other tail is 1 minus it.  A scalar x runs in Python floats."""
+    switch = (a + 1.0) / (a + b + 2.0)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        s = _beta_series(b, a, 1.0 - x) if x > switch else _beta_series(a, b, x)
+        return (1.0 - s, s) if x > switch else (s, 1.0 - s)
+    x = np.asarray(x, dtype=float)
+    flip = x > switch
+    s = np.empty_like(x)
+    s[~flip] = _beta_series(a, b, x[~flip])
+    s[flip] = _beta_series(b, a, 1.0 - x[flip])
+    return np.where(flip, 1.0 - s, s), np.where(flip, s, 1.0 - s)
+
+
+@functools.lru_cache(maxsize=256)
 def c_factor(H) -> float:
     """Normalization sqrt(2H / ((1-2H) B(1-2H, H+1/2))) of the Volterra kernel.
 
     Cached per H: every kernel evaluation reads it.
     """
     H = as_hurst(H)
-    return float(np.sqrt(2 * H / ((1 - 2 * H) * special.beta(1 - 2 * H, H + 0.5))))
+    return math.sqrt(2 * H / ((1 - 2 * H) * beta(1 - 2 * H, H + 0.5)))
 
 
 def kernel_fractional_norm(H) -> float:
@@ -109,13 +157,13 @@ def kernel_fractional_norm(H) -> float:
     :func:`cylfbm.fraccalc.kh_inverse_matrix` is applied.
     """
     H = as_hurst(H)
-    return c_factor(H) * float(special.gamma(H + 0.5))
+    return c_factor(H) * math.gamma(H + 0.5)
 
 
 def _beta_tail(H: float, z) -> np.ndarray:
     """integral_z^1 w^(-2H) (1-w)^(H-1/2) dw, elementwise in z."""
     a, b = 1 - 2 * H, H + 0.5
-    return special.beta(a, b) * special.betainc(b, a, 1.0 - np.asarray(z))
+    return beta(a, b) * betainc(a, b, z)[1]
 
 
 def _log_kernel(H: float, t, u, log_diff=None) -> np.ndarray:
@@ -126,15 +174,14 @@ def _log_kernel(H: float, t, u, log_diff=None) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
-    # log of 0 is a legitimate -inf here (vanishing tail term at u -> t)
-    with np.errstate(divide="ignore"):
+    # log 0 = -inf (vanishing tail at u -> t) and a nan weight of -inf - -inf are legitimate
+    with np.errstate(divide="ignore", invalid="ignore"):
         if log_diff is None:
             log_diff = np.log(t - u)
         lc = np.log(c_factor(H))
         l1 = lc + (H - 0.5) * (np.log(t) - np.log(u)) + (H - 0.5) * log_diff
         l2 = lc + np.log(0.5 - H) + (H - 0.5) * np.log(u) + np.log(_beta_tail(H, u / t))
-    hi = np.maximum(l1, l2)
-    with np.errstate(invalid="ignore"):
+        hi = np.maximum(l1, l2)
         low = np.exp(np.minimum(l1, l2) - hi)
     return hi + np.log1p(np.where(np.isfinite(low), low, 0.0))
 
@@ -195,7 +242,7 @@ def _kernel_primitive(H: float, z: np.ndarray) -> np.ndarray:
     integrates by parts, and their coefficients add up to 1/p.
     """
     a, p = 1.5 - H, H + 0.5
-    return special.beta(a, p) * special.betainc(a, p, z) + (0.5 - H) * z ** p * _beta_tail(H, z)
+    return beta(a, p) * betainc(a, p, z)[0] + (0.5 - H) * z ** p * _beta_tail(H, z)
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,8 +298,7 @@ def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
-        "covariance not positive definite after jitter ladder %s" % (JITTER_LADDER,)
-    )
+        "covariance not positive definite after jitter ladder %s" % (JITTER_LADDER,))
 
 
 def cholesky_factor(H, grid: TimeGrid) -> np.ndarray:
@@ -288,9 +334,7 @@ def schur_conditional_variance(cov: np.ndarray, target: int, conditioning,
             sol = np.linalg.solve(S + jitter * np.eye(len(conditioning)), c)
             regularized = True
         value = float(cov[target, target] - c @ sol)
-        if value < 0.0:  # roundoff for near-perfect conditioning
-            value = max(value, -1e-10)
-            value = max(value, 0.0)
+        value = max(value, 0.0)  # roundoff for near-perfect conditioning
     if return_info:
         return value, {"regularized": regularized}
     return value
@@ -310,18 +354,14 @@ def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> float:
     nodes = grid.nodes[1:]  # node 0 is deterministic, carries no information
     cov = exact_covariance_matrix(H, grid)
     best = np.inf
-    found = False
     for i, t in enumerate(nodes):
         if t < r:
             continue
-        conds = np.nonzero(np.abs(nodes - t) >= r)[0]
-        conds = [int(j) for j in conds if j != i]
+        conds = [int(j) for j in np.flatnonzero(np.abs(nodes - t) >= r) if j != i]
         if not conds:
             continue
-        found = True
-        val = schur_conditional_variance(cov, i, conds)
-        best = min(best, val / r ** (2 * H))
-    if not found:
+        best = min(best, schur_conditional_variance(cov, i, conds) / r ** (2 * H))
+    if best == np.inf:  # no node had conditioning nodes
         raise DomainError("grid too coarse: no conditioning nodes at distance >= r")
     if not (0.0 < best <= 1.0):
         raise DomainError(f"local non-determinism estimate must lie in (0, 1], got {best}")

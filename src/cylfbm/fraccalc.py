@@ -13,11 +13,11 @@ kernel and weight are integrated exactly per cell.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-from scipy import special
 
-from .fbm import TimeGrid, as_hurst
+from .fbm import TimeGrid, as_hurst, beta, betainc
 
 
 @functools.lru_cache(maxsize=64)
@@ -26,31 +26,28 @@ def weighted_integral_matrix(alpha: float, mu: float, t_end: float, n_cells: int
 
     g is piecewise linear on the grid; the algebraic kernel and weight are
     integrated exactly per cell through regularized incomplete beta values,
-    evaluated from whichever tail is numerically small.
+    differenced in whichever tail is numerically small at the cell midpoint.
+    All rows are built in one pass over the lower triangle.
     """
-    grid = TimeGrid(t_end, n_cells)
-    nodes = grid.nodes
-    N = n_cells
-    A = np.zeros((N + 1, N + 1))
-    ga = special.gamma(alpha)
-    for i in range(1, N + 1):
-        s = nodes[i]
-        z = nodes[: i + 1] / s
-        moms = []
-        for k in (0, 1):
-            a_, b_ = mu + k + 1.0, alpha
-            bfull = special.beta(a_, b_)
-            direct = special.betainc(a_, b_, z) * bfull
-            comp = special.betainc(b_, a_, 1.0 - z) * bfull
-            mid_hi = 0.5 * (z[1:] + z[:-1]) > 0.5
-            dif = np.where(mid_hi, comp[:-1] - comp[1:], direct[1:] - direct[:-1])
-            moms.append(s ** (mu + k + alpha) * dif)
-        m0, m1 = moms
-        tl, tr = nodes[:i], nodes[1 : i + 1]
-        hh = tr - tl
-        A[i, :i] += (tr * m0 - m1) / hh
-        A[i, 1 : i + 1] += (m1 - tl * m0) / hh
-    A /= ga
+    nodes = TimeGrid(t_end, n_cells).nodes
+    # row r holds t_i = t_{r+1} and its nodes t_j, j <= i, as ratios z = t_j / t_i
+    rows, cols = np.tril_indices(n_cells, 1, n_cells + 1)
+    z = np.zeros((n_cells, n_cells + 1))
+    z[rows, cols] = nodes[cols] / nodes[rows + 1]
+    mid_hi = 0.5 * (z[:, 1:] + z[:, :-1]) > 0.5
+    moms = []
+    for k in (0, 1):
+        a_ = mu + k + 1.0
+        lower, upper = np.zeros_like(z), np.zeros_like(z)
+        lower[rows, cols], upper[rows, cols] = betainc(a_, alpha, z[rows, cols])
+        dif = np.where(mid_hi, upper[:, :-1] - upper[:, 1:], lower[:, 1:] - lower[:, :-1])
+        moms.append(np.tril(nodes[1:, None] ** (mu + k + alpha) * beta(a_, alpha) * dif))
+    m0, m1 = moms
+    tl, tr, hh = nodes[:-1], nodes[1:], np.diff(nodes)
+    A = np.zeros((n_cells + 1, n_cells + 1))
+    A[1:, :-1] += (tr * m0 - m1) / hh
+    A[1:, 1:] += (m1 - tl * m0) / hh
+    A /= math.gamma(alpha)
     A.flags.writeable = False
     return A
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import drift as drift_mod
 from . import girsanov as girsanov_mod
@@ -170,7 +169,7 @@ def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
     if len(pos) >= 2:
         ns = np.array([n for n, _ in pos], dtype=float)
         logs = np.array([math.log(r) for _, r in pos])
-        shape = ns * math.log(t_end) - gammaln(ns + 1.0)
+        shape = ns * math.log(t_end) - np.array([math.lgamma(n + 1.0) for n in ns])
         fitted = math.exp(float(np.sum((logs - shape) * ns) / np.sum(ns ** 2)))
     else:
         fitted = 0.0
@@ -330,14 +329,15 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
+    # plain callables (the strong solve needs no Lipschitz estimate), built first:
+    # scipy.special (erf) loaded among the target's freed arrays raised peak RSS 16%
+    evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,
         target_seed, block_size=block_size)
     idx_t = girsanov_mod._node_index(grid, t)
     x = girsanov_mod._start_point(x, d_ref)
     phis = {phi_id: girsanov_mod.make_functional(phi_id) for phi_id in phi_ids}
-    # plain callables: the strong solve needs no Lipschitz estimate
-    evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     moments = [{phi_id: (girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
                 for phi_id in phis} for _ in schedule]
     for m, block_seed in girsanov_mod.mc_blocks(n_paths, run_seed, block_size):

@@ -184,17 +184,19 @@ class TestRunBasics:
         assert "1/12" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command,key,ratio", [
+    @pytest.mark.parametrize("command,key,value", [
         ("simulate", "hurst_ratio", 1e308), ("simulate", "hurst_ratio", -1e308),
         ("solve", "hurst_ratio", 1e308), ("validate", "hurst_ratio", 1e308),
         ("girsanov", "hurst_ratio", -1e308), ("simulate", "weight_ratio", 1e308),
-    ])
-    def test_out_of_range_ratio_rejected_at_run(self, tmp_path, capsys, command, key, ratio):
-        # ratio ** k overflows when the sequence heads are built
+    ] + [(command, "weight_first", value) for value in (1e200, 1e308)
+         for command in ("simulate", "solve", "girsanov", "validate")])
+    def test_out_of_range_ratio_rejected_at_run(self, tmp_path, capsys, command, key, value):
+        # ratio ** k overflows when the sequence heads are built, and the
+        # square of a huge weight_first in the square-sum
         cfg = cli.load_config({"command": command, "mc": {"n_paths": 100},
-                               "grid": {"n_cells": 16}, "sequences": {key: ratio}})
+                               "grid": {"n_cells": 16}, "sequences": {key: value}})
         assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
-        assert "ratio" in capsys.readouterr().err
+        assert ("ratio" if key.endswith("_ratio") else key) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_validate_fails_on_an_infinite_bound(self, tmp_path, capsys):
@@ -232,8 +234,10 @@ class TestRunBasics:
 
 class TestImportPath:
     def test_sampling_commands_skip_quadrature_and_lemma_suite(self, tmp_path):
-        # only verify-suite (and the stochastic derivative) need scipy.integrate;
-        # the package still resolves `verify` on access, as the tracer does.
+        # import, girsanov, simulate and validate load no scipy module; the
+        # mollified drift of converge loads scipy.special for erf, and only
+        # verify-suite (and the stochastic derivative) need scipy.integrate.
+        # The package still resolves `verify` on access, as the tracer does.
         # Only the sampling commands run component lanes: verify-suite and
         # validate start no thread.
         script = f"""
@@ -241,16 +245,20 @@ import sys
 import threading
 import cylfbm
 from cylfbm import cli
+scipy_modules = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not scipy_modules(), scipy_modules()
 started = []
 start = threading.Thread.start
 def counted_start(thread):
     started.append(thread.name)
     start(thread)
 threading.Thread.start = counted_start
-for command in ("girsanov", "converge"):
+for command in ("girsanov", "simulate", "validate", "converge"):
     cfg = cli.load_config({{"command": command, "grid": {{"n_cells": 16}},
                            "mc": {{"n_paths": 200, "seed": 3}}}})
     assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK
+    if command != "converge":
+        assert not scipy_modules(), (command, scipy_modules())
 loaded = sorted({{"scipy.integrate", "cylfbm.verify"}} & set(sys.modules))
 assert not loaded, loaded
 assert getattr(cylfbm, "verify").__name__ == "cylfbm.verify"
@@ -260,7 +268,7 @@ started.clear()
 cfg = cli.load_config({{"command": "verify-suite", "mc": {{"seed": 0}}}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/verify") == cli.EXIT_OK
 cfg = cli.load_config({{"command": "validate", "grid": {{"n_cells": 16}}, "d": 2}})
-assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate") == cli.EXIT_OK
+assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate-d2") == cli.EXIT_OK
 assert not started, started
 assert threading.active_count() == active
 """

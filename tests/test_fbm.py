@@ -61,6 +61,52 @@ class TestCFactor:
             assert fbm.c_factor(H) > 0.0
 
 
+def beta_families(H):
+    """The (a, b) pairs of every incomplete beta the code evaluates: the
+    kernel primitive, the beta tail, and the two moments of each
+    weighted-integral matrix (the inverse transform and both factors of the
+    forward transform)."""
+    return [(1.5 - H, H + 0.5), (1 - 2 * H, H + 0.5),
+            (1.5 - H, 0.5 - H), (2.5 - H, 0.5 - H),
+            (H + 0.5, 0.5 - H), (H + 1.5, 0.5 - H),
+            (1.5 - H, 2 * H), (2.5 - H, 2 * H)]
+
+
+def ratio_grid(n_cells, first_row=1):
+    """The ratios t_j / t_i, j <= i, of the grid rows first_row..n_cells."""
+    return np.unique(np.concatenate([np.arange(i + 1) / i
+                                     for i in range(first_row, n_cells + 1)]))
+
+
+class TestBetaFunctions:
+    # the last 32 rows of the 1024-cell grid carry its ratios nearest 0 and 1
+    GRID = np.unique(np.concatenate([ratio_grid(16), ratio_grid(128), ratio_grid(1024, 993)]))
+
+    @pytest.mark.parametrize("H", [0.01, 0.02, 0.04, 0.08, 0.3, 0.45])
+    def test_both_tails_match_scipy(self, H):
+        x = self.GRID
+        assert x[0] == 0.0 and x[-1] == 1.0
+        for a, b in beta_families(H):
+            lower, upper = fbm.betainc(a, b, x)
+            np.testing.assert_allclose(lower, special.betainc(a, b, x), rtol=0, atol=5e-15)
+            np.testing.assert_allclose(upper, special.betainc(b, a, 1.0 - x), rtol=0, atol=5e-15)
+            assert fbm.betainc(a, b, 0.0) == (0.0, 1.0) and fbm.betainc(a, b, 1.0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("H", [0.01, 0.08, 0.45])
+    def test_scalar_and_array_calls_agree(self, H):
+        x = ratio_grid(128)
+        for a, b in beta_families(H):
+            lower, upper = fbm.betainc(a, b, x)
+            scalar = np.array([fbm.betainc(a, b, v) for v in x])
+            np.testing.assert_allclose(scalar[:, 0], lower, rtol=0, atol=4e-16)
+            np.testing.assert_allclose(scalar[:, 1], upper, rtol=0, atol=4e-16)
+
+    def test_complete_beta_matches_scipy(self):
+        for H in (0.001, 0.01, 0.02, 0.04, 0.08, 0.3, 0.45, 0.499):
+            for a, b in beta_families(H):
+                assert fbm.beta(a, b) == pytest.approx(special.beta(a, b), rel=1e-14)
+
+
 class TestKernel:
     def test_divergence_at_upper_endpoint(self):
         t = 1.0
