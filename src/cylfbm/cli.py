@@ -6,15 +6,14 @@ artifact); the only environment override is the output directory.  CSV bodies
 use fixed 17-significant-digit formatting so identical configurations diff
 byte-for-byte; timestamps and the reliability of a weighted sample (its ESS
 fraction, mean weight and low-ESS flag) appear only in comment headers.
-Functionals (at least one for the pricing commands), the evaluation time,
-the initial point, the seed, the region (kind, ball radius, halfspace axis)
-and the finiteness of every real-valued entry are checked when the
-configuration loads.
+``_SCHEMA`` holds every key's domain (``cylfbm --schema`` prints it), and the
+constraints across keys run when the configuration loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -34,48 +33,89 @@ EXIT_NUMERICAL = 2
 
 COMMANDS = ("simulate", "validate", "solve", "converge", "girsanov", "verify-suite")
 
-MIN_CELLS = 16
-MIN_PATHS = 100
-
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
-# schema: key -> (type, default, constraint note or None)
+@dataclass(frozen=True)
+class Interval:
+    """The numbers (integers if ``integer``) from lo to hi, each end open or closed
+    as ``ends`` shows.  An infinite end is open, so NaN and +-inf never belong."""
+
+    lo: float
+    hi: float = math.inf
+    ends: str = "()"
+    integer: bool = False
+
+    def parse(self, raw):
+        """raw as an int or float inside the interval; ValueError otherwise,
+        also for a boolean and, in an integer interval, a non-integral number."""
+        if isinstance(raw, bool) or (self.integer and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise ValueError
+        val = int(raw) if self.integer else float(raw)
+        if not ((self.lo <= val if self.ends[0] == "[" else self.lo < val)
+                and (val <= self.hi if self.ends[1] == "]" else val < self.hi)):
+            raise ValueError
+        return val
+
+    def __str__(self) -> str:
+        kind = "an integer" if self.integer else "a real number"
+        return f"{kind} in {self.ends[0]}{_num(self.lo)}, {_num(self.hi)}{self.ends[1]}"
+
+
+def _num(x: float) -> str:
+    """x in short: 1/12, not 0.0833..."""
+    return f"1/{1 / x:.0f}" if 0 < abs(x) < 1 and (1 / x).is_integer() else f"{x:g}"
+
+
+def _at_least(n: int) -> Interval:
+    return Interval(n, ends="[)", integer=True)
+
+
+_REAL = Interval(-math.inf)
+_POSITIVE = Interval(0.0)
+_LEVEL = _at_least(1)
+
+# key -> (type, default, domain).  The domain is an Interval for a number and
+# for each entry of x0, one Interval per place of each schedule pair, the
+# allowed values of a string, or None.
 _SCHEMA = {
-    "command": (str, "verify-suite", f"one of {', '.join(COMMANDS)}"),
-    "sequences.hurst_first": (float, 0.08, "sup_k H_k = hurst_first must stay < 1/12"),
-    "sequences.hurst_ratio": (float, 0.5,
-                              "sum_k H_k = hurst_first/(1-hurst_ratio) must stay < 1/6"),
-    "sequences.weight_first": (float, 0.5, "weights must be square-summable"),
-    "sequences.weight_ratio": (float, 0.5,
-                               "weight_ratio < sqrt(hurst_ratio) keeps sum lambda_k/sqrt(H_k) finite"),
-    "sequences.d_max": (int, 8, None),
-    "drift.amp_first": (float, 0.4, "sup-bound constants must be summable"),
-    "drift.amp_ratio": (float, 0.45, None),
-    "drift.decay_first": (float, 1.0, None),
-    "drift.decay_ratio": (float, 1.0, None),
-    "drift.a": (float, 1.0, None),
-    "drift.b": (float, -0.5, None),
-    "drift.region_kind": (str, "halfspace", " or ".join(drift.REGION_KINDS)),
-    "drift.region_axis": (int, 1, "1-based normal coordinate, at most sequences.d_max"),
-    "drift.region_offset": (float, 0.0, None),
-    "drift.region_radius": (float, 1.0, None),
-    "drift.proj_scale_ratio": (float, 2.0, None),
-    "drift.epsilon": (float, 0.1, "mollifier width, > 0"),
-    "grid.t_end": (float, 1.0, None),
-    "grid.n_cells": (int, 64, f"at least {MIN_CELLS}"),
-    "mc.n_paths": (int, 10000, f"at least {MIN_PATHS}"),
-    "mc.seed": (int, 7, ">= 0"),
-    "d": (int, 2, "truncation level"),
-    "t_eval": (float, 1.0, "must be a grid node"),
+    "command": (str, "verify-suite", COMMANDS),
+    "sequences.hurst_first": (float, 0.08, Interval(0.0, cylinder.SUP_HURST_LIMIT)),
+    "sequences.hurst_ratio": (float, 0.5, Interval(0.0, 1.0)),
+    "sequences.weight_first": (float, 0.5, _POSITIVE),
+    "sequences.weight_ratio": (float, 0.5, Interval(0.0, 1.0, "[)")),
+    "sequences.d_max": (int, 8, _LEVEL),
+    "drift.amp_first": (float, 0.4, Interval(0.0, ends="[)")),
+    "drift.amp_ratio": (float, 0.45, Interval(0.0, 1.0, "[)")),
+    "drift.decay_first": (float, 1.0, _POSITIVE),
+    "drift.decay_ratio": (float, 1.0, _POSITIVE),
+    "drift.a": (float, 1.0, _REAL),
+    "drift.b": (float, -0.5, _REAL),
+    "drift.region_kind": (str, "halfspace", drift.REGION_KINDS),
+    "drift.region_axis": (int, 1, _LEVEL),
+    "drift.region_offset": (float, 0.0, _REAL),
+    "drift.region_radius": (float, 1.0, _POSITIVE),
+    "drift.proj_scale_ratio": (float, 2.0, _POSITIVE),
+    "drift.epsilon": (float, 0.1, _POSITIVE),
+    "grid.t_end": (float, 1.0, _POSITIVE),
+    "grid.n_cells": (int, 64, _at_least(16)),
+    "mc.n_paths": (int, 10000, _at_least(100)),
+    "mc.seed": (int, 7, _at_least(0)),
+    "d": (int, 2, _LEVEL),
+    "t_eval": (float, 1.0, Interval(0.0, ends="[)")),
     "phis": (list, ["coordinate:1", "clipped_norm:2"], None),
-    "schedule": (list, [[1, 0.1], [2, 0.05], [4, 0.025], [4, 0.0125]],
-                 "pairs of (truncation level, mollifier width)"),
-    "x0": (list, [0.0], "initial point coordinates"),
+    "schedule": (list, [[1, 0.1], [2, 0.05], [4, 0.025], [4, 0.0125]], (_LEVEL, _POSITIVE)),
+    "x0": (list, [0.0], _REAL),
     "output_dir": (str, "out", None),
 }
+
+# the keys each model constructor reads
+_SEQUENCE_KEYS = tuple(k for k in _SCHEMA if k.startswith("sequences."))
+_DRIFT_KEYS = tuple(k for k in _SCHEMA if k.startswith("drift.") and k != "drift.epsilon") \
+    + _SEQUENCE_KEYS[2:]
 
 
 @dataclass(frozen=True)
@@ -114,8 +154,7 @@ class ResultTable:
         with open(path, "w") as fh:
             for key, val in sorted(self.provenance.items()):
                 fh.write(f"# {key}: {val}\n")
-            cols = self.columns + ["config_hash"]
-            fh.write(",".join(cols) + "\n")
+            fh.write(",".join(self.columns + ["config_hash"]) + "\n")
             chash = self.provenance.get("config_hash", "")
             for row in self.rows:
                 cells = [_fmt(v) for v in row] + [chash]
@@ -149,193 +188,137 @@ def _nest(flat: dict) -> dict:
 
 
 def load_config(mapping: dict) -> RunConfig:
-    """Validate a nested mapping against the schema; unknown keys are rejected
-    with their full dotted name."""
+    """Validate a nested mapping: an unknown key, or a value outside its key's
+    domain, is rejected with the key's full dotted name; then the constraints
+    across keys (:func:`_check_across`)."""
     flat: dict = {}
     _flatten("", mapping or {}, flat)
-    entries = {}
-    for key, raw in flat.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key: {key}")
-    for key, (typ, default, _) in _SCHEMA.items():
-        if key in flat:
-            raw = flat[key]
-            try:
-                if typ is float:
-                    val = _as_float(raw)
-                elif typ is int:
-                    val = _as_int(raw)
-                elif typ is list:
-                    if not isinstance(raw, list):
-                        raise ValueError
-                    val = raw
-                else:
-                    val = str(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key}: expected {typ.__name__}, got {raw!r}")
-            if typ is float and not math.isfinite(val):
-                raise ConfigError(f"config key {key}: expected a finite number, got {raw!r}")
-            entries[key] = val
-        else:
-            entries[key] = default
-    if entries["command"] not in COMMANDS:
-        raise ConfigError(f"config key command: unknown command {entries['command']!r}")
-    if entries["grid.n_cells"] < MIN_CELLS:
-        raise ConfigError(f"config key grid.n_cells: must be at least {MIN_CELLS}")
-    if entries["mc.n_paths"] < MIN_PATHS:
-        raise ConfigError(f"config key mc.n_paths: must be at least {MIN_PATHS}")
-    if entries["mc.seed"] < 0:
-        raise ConfigError(f"config key mc.seed: must be >= 0, got {entries['mc.seed']}")
-    if entries["drift.region_kind"] not in drift.REGION_KINDS:
-        raise ConfigError(f"config key drift.region_kind: expected one of "
-                          f"{', '.join(drift.REGION_KINDS)}, got {entries['drift.region_kind']!r}")
-    if entries["drift.region_kind"] == "ball" and not entries["drift.region_radius"] > 0.0:
-        raise ConfigError(f"config key drift.region_radius: a ball needs a radius > 0, "
-                          f"got {entries['drift.region_radius']!r}")
-    _check_x0(entries["x0"])
-    command = entries["command"]
-    if command in ("solve", "girsanov", "converge"):
-        _check_evaluation(entries)
-    elif command == "validate":
-        _check_level("d", entries["d"], entries["sequences.d_max"])
-    elif command == "simulate":
-        # the noise extends past sequences.d_max by the tail rule
-        _check_level("d", entries["d"], math.inf)
-        _check_noise_level(entries)
-    if command in ("validate", "solve", "converge", "girsanov") \
-            and entries["drift.region_kind"] == "halfspace":
-        axis, d_max = entries["drift.region_axis"], entries["sequences.d_max"]
-        if not 1 <= axis <= d_max:
-            # any other axis leaves the jump out of every drift component
-            raise ConfigError(f"config key drift.region_axis: the halfspace normal must be "
-                              f"a coordinate in [1, sequences.d_max = {d_max}], got {axis}")
+    unknown = sorted(flat.keys() - _SCHEMA.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
+    entries = {key: _parse(key, flat[key]) if key in flat else default
+               for key, (_, default, _) in _SCHEMA.items()}
+    _check_across(entries)
     return RunConfig(entries=entries)
 
 
-def _as_int(raw) -> int:
-    """An integer-valued entry; booleans and non-integral numbers raise ValueError."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError
-    return int(raw)
-
-
-def _as_float(raw) -> float:
-    """A real-valued entry; booleans raise ValueError."""
-    if isinstance(raw, bool):
-        raise ValueError
-    return float(raw)
-
-
-def _check_x0(x0: list) -> None:
-    """Every coordinate of the initial point must be a finite number."""
+def _parse(key: str, raw):
+    """raw as a value of key's type inside key's domain.  A list keeps its
+    entries as given, since they enter the config hash."""
+    typ, _, domain = _SCHEMA[key]
     try:
-        ok = all(math.isfinite(_as_float(v)) for v in x0)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"config key x0: expected a list of finite numbers, got {x0!r}")
+        if typ is list:
+            if not isinstance(raw, list):
+                raise ValueError
+            for item in raw:
+                if isinstance(domain, Interval):
+                    domain.parse(item)
+                elif domain is not None:
+                    for place, part in zip(domain, item, strict=True):
+                        place.parse(part)
+            return raw
+        if typ is str:
+            if domain is not None and str(raw) not in domain:
+                raise ValueError
+            return str(raw)
+        return domain.parse(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key}: expected {_describe(typ, domain)}, "
+                          f"got {raw!r}") from None
 
 
-def _check_evaluation(entries: dict) -> None:
-    """For the commands that price functionals at t_eval: reject a truncation
-    level below 1 or past sequences.d_max, a mollifier width that is not
-    finite and positive, an initial point or functionals with more
-    coordinates than the state (for converge, at the largest schedule level),
-    an empty list of functionals, unknown functionals and a t_eval that is
-    not a grid node."""
-    command, d_max = entries["command"], entries["sequences.d_max"]
-    dim = entries["d"]
-    if command == "converge":
-        try:
-            schedule = [(_as_int(dd), _as_float(ee)) for dd, ee in entries["schedule"]]
-            dim = max(dd for dd, _ in schedule)
-        except (TypeError, ValueError):
-            raise ConfigError("config key schedule: expected pairs of "
-                              "(truncation level, mollifier width)") from None
-        for dd, _ in schedule:
-            _check_level("schedule", dd, d_max)
-        _check_widths("schedule", [ee for _, ee in schedule])
-    else:
-        _check_level("d", dim, d_max)
-    if command == "solve":
-        _check_widths("drift.epsilon", [entries["drift.epsilon"]])
-    if len(entries["x0"]) > dim:
-        raise ConfigError(f"config key x0: {len(entries['x0'])} coordinates exceed "
-                          f"the {dim}-dimensional state")
-    if not entries["phis"]:
-        raise ConfigError("config key phis: at least one functional is required")
-    for phi_id in entries["phis"]:
-        try:
-            girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))
-        except (fbm.DomainError, IndexError) as exc:
-            raise ConfigError(f"config key phis: {phi_id!r} does not apply to a "
-                              f"{dim}-dimensional state ({exc})") from None
-    if entries["grid.t_end"] <= 0.0:
-        raise ConfigError("config key grid.t_end: must be positive")
-    grid = fbm.TimeGrid(entries["grid.t_end"], entries["grid.n_cells"])
+def _describe(typ, domain) -> str:
+    if domain is None:
+        return typ.__name__
+    if typ is list:
+        each = domain if isinstance(domain, Interval) else \
+            f"a pair ({', '.join(map(str, domain))})"
+        return f"a list, each entry {each}"
+    return "one of " + ", ".join(domain) if typ is str else str(domain)
+
+
+@contextlib.contextmanager
+def _naming(*keys):
+    """Re-raise a constructor's rejection as a ConfigError naming ``keys``
+    (an IndexError is a functional that reads past the state)."""
     try:
-        girsanov._node_index(grid, entries["t_eval"])
-    except fbm.DomainError as exc:
-        raise ConfigError(f"config key t_eval: {exc} of {grid.n_cells} cells "
-                          f"on [0, {grid.t_end}]") from None
+        yield
+    except (fbm.DomainError, cylinder.SequenceConstraintError, IndexError) as exc:
+        raise ConfigError(f"config key {', '.join(keys)}: {exc}") from None
 
 
-def _check_level(key: str, level: int, d_max: float) -> None:
-    """The drift has sequences.d_max components, so no command can drive a
-    truncation level past it (``d_max`` is infinite for the noise alone); a
-    level below 1 keeps no coordinate."""
-    if level < 1:
-        raise ConfigError(f"config key {key}: truncation level must be >= 1, got {level}")
-    if level > d_max:
-        raise ConfigError(f"config key {key}: truncation level {level} exceeds "
-                          f"sequences.d_max = {d_max}")
-
-
-def _check_noise_level(entries: dict) -> None:
-    """simulate's level d must keep a Hurst index, which far out the tail rule
-    underflows to 0.  A sequence that breaks its own constraints is left to
-    the run, which names the constraint."""
-    try:
-        hs = cylinder.HurstSequence.geometric(
-            entries["sequences.hurst_first"], entries["sequences.hurst_ratio"],
-            entries["sequences.d_max"])
-    except cylinder.SequenceConstraintError:
+def _check_across(e: dict) -> None:
+    """The constraints that span keys, for every command that builds the model
+    (all but verify-suite): the model's constructors; the truncation levels
+    against sequences.d_max (simulate's noise runs past it, up to where its
+    Hurst index underflows); the halfspace axis; and, for the commands that
+    price functionals, the initial point, the functionals and t_eval."""
+    command, d_max = e["command"], e["sequences.d_max"]
+    if command == "verify-suite":
         return
-    if hs.value(entries["d"]) == 0.0:
-        raise ConfigError(f"config key d: truncation level {entries['d']} has no Hurst "
-                          "index (hurst_first * hurst_ratio^(d-1) underflows to 0)")
+    hs, _, _, grid = _build_model(e)
+    axis = e["drift.region_axis"]
+    if e["drift.region_kind"] == "halfspace" and axis > d_max:
+        # no drift component would see the jump
+        raise ConfigError(f"config key drift.region_axis: the halfspace normal must be a "
+                          f"coordinate in [1, sequences.d_max = {d_max}], got {axis}")
+    if command == "simulate":
+        if hs.value(e["d"]) == 0.0:
+            raise ConfigError(f"config key d: truncation level {e['d']} has no Hurst index "
+                              "(hurst_first * hurst_ratio^(d-1) underflows to 0)")
+        return
+    key = "schedule" if command == "converge" else "d"
+    levels = [int(dd) for dd, _ in e["schedule"]] if key == "schedule" else [e["d"]]
+    if not levels or max(levels) > d_max:
+        raise ConfigError(f"config key {key}: truncation levels {levels} must lie in "
+                          f"[1, sequences.d_max = {d_max}]")
+    if command == "validate":
+        return
+    dim = max(levels)
+    if len(e["x0"]) > dim:
+        raise ConfigError(f"config key x0: {len(e['x0'])} coordinates exceed "
+                          f"the {dim}-dimensional state")
+    if not e["phis"]:
+        raise ConfigError("config key phis: at least one functional is required")
+    for phi_id in e["phis"]:
+        with _naming("phis", key):
+            girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))
+    with _naming("t_eval", "grid.t_end", "grid.n_cells"):
+        girsanov._node_index(grid, e["t_eval"])
 
 
-def _check_widths(key: str, widths: list) -> None:
-    for eps in widths:
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise ConfigError(f"config key {key}: mollifier width must be finite "
-                              f"and > 0, got {eps!r}")
-
-
-def load_config_file(path) -> RunConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+def load_config_file(path, overrides: dict) -> RunConfig:
+    """The configuration in a YAML file (None: no file) with dotted-key
+    overrides, validated once.  load_config reads a dotted key as its path."""
+    data = {}
+    if path is not None:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    if not isinstance(data, dict | None):
         raise ConfigError("config file must hold a mapping")
-    return load_config(data)
+    flat: dict = {}
+    _flatten("", data or {}, flat)
+    return load_config({**flat, **overrides})
 
 
 def config_schema() -> str:
-    """Human-readable schema: every key, type, default, and enforced constraint."""
+    """Human-readable schema: every key's type, default and domain, and the
+    constraints across keys."""
     lines = ["configuration schema (YAML, nested keys shown dotted):", ""]
-    for key, (typ, default, note) in _SCHEMA.items():
+    for key, (typ, default, domain) in _SCHEMA.items():
         line = f"  {key}: {typ.__name__} (default {default!r})"
-        if note:
-            line += f" -- {note}"
+        if domain is not None:
+            line += f" -- {_describe(typ, domain)}"
         lines.append(line)
-    lines.append("")
-    lines.append(f"  constraints enforced at run time: sup_k H_k < 1/12 = {1/12:.6f},")
-    lines.append(f"  sum_k H_k < 1/6 = {1/6:.6f}, sum lambda_k^2 < inf, "
-                 "sum lambda_k/sqrt(H_k) < inf")
-    return "\n".join(lines)
+    return "\n".join(lines) + f"""
+
+  constraints across keys, checked when the configuration loads:
+  sum_k H_k = hurst_first/(1 - hurst_ratio) < 1/6 = {1/6:.6f} (sup_k H_k < 1/12 = {1/12:.6f}),
+  sum lambda_k/sqrt(H_k) < inf (weight_ratio < sqrt(hurst_ratio)), sum lambda_k^2 < inf,
+  summable drift constants (amp_ratio < weight_ratio, and
+  amp_ratio < weight_ratio^2 * decay_ratio * proj_scale_ratio), d (converge: each schedule
+  level) and a halfspace region_axis at most d_max (simulate: any d whose Hurst index is > 0),
+  x0 no longer than the state, phis non-empty and inside the state, t_eval a grid node"""
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +326,28 @@ def config_schema() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(cfg: RunConfig):
-    hs, ws = cylinder.make_sequences({
-        "hurst_first": cfg["sequences.hurst_first"],
-        "hurst_ratio": cfg["sequences.hurst_ratio"],
-        "weight_first": cfg["sequences.weight_first"],
-        "weight_ratio": cfg["sequences.weight_ratio"],
-        "d_max": cfg["sequences.d_max"],
-    })
-    region = drift.Region(cfg["drift.region_kind"], axis=cfg["drift.region_axis"] - 1,
-                          offset=cfg["drift.region_offset"],
-                          radius=cfg["drift.region_radius"])
-    spec = drift.indicator_exponential_family(
-        ws, cfg["sequences.d_max"],
-        amp_first=cfg["drift.amp_first"], amp_ratio=cfg["drift.amp_ratio"],
-        decay_first=cfg["drift.decay_first"], decay_ratio=cfg["drift.decay_ratio"],
-        a=cfg["drift.a"], b=cfg["drift.b"], region=region,
-        proj_scale_ratio=cfg["drift.proj_scale_ratio"])
+def _build_model(cfg):
+    """The sequences, drift and grid of every command but verify-suite; a
+    constructor's rejection names the keys it reads."""
+    with _naming(*_SEQUENCE_KEYS):
+        hs, ws = cylinder.make_sequences(
+            {key.removeprefix("sequences."): cfg[key] for key in _SEQUENCE_KEYS})
+    with _naming(*_DRIFT_KEYS):
+        region = drift.Region(cfg["drift.region_kind"], axis=cfg["drift.region_axis"] - 1,
+                              offset=cfg["drift.region_offset"], radius=cfg["drift.region_radius"])
+        spec = drift.indicator_exponential_family(
+            ws, cfg["sequences.d_max"],
+            amp_first=cfg["drift.amp_first"], amp_ratio=cfg["drift.amp_ratio"],
+            decay_first=cfg["drift.decay_first"], decay_ratio=cfg["drift.decay_ratio"],
+            a=cfg["drift.a"], b=cfg["drift.b"], region=region,
+            proj_scale_ratio=cfg["drift.proj_scale_ratio"])
     grid = fbm.TimeGrid(cfg["grid.t_end"], cfg["grid.n_cells"])
     return hs, ws, spec, grid
 
 
 def _cmd_simulate(cfg: RunConfig) -> ResultTable:
     hs, ws, _, grid = _build_model(cfg)
-    ens = cylinder.sample_cyl_fbm(hs, ws, cfg["d"], grid, cfg["mc.n_paths"],
-                                  cfg["mc.seed"])
+    ens = cylinder.sample_cyl_fbm(hs, ws, cfg["d"], grid, cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["component", "time", "mean", "second_moment",
                                  "predicted_second_moment"])
     lam = ws.head_array(cfg["d"])
@@ -376,8 +356,7 @@ def _cmd_simulate(cfg: RunConfig) -> ResultTable:
         for i in (grid.n_cells // 2, grid.n_cells):
             tt = grid.nodes[i]
             vals = ens.values[k, i, :]
-            table.add({"component": k + 1, "time": tt,
-                       "mean": float(np.mean(vals)),
+            table.add({"component": k + 1, "time": tt, "mean": float(np.mean(vals)),
                        "second_moment": float(np.mean(vals ** 2)),
                        "predicted_second_moment": lam[k] ** 2 * tt ** (2 * H)})
     return table
@@ -389,14 +368,11 @@ def _cmd_validate(cfg: RunConfig) -> ResultTable:
     lnd = [fbm.estimate_lnd_constant(hs.value(k + 1), grid, r=0.1 * grid.t_end)
            for k in range(d)]
     scaling = cylinder.composite_scaling(ws, lnd, d)
-    report = drift.validate_drift_class(spec, d, scaling, t_end=grid.t_end,
-                                        seed=cfg["mc.seed"])
+    report = drift.validate_drift_class(spec, d, scaling, t_end=grid.t_end, seed=cfg["mc.seed"])
     table = ResultTable(columns=["component", "sup_measured", "sup_bound",
                                  "integral_measured", "integral_bound", "passed"])
     for e in report.entries:
-        table.add({"component": e.component, "sup_measured": e.sup_measured,
-                   "sup_bound": e.sup_bound, "integral_measured": e.integral_measured,
-                   "integral_bound": e.integral_bound, "passed": e.passed})
+        table.add({col: getattr(e, col) for col in table.columns})
     if not report.passed:
         raise ArithmeticError("drift class validation failed")
     return table
@@ -412,10 +388,8 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
     idx = girsanov._node_index(grid, cfg["t_eval"])
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr"])
     for phi_id in cfg["phis"]:
-        phi = girsanov.make_functional(phi_id)
-        g = phi(sol.paths[:, idx, :])
-        table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d,
-                   "eps": cfg["drift.epsilon"],
+        g = girsanov.make_functional(phi_id)(sol.paths[:, idx, :])
+        table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d, "eps": cfg["drift.epsilon"],
                    "estimate": float(np.mean(g)),
                    "stderr": float(np.std(g, ddof=1) / np.sqrt(len(g)))})
     return table
@@ -485,8 +459,9 @@ _DISPATCH = {
 
 def run(cfg: RunConfig, out_dir=None) -> int:
     """Dispatch the configured command and write results.csv (and report.csv
-    for the verification suite).  Exit codes: 0 success, 1 configuration or
-    validation failure, 2 numerical failure.
+    for the verification suite).  Exit codes: 0 success, 1 configuration
+    error, 2 numerical failure, which includes a drift class that fails
+    ``validate`` and a lemma that fails ``verify-suite``.
     """
     out = Path(out_dir or cfg["output_dir"])
     try:
@@ -512,32 +487,25 @@ def run(cfg: RunConfig, out_dir=None) -> int:
 
 
 def _emit_converge_plotdata(table: ResultTable, plot_dir: Path) -> None:
-    """One (width, gap, paired gap, paired stderr) series per truncation
-    level and functional."""
+    """One (eps, gap, paired_gap, paired_stderr) series per level and functional."""
     plot_dir.mkdir(parents=True, exist_ok=True)
-    di = table.columns.index("d")
-    pi = table.columns.index("phi_id")
-    keys = sorted({(row[di], row[pi]) for row in table.rows})
-    for dd, phi_id in keys:
-        sub = ResultTable(columns=table.columns,
-                          rows=[r for r in table.rows
-                                if r[di] == dd and r[pi] == phi_id])
-        safe_phi = str(phi_id).replace(":", "_")
+    di, pi = table.columns.index("d"), table.columns.index("phi_id")
+    for dd, phi_id in sorted({(row[di], row[pi]) for row in table.rows}):
+        sub = ResultTable(columns=table.columns, rows=[
+            r for r in table.rows if r[di] == dd and r[pi] == phi_id])
         emit_plotdata(sub, "eps", ["gap", "paired_gap", "paired_stderr"],
-                      plot_dir / f"gap_d{dd}_{safe_phi}.dat")
+                      plot_dir / f"gap_d{dd}_{str(phi_id).replace(':', '_')}.dat")
 
 
 def emit_plotdata(table: ResultTable, x: str, ys, path) -> None:
     """Whitespace-separated numeric columns (x first) for external plotting."""
-    ys = list(ys)
-    for col in [x] + ys:
+    cols = [x, *ys]
+    for col in cols:
         if col not in table.columns:
             raise ConfigError(f"unknown column: {col}")
-    xi = table.columns.index(x)
-    yi = [table.columns.index(c) for c in ys]
     with open(path, "w") as fh:
         for row in table.rows:
-            cells = [row[xi]] + [row[j] for j in yi]
+            cells = [row[table.columns.index(c)] for c in cols]
             for c in cells:
                 if not isinstance(c, (int, float)) or isinstance(c, bool):
                     raise ConfigError(f"non-numeric value {c!r} in plot column")
@@ -551,22 +519,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None, help="YAML config file")
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory override")
-    parser.add_argument("--schema", action="store_true",
-                        help="print the config schema and exit")
+    parser.add_argument("--schema", action="store_true", help="print the config schema and exit")
     parser.add_argument("command", nargs="?", default=None,
                         help=f"one of {', '.join(COMMANDS)} (overrides config)")
     args = parser.parse_args(argv)
     if args.schema:
         print(config_schema())
         return EXIT_OK
+    overrides = {"command": args.command, "mc.seed": args.seed}
     try:
-        cfg = load_config_file(args.config) if args.config else load_config({})
-        entries = dict(cfg.entries)
-        if args.command:
-            entries["command"] = args.command
-        if args.seed is not None:
-            entries["mc.seed"] = args.seed
-        cfg = load_config(_nest(entries))
+        cfg = load_config_file(args.config,
+                               {k: v for k, v in overrides.items() if v is not None})
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -294,13 +294,15 @@ def indicator_exponential_family(
             decay_rate=float(decays[k]) * float(scales[k]) / 2.0,
             structure=st,
         ))
-        c_bounds[k] = amps[k] * peak / lam[k]
+        # in Python floats a constant past the largest float is inf, which the
+        # class check fails, and raises no overflow warning
+        c_bounds[k] = st.amp * peak / float(lam[k])
         # integral of the envelope over the n_dep scaled coordinates:
         # amp*peak * int exp(-decay*scale*sqrt(LND_FLOOR)*lam_dep|x|/2) dx
-        rate = decays[k] * scales[k] * math.sqrt(LND_FLOOR) / 2.0
-        dep_lam = np.array([weights.value(c + 1) for c in st.coords])
-        vol = _exp_ball_integral(n_dep, rate) / np.prod(dep_lam)
-        d_bounds[k] = amps[k] * peak * vol / lam[k]
+        rate = st.decay * st.scale * math.sqrt(LND_FLOOR) / 2.0
+        vol = _exp_ball_integral(n_dep, rate) / math.prod(
+            weights.value(c + 1) for c in st.coords)
+        d_bounds[k] = st.amp * peak * vol / float(lam[k])
     # certify summability of the declared sequences from the parameter ratios
     n_dep_max = max(len(s) for s in proj_sets)
     c_ratio = amp_ratio / weights.tail_ratio if weights.tail_ratio else 0.0

@@ -139,17 +139,27 @@ def mc_blocks(n_paths: int, seed, block_size: int):
 
 
 class RunningMoments:
-    """Running sum and sum of squares of a per-path quantity over blocks."""
+    """Running sum and sum of squares of a per-path quantity over blocks.
+
+    The standard error comes from sums about a shift, the first block's mean:
+    sum_sq / n - mean^2 cancels catastrophically when the mean is far from 0
+    relative to the spread."""
 
     def __init__(self):
         self.n = 0
         self.sum = 0.0
         self.sum_sq = 0.0
+        self._shift = None
+        self._dev_sq = 0.0  # sum of (value - shift)^2
 
     def add(self, values: np.ndarray) -> None:
+        if self._shift is None:
+            self._shift = float(np.mean(values))
         self.n += values.size
         self.sum += float(np.sum(values))
         self.sum_sq += float(np.sum(values * values))
+        dev = values - self._shift
+        self._dev_sq += float(np.sum(dev * dev))
 
     @property
     def mean(self) -> float:
@@ -157,7 +167,10 @@ class RunningMoments:
 
     @property
     def stderr(self) -> float:
-        return math.sqrt(max(self.sum_sq / self.n - self.mean ** 2, 0.0) / self.n)
+        var = self._dev_sq / self.n - (self.mean - self._shift) ** 2
+        if not math.isfinite(var):
+            raise OverflowError(f"sample variance {var} over {self.n} values is not finite")
+        return math.sqrt(max(var, 0.0) / self.n)
 
 
 def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,50 @@ def read_header(path):
     """The ``# key: value`` comment lines as a mapping."""
     return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
                 if ln.startswith("# "))
+
+
+def run_main(tmp_path, capsys, mapping):
+    """``cli.main`` on a config file holding ``mapping``, writing to
+    ``tmp_path / "o"``: the exit code and stderr."""
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(yaml.safe_dump(mapping))
+    rc = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    return rc, capsys.readouterr().err
+
+
+def outside(domain):
+    """Values outside an interval: each open finite end, one step past each
+    closed one, NaN, +-inf and a boolean."""
+    values = [math.nan, math.inf, -math.inf, True]
+    for end, side, bracket in ((domain.lo, -1, domain.ends[0]),
+                               (domain.hi, 1, domain.ends[1])):
+        if math.isfinite(end):
+            if bracket in "()":
+                values.append(end)
+            else:
+                values.append(end + side if domain.integer
+                              else math.nextafter(end, side * math.inf))
+    return values
+
+
+def schema_probes():
+    """(key, value) with the value outside the key's domain, for every key of
+    the schema that has one: a string outside its choices; for x0 a
+    one-entry list, for a schedule one pair with one place outside."""
+    for key, (typ, default, domain) in cli._SCHEMA.items():
+        if domain is None:
+            continue
+        if typ is str:
+            yield key, "-".join(domain)
+        elif isinstance(domain, cli.Interval):
+            for value in outside(domain):
+                yield key, [value] if typ is list else value
+        else:
+            for i, place in enumerate(domain):
+                for value in outside(place):
+                    pair = list(default[0])
+                    pair[i] = value
+                    yield key, [pair]
 
 
 class TestConfigSchema:
@@ -177,11 +222,13 @@ class TestRunBasics:
         assert not (tmp_path / "o").exists()
 
     def test_rejected_at_run_leaves_no_directory(self, tmp_path, capsys):
-        # the sequence constraints are checked when the model is built
-        cfg = cli.load_config({"command": "simulate", "mc": {"n_paths": 100},
-                               "grid": {"n_cells": 16}, "sequences": {"hurst_first": 0.2}})
-        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
-        assert "1/12" in capsys.readouterr().err
+        # the sequence constraints reject when the configuration loads, so
+        # before any output directory exists
+        rc, err = run_main(tmp_path, capsys, {
+            "command": "simulate", "mc": {"n_paths": 100}, "grid": {"n_cells": 16},
+            "sequences": {"hurst_first": 0.2}})
+        assert rc == cli.EXIT_CONFIG
+        assert "1/12" in err and "config key sequences.hurst_first" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,key,value", [
@@ -191,18 +238,22 @@ class TestRunBasics:
     ] + [(command, "weight_first", value) for value in (1e200, 1e308)
          for command in ("simulate", "solve", "girsanov", "validate")])
     def test_out_of_range_ratio_rejected_at_run(self, tmp_path, capsys, command, key, value):
-        # ratio ** k overflows when the sequence heads are built, and the
-        # square of a huge weight_first in the square-sum
-        cfg = cli.load_config({"command": command, "mc": {"n_paths": 100},
-                               "grid": {"n_cells": 16}, "sequences": {key: value}})
-        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_CONFIG
-        assert ("ratio" if key.endswith("_ratio") else key) in capsys.readouterr().err
+        # a ratio outside its domain, and a weight_first whose square
+        # overflows the square-sum, reject at load with the key named
+        rc, err = run_main(tmp_path, capsys, {
+            "command": command, "mc": {"n_paths": 100}, "grid": {"n_cells": 16},
+            "sequences": {key: value}})
+        assert rc == cli.EXIT_CONFIG
+        assert "config key" in err and f"sequences.{key}" in err
         assert not (tmp_path / "o").exists()
 
     def test_validate_fails_on_an_infinite_bound(self, tmp_path, capsys):
-        # decay_first = 0 leaves the envelope integral and its bound infinite
+        # weight_first = 1e-300 is in its domain, but the integral bound the
+        # family declares, amp * vol / lambda_1, overflows: the class check
+        # fails, exit 2
         cfg = cli.load_config({"command": "validate", "grid": {"n_cells": 16},
-                               "mc": {"n_paths": 100}, "drift": {"decay_first": 0}})
+                               "mc": {"n_paths": 100},
+                               "sequences": {"weight_first": 1e-300}})
         assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_NUMERICAL
         assert "validation failed" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()  # so no row reads True
@@ -230,6 +281,38 @@ class TestRunBasics:
         assert cli.main(["--schema"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "sup" in out
+
+
+class TestSchemaWalk:
+    """Every key with a domain rejects, at load, each value just outside it;
+    a key added to the schema is walked the day it is added."""
+
+    @pytest.mark.parametrize("key, value", list(schema_probes()),
+                             ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_value_outside_domain_named(self, tmp_path, capsys, key, value):
+        flat = {"command": "simulate", "grid.n_cells": 16, "mc.n_paths": 100, key: value}
+        rc, err = run_main(tmp_path, capsys, cli._nest(flat))
+        assert rc == cli.EXIT_CONFIG
+        assert f"config key {key}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("params, keys, message", [
+        ({"sequences": {"hurst_ratio": 0.6}}, cli._SEQUENCE_KEYS, "1/6"),
+        ({"sequences": {"hurst_ratio": 0.25, "weight_ratio": 0.6}}, cli._SEQUENCE_KEYS,
+         "lambda_k/sqrt(H_k) diverges"),
+        ({"drift": {"amp_ratio": 0.6}}, cli._DRIFT_KEYS, "sup-bound constants not summable"),
+        ({"sequences": {"d_max": 1000000}}, cli._SEQUENCE_KEYS, "Hurst index 0.0"),
+    ], ids=["hurst_sum", "weight_ratio", "amp_ratio", "d_max_underflow"])
+    def test_constructor_rejection_names_its_keys(self, tmp_path, capsys, params, keys,
+                                                  message):
+        # sum H_k = 0.08/0.4 >= 1/6; weight_ratio 0.6 >= sqrt(0.25); amp_ratio
+        # 0.6 >= weight_ratio 0.5; H_k underflows to 0 long before 10^6 heads
+        rc, err = run_main(tmp_path, capsys, {"command": "girsanov", "grid": {"n_cells": 16},
+                                              "mc": {"n_paths": 100}, **params})
+        assert rc == cli.EXIT_CONFIG
+        assert "config key" in err and message in err
+        assert all(key in err for key in keys)
+        assert not (tmp_path / "o").exists()
 
 
 class TestImportPath:

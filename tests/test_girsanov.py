@@ -248,6 +248,28 @@ class TestMonteCarloBlocks:
         assert mom.mean == pytest.approx(np.mean(values), abs=1e-14)
         assert mom.stderr == pytest.approx(np.std(values) / math.sqrt(1000), rel=1e-12)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_running_moments_stderr_at_an_offset_mean(self, offset):
+        # sum_sq / n - mean^2 loses the whole variance once mean^2 dwarfs it
+        values = offset + 0.3 * np.random.default_rng(6).standard_normal(2000)
+        mom = girsanov.RunningMoments()
+        for chunk in np.split(values, 4):
+            mom.add(chunk)
+        two_pass = np.std(values) / math.sqrt(values.size)
+        assert mom.stderr == pytest.approx(two_pass, rel=0.01)
+        # the raw sums, which the means and the ESS read, keep their bits
+        chunks = np.split(values, 4)
+        assert mom.sum == sum(float(np.sum(c)) for c in chunks)
+        assert mom.sum_sq == sum(float(np.sum(c * c)) for c in chunks)
+
+    def test_running_moments_overflowing_variance_raises(self):
+        # an infinite standard error must not reach a CSV body
+        mom = girsanov.RunningMoments()
+        with np.errstate(over="ignore"):
+            mom.add(np.array([1e300, -1e300]))
+        with pytest.raises(ArithmeticError):
+            mom.stderr
+
 
 class TestFunctionals:
     def test_coordinate(self):
