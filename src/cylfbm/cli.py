@@ -175,18 +175,6 @@ def _flatten(prefix: str, node, out: dict) -> None:
         out[prefix] = node
 
 
-def _nest(flat: dict) -> dict:
-    """Nested mapping of dotted keys, the inverse of :func:`_flatten`."""
-    nested: dict = {}
-    for key, val in flat.items():
-        *parents, leaf = key.split(".")
-        node = nested
-        for p in parents:
-            node = node.setdefault(p, {})
-        node[leaf] = val
-    return nested
-
-
 def load_config(mapping: dict) -> RunConfig:
     """Validate a nested mapping: an unknown key, or a value outside its key's
     domain, is rejected with the key's full dotted name; then the constraints

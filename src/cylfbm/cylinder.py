@@ -1,7 +1,7 @@
 """Weighted cylindrical fractional Brownian motion on a truncated basis.
 
-Hurst and weight sequences are explicit heads plus a geometric tail rule, so
-the summability constraints are certified analytically instead of by numeric
+Hurst and weight sequences are geometric, first * ratio^(k-1), so the
+summability constraints are certified in closed form instead of by numeric
 truncation.  Ensembles carry one independent scalar component per basis
 direction, each scaled by its weight.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,139 +26,95 @@ class SequenceConstraintError(ValueError):
     """A parameter sequence violates one of its summability constraints."""
 
 
-def _geometric_tail_sum(last_head: float, ratio: float) -> float:
-    """Sum of last_head * ratio^j for j >= 1 (the tail beyond the heads)."""
-    return last_head * ratio / (1.0 - ratio)
-
-
 @dataclass(frozen=True)
-class _GeometricTailSequence:
-    """Explicit heads for components 1..d_max, then a geometric tail
-    value(k) = heads[-1] * tail_ratio^(k - d_max)."""
+class _GeometricSequence:
+    """value(k) = first * ratio^(k - 1) for the 1-based component index k."""
 
-    heads: tuple
-    tail_ratio: float
-
-    @classmethod
-    def geometric(cls, first: float, ratio: float, d_max: int):
-        if not 0.0 <= ratio < 1.0:  # before ratio ** k, which overflows for a huge ratio
-            raise SequenceConstraintError(f"geometric ratio must lie in [0, 1), got {ratio}")
-        heads = tuple(first * ratio ** k for k in range(d_max))
-        return cls(heads=heads, tail_ratio=ratio)
-
-    @property
-    def d_max(self) -> int:
-        return len(self.heads)
+    first: float
+    ratio: float
 
     def value(self, k: int) -> float:
-        """Entry k for a 1-based component index, following the tail rule beyond the heads."""
         if k < 1:
             raise DomainError("component indices are 1-based")
-        if k <= len(self.heads):
-            return self.heads[k - 1]
-        return self.heads[-1] * self.tail_ratio ** (k - len(self.heads))
+        return self.first * self.ratio ** (k - 1)
 
     def head_array(self, d: int) -> np.ndarray:
         return np.array([self.value(k) for k in range(1, d + 1)])
 
 
 @dataclass(frozen=True)
-class HurstSequence(_GeometricTailSequence):
-    """Hurst indices H_k: explicit heads, then a geometric tail H_k = H_dmax * ratio^(k-dmax).
+class HurstSequence(_GeometricSequence):
+    """Hurst indices H_k = first * ratio^(k-1).
 
-    Constraints certified at construction: every index in (0, 1/2), the
-    supremum below 1/12, the full sum below 1/6, and strict decrease to 0.
+    Constraints certified at construction: ratio in (0, 1), so the indices
+    decrease strictly to 0; the supremum H_1 = first in (0, 1/12); and the
+    sum first / (1 - ratio) below 1/6.
     """
 
-    sup_value: float = field(init=False, default=0.0)
-    total_sum: float = field(init=False, default=0.0)
-
     def __post_init__(self):
-        heads = tuple(float(h) for h in self.heads)
-        object.__setattr__(self, "heads", heads)
-        if not heads:
-            raise SequenceConstraintError("at least one explicit head is required")
-        if not (0.0 < self.tail_ratio < 1.0):
+        if not 0.0 < self.ratio < 1.0:
             raise SequenceConstraintError(
-                f"tail ratio must lie in (0,1) for decrease to 0, got {self.tail_ratio}")
-        for h in heads:
-            if not (0.0 < h < 0.5):
-                raise SequenceConstraintError(f"Hurst index {h} outside (0, 1/2)")
-        diffs = np.diff(heads)
-        if len(heads) > 1 and not np.all(diffs < 0):
-            raise SequenceConstraintError("Hurst heads must be strictly decreasing")
-        sup = max(heads)
-        total = sum(heads) + _geometric_tail_sum(heads[-1], self.tail_ratio)
-        if not sup < SUP_HURST_LIMIT:
+                f"Hurst ratio must lie in (0,1) for decrease to 0, got {self.ratio}")
+        if not 0.0 < self.first < 0.5:
+            raise SequenceConstraintError(f"Hurst index {self.first} outside (0, 1/2)")
+        if not self.first < SUP_HURST_LIMIT:
             raise SequenceConstraintError(
-                f"sup_k H_k = {sup} >= 1/12 = {SUP_HURST_LIMIT:.6f}")
-        if not total < SUM_HURST_LIMIT:
+                f"sup_k H_k = {self.first} >= 1/12 = {SUP_HURST_LIMIT:.6f}")
+        if not self.total_sum < SUM_HURST_LIMIT:
             raise SequenceConstraintError(
-                f"sum_k H_k = {total} >= 1/6 = {SUM_HURST_LIMIT:.6f}")
-        object.__setattr__(self, "sup_value", sup)
-        object.__setattr__(self, "total_sum", total)
+                f"sum_k H_k = {self.total_sum} >= 1/6 = {SUM_HURST_LIMIT:.6f}")
+
+    @property
+    def total_sum(self) -> float:
+        return self.first / (1.0 - self.ratio)
 
 
 @dataclass(frozen=True)
-class WeightSequence(_GeometricTailSequence):
-    """Component weights lambda_k >= 0: explicit heads plus a geometric tail.
+class WeightSequence(_GeometricSequence):
+    """Component weights lambda_k = first * ratio^(k-1) >= 0.
 
-    Square-summability is certified from the tail rule at construction; the
-    mixed constraint sum_k lambda_k / sqrt(H_k) < infinity involves the Hurst
-    sequence and is certified by :func:`validate_sequence_pair`.
+    Square-summability is certified at construction; the mixed constraint
+    sum_k lambda_k / sqrt(H_k) < infinity involves the Hurst sequence and is
+    certified by :func:`validate_sequence_pair`.
     """
 
-    sum_squares: float = field(init=False, default=0.0)
-
     def __post_init__(self):
-        heads = tuple(float(w) for w in self.heads)
-        object.__setattr__(self, "heads", heads)
-        if not heads:
-            raise SequenceConstraintError("at least one explicit head is required")
-        if not (0.0 <= self.tail_ratio < 1.0):
+        if not 0.0 <= self.ratio < 1.0:
+            raise SequenceConstraintError(f"weight ratio must lie in [0,1), got {self.ratio}")
+        if not self.first >= 0.0:
+            raise SequenceConstraintError(f"weights must be non-negative, got {self.first}")
+        # in Python floats a square past the largest float is inf
+        if not math.isfinite(self.first * self.first / (1.0 - self.ratio * self.ratio)):
             raise SequenceConstraintError(
-                f"weight tail ratio must lie in [0,1), got {self.tail_ratio}")
-        for w in heads:
-            if w < 0.0:
-                raise SequenceConstraintError(f"weights must be non-negative, got {w}")
-        sq = sum(w * w for w in heads)
-        if self.tail_ratio > 0.0:
-            sq += _geometric_tail_sum(heads[-1] * heads[-1], self.tail_ratio ** 2)
-        if not math.isfinite(sq):  # a float square overflows to inf
-            raise SequenceConstraintError(f"sum lambda_k^2 overflows at weight_first = {heads[0]}")
-        object.__setattr__(self, "sum_squares", sq)
+                f"sum lambda_k^2 overflows at weight_first = {self.first}")
 
 
 def validate_sequence_pair(hs: HurstSequence, ws: WeightSequence) -> float:
-    """Certify sum_k lambda_k / sqrt(H_k) < infinity; return the sum.
-
-    Head terms are summed exactly; the tail is a geometric series with ratio
-    w_ratio / sqrt(h_ratio), which must be below 1.
-    """
-    d = max(hs.d_max, ws.d_max)
-    head = sum(ws.value(k) / np.sqrt(hs.value(k)) for k in range(1, d + 1))
-    tail_ratio = ws.tail_ratio / np.sqrt(hs.tail_ratio)
-    if ws.value(d) == 0.0:
-        return head
-    if not tail_ratio < 1.0:
+    """Certify sum_k lambda_k / sqrt(H_k) < infinity; return the sum, the
+    geometric series (w_1/sqrt(h_1)) / (1 - w_r/sqrt(h_r)), whose ratio
+    w_r/sqrt(h_r) must be below 1."""
+    ratio = ws.ratio / math.sqrt(hs.ratio)
+    if not ratio < 1.0:
         raise SequenceConstraintError(
-            "sum_k lambda_k/sqrt(H_k) diverges: tail ratio "
-            f"{ws.tail_ratio}/sqrt({hs.tail_ratio}) = {tail_ratio} >= 1")
-    last = ws.value(d) / np.sqrt(hs.value(d))
-    return head + _geometric_tail_sum(last, tail_ratio)
+            "sum_k lambda_k/sqrt(H_k) diverges: ratio "
+            f"{ws.ratio}/sqrt({hs.ratio}) = {ratio} >= 1")
+    return ws.first / math.sqrt(hs.first) / (1.0 - ratio)
 
 
 def make_sequences(params: dict) -> tuple:
     """Build a validated (HurstSequence, WeightSequence) pair.
 
     ``params`` holds the keys hurst_first, hurst_ratio, weight_first,
-    weight_ratio and d_max.  Constraint violations raise with the violated
-    inequality named.
+    weight_ratio and d_max; H_{d_max} must not underflow to 0.  Constraint
+    violations raise with the violated inequality named.
     """
-    d_max = int(params["d_max"])
-    hs = HurstSequence.geometric(params["hurst_first"], params["hurst_ratio"], d_max)
-    ws = WeightSequence.geometric(params["weight_first"], params["weight_ratio"], d_max)
+    hs = HurstSequence(params["hurst_first"], params["hurst_ratio"])
+    ws = WeightSequence(params["weight_first"], params["weight_ratio"])
     validate_sequence_pair(hs, ws)
+    d_max = int(params["d_max"])
+    if hs.value(d_max) == 0.0:
+        raise SequenceConstraintError(
+            f"Hurst index 0.0 outside (0, 1/2) at d_max = {d_max}")
     return hs, ws
 
 

@@ -2,10 +2,10 @@
 
 A drift is a sequence of bounded component maps b_k(t, y).  The admissible
 class requires sup |b_k| <= C_k lambda_k and an integral bound over the
-coordinates a component actually reads, both with summable constant
-sequences.  The bundled example family multiplies an exponentially damped
-amplitude by a region indicator (a jump across a halfspace or ball), composed
-with a per-component scaled finite-rank projection; truncation and Gaussian
+coordinate a component reads, both with summable constant sequences.  The
+bundled example family multiplies an exponentially damped amplitude by a
+region indicator (a jump across a halfspace or ball), component k reading
+its own coordinate scaled by proj_scale_ratio^(k-1); truncation and Gaussian
 mollification produce the smooth approximants handed to the solvers.
 """
 
@@ -36,10 +36,11 @@ def _norm_pdf(x):
 
 @dataclass(frozen=True)
 class Region:
-    """Indicator region in the projected argument space.
+    """Indicator region for a component's scaled coordinate w.
 
-    halfspace: membership is w[axis] <= offset (axis is a 0-based global
-    coordinate index); ball: |w| <= radius.
+    halfspace: membership is w <= offset for the component that reads
+    coordinate ``axis`` (a 0-based global index), and 0 <= offset for the
+    others; ball: |w| <= radius.
     """
 
     kind: str
@@ -59,13 +60,13 @@ class JumpExpStructure:
     """Closed-form data for one example-family component.
 
     value = amp * exp(-t) * exp(-decay*|w|/2) * (a inside region else b),
-    where w is ``scale`` times the projection of y onto ``coords``.
+    where w = ``scale`` * y[``coord``].
     """
 
     amp: float
     decay: float
     scale: float
-    coords: tuple
+    coord: int
     region: Region
     a: float
     b: float
@@ -77,10 +78,11 @@ class DriftComponent:
 
     ``fn(t, y)`` takes a time t with states y of shape (dy, m), or a vector t
     of node times with states of shape (dy, n_nodes, m), node i at time t[i],
-    and returns the y.shape[1:] values; coordinates beyond dy are treated as
-    zero.  ``deps`` lists the 0-based coordinates the map reads,
-    ``decay_rate`` r certifies |b_k| <= sup_bound * exp(-r * |y restricted
-    to deps|).  A component with closed-form ``structure`` has
+    and returns the y.shape[1:] values; y has a row for every coordinate in
+    ``deps``, the 0-based coordinates the map reads (at most one for
+    :func:`validate_drift_class`), and ``decay_rate`` r certifies
+    |b_k| <= sup_bound * exp(-r * |y restricted to deps|).  A component with
+    closed-form ``structure`` has
     ``fn = functools.partial(_structure_eval, structure)``, which also takes
     ``out`` and ``scratch`` (see :meth:`write`): direct calls and
     :func:`evaluate` run that one function.
@@ -176,28 +178,6 @@ def _workspace(scratch: np.ndarray, t, shape: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _projection_norm(st: JumpExpStructure, y: np.ndarray, out: np.ndarray | None = None,
-                     tmp: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm over the rows of y in ``st.coords`` (rows past y's
-    first axis read as zero), written into ``out`` (fresh by default) with
-    ``tmp`` as workspace.  One row gives |y_c|, which is exactly sqrt(y_c^2);
-    several are summed in row order, as a sum over the first axis adds them."""
-    avail = [c for c in st.coords if c < y.shape[0]]
-    if out is None:
-        out = np.empty(y.shape[1:])
-    if not avail:
-        out[...] = 0.0
-    elif len(avail) == 1:
-        np.abs(y[avail[0]], out=out)
-    else:
-        tmp = np.empty(y.shape[1:]) if tmp is None else tmp
-        np.square(y[avail[0]], out=out)
-        for c in avail[1:]:
-            out += np.square(y[c], out=tmp)
-        np.sqrt(out, out=out)
-    return out
-
-
 def _damped_amplitude(st: JumpExpStructure, t, rho: np.ndarray,
                       node: np.ndarray | None = None) -> np.ndarray:
     """amp e^-t exp(-decay |w| / 2) with |w| = scale * rho, computed in place
@@ -228,10 +208,10 @@ def _structure_eval(st: JumpExpStructure, t, y: np.ndarray, out: np.ndarray | No
         scratch = np.empty(_workspace_size(t, shape))
     tmp, inside, node = _workspace(scratch, t, shape)
     reg = st.region
-    rho = _projection_norm(st, y, out, tmp)
+    rho = np.abs(y[st.coord], out=out)
     if reg.kind == "ball":
         np.less_equal(np.multiply(rho, st.scale, out=tmp), reg.radius, out=inside)
-    elif reg.axis in st.coords and reg.axis < y.shape[0]:
+    elif reg.axis == st.coord:
         np.less_equal(np.multiply(y[reg.axis], st.scale, out=tmp), reg.offset, out=inside)
     else:  # a halfspace whose axis the component does not read
         inside = None
@@ -255,41 +235,49 @@ def indicator_exponential_family(
     a: float = 1.0,
     b: float = -0.5,
     region: Region | None = None,
-    proj_sets: tuple | None = None,
-    proj_scale_first: float = 1.0,
     proj_scale_ratio: float = 2.0,
 ) -> DriftSpec:
     """Bounded jump drift family: damped exponential amplitude times a region
-    indicator, composed with per-component scaled projections.
+    indicator, component k reading its own coordinate scaled by
+    proj_scale_ratio^(k-1).
 
-    Component k reads the coordinates in proj_sets[k] (default: its own).
     The declared integral constants assume the non-determinism constants stay
     above ``LND_FLOOR``; the class validator measures against the actual
     scaling.  Summability of the declared constants is certified from the
-    geometric parameter ratios.
+    geometric parameter ratios, before any component is built.
     """
     if region is None:
         region = Region("halfspace", axis=0, offset=0.0)
-    if proj_sets is None:
-        proj_sets = tuple((k,) for k in range(d_max))
+    if weights.value(d_max) == 0.0:  # the weights never increase: the last is the least
+        raise DomainError("family components need positive weights")
+    for name, ratio in (("proj_scale_ratio", proj_scale_ratio), ("decay_ratio", decay_ratio)):
+        try:
+            top = ratio ** (d_max - 1)
+        except OverflowError:  # a Python float power raises rather than give inf
+            top = math.inf
+        if not math.isfinite(top):
+            raise DomainError(f"{name}^(d_max - 1) = {ratio}^{d_max - 1} overflows")
+    c_ratio = amp_ratio / weights.ratio if weights.ratio else 0.0
+    d_ratio = c_ratio / (decay_ratio * proj_scale_ratio * weights.ratio) \
+        if weights.ratio else 0.0
+    if c_ratio >= 1.0:
+        raise DomainError(f"sup-bound constants not summable: tail ratio {c_ratio} >= 1")
+    if d_ratio >= 1.0:
+        raise DomainError(f"integral-bound constants not summable: tail ratio {d_ratio} >= 1")
     amps = amp_first * amp_ratio ** np.arange(d_max)
     decays = decay_first * decay_ratio ** np.arange(d_max)
-    scales = proj_scale_first * proj_scale_ratio ** np.arange(d_max)
+    scales = proj_scale_ratio ** np.arange(d_max)
     lam = weights.head_array(d_max)
-    if np.any(lam == 0.0):
-        raise DomainError("family components need positive weights")
     peak = max(abs(a), abs(b))
     comps = []
     c_bounds = np.empty(d_max)
     d_bounds = np.empty(d_max)
     for k in range(d_max):
         st = JumpExpStructure(amp=float(amps[k]), decay=float(decays[k]),
-                              scale=float(scales[k]), coords=tuple(proj_sets[k]),
-                              region=region, a=a, b=b)
-        n_dep = len(st.coords)
+                              scale=float(scales[k]), coord=k, region=region, a=a, b=b)
         comps.append(DriftComponent(
             fn=functools.partial(_structure_eval, st),
-            deps=st.coords,
+            deps=(k,),
             sup_bound=float(amps[k]) * peak,
             decay_rate=float(decays[k]) * float(scales[k]) / 2.0,
             structure=st,
@@ -297,33 +285,13 @@ def indicator_exponential_family(
         # in Python floats a constant past the largest float is inf, which the
         # class check fails, and raises no overflow warning
         c_bounds[k] = st.amp * peak / float(lam[k])
-        # integral of the envelope over the n_dep scaled coordinates:
-        # amp*peak * int exp(-decay*scale*sqrt(LND_FLOOR)*lam_dep|x|/2) dx
+        # integral of the envelope over the scaled coordinate:
+        # amp*peak * int exp(-rate*lam_k|x|) dx = amp*peak * (2/rate) / lam_k
         rate = st.decay * st.scale * math.sqrt(LND_FLOOR) / 2.0
-        vol = _exp_ball_integral(n_dep, rate) / math.prod(
-            weights.value(c + 1) for c in st.coords)
+        vol = (math.inf if rate <= 0.0 else 2.0 / rate) / float(lam[k])
         d_bounds[k] = st.amp * peak * vol / float(lam[k])
-    # certify summability of the declared sequences from the parameter ratios
-    n_dep_max = max(len(s) for s in proj_sets)
-    c_ratio = amp_ratio / weights.tail_ratio if weights.tail_ratio else 0.0
-    d_ratio = c_ratio / (decay_ratio * proj_scale_ratio * weights.tail_ratio ** n_dep_max) \
-        if weights.tail_ratio else 0.0
-    if c_ratio >= 1.0:
-        raise DomainError(f"sup-bound constants not summable: tail ratio {c_ratio} >= 1")
-    if d_ratio >= 1.0:
-        raise DomainError(f"integral-bound constants not summable: tail ratio {d_ratio} >= 1")
     return DriftSpec(components=tuple(comps), weights=weights,
                      c_bounds=c_bounds, d_bounds=d_bounds)
-
-
-def _exp_ball_integral(n: int, rate: float) -> float:
-    """integral over R^n of exp(-rate * |x|) dx."""
-    if n == 0:
-        return 1.0
-    if rate <= 0.0:
-        return math.inf
-    surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    return surface * math.gamma(n) / rate ** n
 
 
 def _zero_component(t, y: np.ndarray) -> np.ndarray:
@@ -352,7 +320,6 @@ class ComponentBoundsCheck:
     sup_bound: float
     integral_measured: float
     integral_bound: float
-    integral_stderr: float
     passed: bool
 
     @property
@@ -399,49 +366,35 @@ def _sampled_sup(comp: DriftComponent, d: int, t_end: float, rng, n: int = 4096)
 
 
 def _integral_over_deps(comp: DriftComponent, d: int, scaling: np.ndarray,
-                        t_end: float, rng, n_mc: int = 200_000):
-    """integral over the dep coordinates of sup_t |b_k(t, scaled embedding)|.
+                        t_end: float, rng) -> float:
+    """integral over the dependency coordinate of sup_t |b_k(t, scaled
+    embedding)|, by 400-node Gauss-Legendre quadrature over the envelope box.
 
-    Components constant along a scanned direction make the integral diverge;
+    A component constant along the coordinate makes the integral diverge;
     that is detected by probing the envelope at the box edge.
     """
     deps = [c for c in comp.deps if c < d]
     sup_here = _sampled_sup(comp, d, t_end, rng, n=512)
     if not deps:
-        return (0.0, 0.0) if sup_here == 0.0 else (math.inf, 0.0)
+        return 0.0 if sup_here == 0.0 else math.inf
+    if len(deps) > 1:
+        raise DomainError(f"the class check integrates over one coordinate, not {len(deps)}")
+    c = deps[0]
 
-    def integrand(y_dep):  # y_dep shape (len(deps), m); sup over a t grid
-        m = y_dep.shape[1]
-        y = np.zeros((d, m))
-        y[deps, :] = y_dep * scaling[deps][:, None]
-        vals = np.zeros(m)
+    def integrand(x):  # sup over a t grid
+        y = np.zeros((d, x.size))
+        y[c] = x * scaling[c]
+        vals = np.zeros(x.size)
         for t in np.linspace(0.0, t_end, 5):
             vals = np.maximum(vals, np.abs(comp(t, y)))
         return vals
 
-    radius = _maximization_box(comp) / min(scaling[deps])
-    edge = np.zeros((len(deps), 2 * len(deps)))
-    for i in range(len(deps)):
-        edge[i, 2 * i] = radius
-        edge[i, 2 * i + 1] = -radius
+    radius = _maximization_box(comp) / scaling[c]
+    edge = np.array([radius, -radius])
     if comp.decay_rate == 0.0 and np.max(integrand(edge)) > 1e-6 * max(sup_here, 1e-300):
-        return math.inf, 0.0
-    if len(deps) <= 3:
-        npts = {1: 400, 2: 96, 3: 40}[len(deps)]
-        x, w = np.polynomial.legendre.leggauss(npts)
-        x = x * radius
-        w = w * radius
-        grids = np.meshgrid(*([x] * len(deps)), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids])
-        wgrids = np.meshgrid(*([w] * len(deps)), indexing="ij")
-        wts = np.prod(np.stack([g.ravel() for g in wgrids]), axis=0)
-        return float(np.sum(wts * integrand(pts))), 0.0
-    # importance sampling with a Laplace proposal matched to the envelope
-    rate = max(comp.decay_rate * min(scaling[deps]) / math.sqrt(len(deps)), 1e-3)
-    y = rng.laplace(scale=1.0 / rate, size=(len(deps), n_mc))
-    q = np.prod(rate / 2.0 * np.exp(-rate * np.abs(y)), axis=0)
-    ratio = integrand(y) / q
-    return float(np.mean(ratio)), float(np.std(ratio, ddof=1) / math.sqrt(n_mc))
+        return math.inf
+    x, w = np.polynomial.legendre.leggauss(400)
+    return float(np.sum(w * radius * integrand(x * radius)))
 
 
 def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
@@ -449,8 +402,8 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
     """Check the declared sup and scaled-integral bounds on the first d components.
 
     The sup bound is checked by sampled maximization over the envelope box;
-    the integral over the component's dependency coordinates uses tensor
-    quadrature up to dimension 3 and importance-sampled Monte Carlo beyond.
+    the integral over the component's coordinate by Gauss-Legendre
+    quadrature.
     Only finitely many truncation levels are checkable; ``d_tested`` records
     the largest one.
     """
@@ -463,17 +416,16 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
     for k in range(min(d, spec.d_max)):
         comp = spec.components[k]
         sup_m = _sampled_sup(comp, d, t_end, rng)
-        int_m, int_se = _integral_over_deps(comp, d, scaling, t_end, rng)
+        int_m = _integral_over_deps(comp, d, scaling, t_end, rng)
         sup_b = spec.c_bounds[k] * lam[k]
         int_b = spec.d_bounds[k] * lam[k]
         # inf <= inf holds, so a non-finite measure or bound fails explicitly
-        ok = np.all(np.isfinite([sup_m, sup_b, int_m, int_b, int_se])) and (
+        ok = np.all(np.isfinite([sup_m, sup_b, int_m, int_b])) and (
             sup_m <= sup_b * (1 + 1e-9) + 1e-12) and (
-            int_m <= int_b * (1 + 1e-9) + 3 * int_se + 1e-12)
+            int_m <= int_b * (1 + 1e-9) + 1e-12)
         entries.append(ComponentBoundsCheck(
             component=k + 1, sup_measured=sup_m, sup_bound=float(sup_b),
-            integral_measured=int_m, integral_bound=float(int_b),
-            integral_stderr=int_se, passed=bool(ok)))
+            integral_measured=int_m, integral_bound=float(int_b), passed=bool(ok)))
     return ClassBoundsReport(entries=tuple(entries), d_tested=d,
                              passed=all(e.passed for e in entries))
 
@@ -486,9 +438,9 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
 def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
     """Project the drift onto the first d coordinates.
 
-    Components past d become zero; the rest read only the first d coordinates
-    of the state (missing coordinates enter as zero).  Zero components are
-    kept as they are; a nonzero component needs its closed-form structure.
+    Components past d become zero; the first d are kept as they are, each
+    closed-form one reading only its own coordinate, below d.  A nonzero
+    component needs its closed-form structure.
     """
     if d < 1:
         raise DomainError("truncation level must be >= 1")
@@ -496,12 +448,7 @@ def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
     for k, comp in enumerate(spec.components):
         if k >= d:
             comps.append(DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0))
-        elif comp.structure is not None:
-            kept = tuple(c for c in comp.deps if c < d)
-            st = replace(comp.structure, coords=kept)
-            comps.append(replace(comp, structure=st, deps=kept,
-                                 fn=functools.partial(_structure_eval, st)))
-        elif comp.sup_bound == 0.0:
+        elif comp.structure is not None or comp.sup_bound == 0.0:
             comps.append(comp)
         else:
             raise DomainError(f"component {k + 1} is nonzero and has no closed-form "
@@ -558,9 +505,9 @@ def _mollified_structure_value(st: JumpExpStructure, eps: float, erf, t, z: np.n
     ``out``; all workspace is taken from ``scratch``."""
     tmp, _, node = _workspace(scratch, t, z.shape[1:])
     reg = st.region
-    rho = _projection_norm(st, z, out, tmp)
+    rho = np.abs(z[st.coord], out=out)
     if reg.kind == "halfspace":
-        if reg.axis in st.coords:
+        if reg.axis == st.coord:
             smooth = _smoothed_step(st, eps, erf, np.subtract(reg.offset / st.scale,
                                                               z[reg.axis], out=tmp))
         else:
@@ -574,30 +521,27 @@ def _mollified_structure_value(st: JumpExpStructure, eps: float, erf, t, z: np.n
 
 def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
                               z: np.ndarray, d: int) -> np.ndarray:
-    """Gradient rows (d, m) of one mollified structured component."""
-    avail = list(st.coords)
-    m = z.shape[1]
-    out = np.zeros((d, m))
-    if not avail:
-        return out
-    rho = _projection_norm(st, z)
+    """Gradient rows (d, m) of one mollified structured component: only the
+    row of its coordinate c is nonzero, and d|z_c|/dz_c = sign(z_c)."""
+    c = st.coord
+    out = np.zeros((d, z.shape[1]))
+    rho = np.abs(z[c])
     amp = _damped_amplitude(st, t, rho.copy())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
-    damp = -(st.decay * st.scale / 2.0) * unit * amp  # (len(avail), m)
+    sign = np.sign(z[c])
+    damp = -(st.decay * st.scale / 2.0) * sign * amp
     reg = st.region
     if reg.kind == "halfspace":
-        if reg.axis in avail:
-            u = (reg.offset / st.scale - z[reg.axis, :]) / eps
-            out[avail, :] = damp * (st.b + (st.a - st.b) * _norm_cdf(u))
-            out[reg.axis, :] += amp * (-(st.a - st.b) * _norm_pdf(u) / eps)
+        if reg.axis == c:
+            u = (reg.offset / st.scale - z[c]) / eps
+            out[c] = damp * (st.b + (st.a - st.b) * _norm_cdf(u))
+            out[c] += amp * (-(st.a - st.b) * _norm_pdf(u) / eps)
         else:
-            out[avail, :] = damp * (st.a if 0.0 <= reg.offset else st.b)
+            out[c] = damp * (st.a if 0.0 <= reg.offset else st.b)
     else:
         u = (reg.radius / st.scale - rho) / eps
         smooth = st.b + (st.a - st.b) * _norm_cdf(u)
         dsmooth_drho = -(st.a - st.b) * _norm_pdf(u) / eps
-        out[avail, :] = damp * smooth + amp * dsmooth_drho * unit
+        out[c] = damp * smooth + amp * dsmooth_drho * sign
     return out
 
 

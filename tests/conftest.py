@@ -178,16 +178,12 @@ def kernel_cell_integral(H, t: float, a: float, b: float, power: int = 1) -> flo
 
 
 def structure_eval_reference(st: drift.JumpExpStructure, t: float, y: np.ndarray) -> np.ndarray:
-    avail = [c for c in st.coords if c < y.shape[0]]
     m = y.shape[1]
-    if avail:
-        norm_w = st.scale * np.sqrt(np.sum(y[avail, :] ** 2, axis=0))
-    else:
-        norm_w = np.zeros(m)
+    norm_w = st.scale * np.sqrt(y[st.coord] ** 2)
     amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
     reg = st.region
     if reg.kind == "halfspace":
-        w_axis = st.scale * y[reg.axis, :] if reg.axis in avail else np.zeros(m)
+        w_axis = st.scale * y[reg.axis, :] if reg.axis == st.coord else np.zeros(m)
         inside = w_axis <= reg.offset
     else:
         inside = norm_w <= reg.radius
@@ -196,46 +192,41 @@ def structure_eval_reference(st: drift.JumpExpStructure, t: float, y: np.ndarray
 
 def mollified_value_reference(st: drift.JumpExpStructure, eps: float, t: float,
                               z: np.ndarray) -> np.ndarray:
-    avail = list(st.coords)
     m = z.shape[1]
-    norm_w = st.scale * np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
-    amp = st.amp * math.exp(-t) * np.exp(-st.decay * norm_w / 2.0)
+    rho = np.sqrt(z[st.coord] ** 2)
+    amp = st.amp * math.exp(-t) * np.exp(-st.decay * (st.scale * rho) / 2.0)
     reg = st.region
     if reg.kind == "halfspace":
-        if reg.axis in avail:
+        if reg.axis == st.coord:
             c = reg.offset / st.scale
             smooth = st.b + (st.a - st.b) * drift._norm_cdf((c - z[reg.axis, :]) / eps)
         else:
             smooth = np.full(m, st.a if 0.0 <= reg.offset else st.b)
     else:
-        rad = reg.radius / st.scale
-        rho = np.sqrt(np.sum(z[avail, :] ** 2, axis=0)) if avail else np.zeros(m)
-        smooth = st.b + (st.a - st.b) * drift._norm_cdf((rad - rho) / eps)
+        smooth = st.b + (st.a - st.b) * drift._norm_cdf((reg.radius / st.scale - rho) / eps)
     return amp * smooth
 
 
 def mollified_grad_reference(st: drift.JumpExpStructure, eps: float, t: float,
                              z: np.ndarray, d: int) -> np.ndarray:
-    avail = list(st.coords)
+    c = st.coord
     m = z.shape[1]
     out = np.zeros((d, m))
-    if not avail:
-        return out
-    rho = np.sqrt(np.sum(z[avail, :] ** 2, axis=0))
+    rho = np.sqrt(z[c] ** 2)
     amp = st.amp * math.exp(-t) * np.exp(-st.decay * (st.scale * rho) / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(rho > 0, z[avail, :] / rho, 0.0)
+        unit = np.where(rho > 0, z[c] / rho, 0.0)
     damp = -(st.decay * st.scale / 2.0) * unit * amp
     reg = st.region
     if reg.kind == "halfspace":
-        if reg.axis in avail:
-            u = (reg.offset / st.scale - z[reg.axis, :]) / eps
-            out[avail, :] = damp * (st.b + (st.a - st.b) * drift._norm_cdf(u))
-            out[reg.axis, :] += amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps)
+        if reg.axis == c:
+            u = (reg.offset / st.scale - z[c]) / eps
+            out[c] = damp * (st.b + (st.a - st.b) * drift._norm_cdf(u))
+            out[c] += amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps)
         else:
-            out[avail, :] = damp * np.full(m, st.a if 0.0 <= reg.offset else st.b)
+            out[c] = damp * np.full(m, st.a if 0.0 <= reg.offset else st.b)
     else:
         u = (reg.radius / st.scale - rho) / eps
         smooth = st.b + (st.a - st.b) * drift._norm_cdf(u)
-        out[avail, :] = damp * smooth + amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps) * unit
+        out[c] = damp * smooth + amp * (-(st.a - st.b) * drift._norm_pdf(u) / eps) * unit
     return out

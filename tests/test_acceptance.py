@@ -141,21 +141,31 @@ def test_criterion_05_weak_strong_agreement(model):
            worst <= 1.0, "; ".join(details))
 
 
-def test_criterion_06_picard_contraction():
+def test_criterion_06_picard_contraction(model):
     theta, lam, H = 0.9, 0.5, 0.08
     grid = fbm.TimeGrid(1.0, 256)
-    hs = cylinder.HurstSequence(heads=(H, H / 2), tail_ratio=0.5)
-    ws = cylinder.WeightSequence(heads=(lam, lam / 2), tail_ratio=0.5)
+    hs = cylinder.HurstSequence(H, 0.5)
+    ws = cylinder.WeightSequence(lam, 0.5)
     noise = cylinder.sample_cyl_fbm(hs, ws, 1, grid, 2000, seed=606, method="kernel")
     sol = solver.picard_iterates(lambda t, y: -theta * y, np.array([0.4]), noise,
                                  tol=1e-12, max_iter=40)
     diag = solver.picard_residual_curve(sol.residuals, grid.t_end)
     enough = len(sol.residuals) >= 5
     bound_ok = all(r <= theta * grid.t_end * 1.1 for r in diag.ratios)
-    ok = enough and bound_ok and diag.super_geometric
+    # the diagnostic iterates the solver the commands run: on the mollified
+    # jump drift, sweep k holds the one-sweep solve's nodes 0..k bit for bit
+    hs_m, ws_m, spec = model
+    md = drift.mollify(spec, 2, 0.1)
+    jump_noise = cylinder.sample_cyl_fbm(hs_m, ws_m, 2, fbm.TimeGrid(1.0, 64), 500, seed=616)
+    solved = solver.picard_solve(md, np.zeros(2), jump_noise).paths
+    tied = all(np.array_equal(
+        solver.picard_iterates(md, np.zeros(2), jump_noise, exact_iterations=k).paths[:, : k + 1],
+        solved[:, : k + 1]) for k in (1, 2, 5))
+    ok = enough and bound_ok and diag.super_geometric and tied
     report(6, "fixed-point residuals contract super-geometrically", ok,
            f"{len(sol.residuals)} iterations, max ratio = {max(diag.ratios):.3f} "
-           f"(bound {theta * grid.t_end * 1.1:.3f})")
+           f"(bound {theta * grid.t_end * 1.1:.3f}), sweeps 1, 2, 5 equal the solve "
+           f"on their nodes: {tied}")
 
 
 def test_criterion_07_malliavin_validation(model):

@@ -1,13 +1,15 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
 
-from cylfbm import cli
+from cylfbm import cli, cylinder, drift
 
 
 def read_body(path):
@@ -19,6 +21,18 @@ def read_header(path):
     """The ``# key: value`` comment lines as a mapping."""
     return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
                 if ln.startswith("# "))
+
+
+def nest(flat: dict) -> dict:
+    """Nested mapping of dotted keys, the inverse of ``cli._flatten``."""
+    nested: dict = {}
+    for key, val in flat.items():
+        *parents, leaf = key.split(".")
+        node = nested
+        for p in parents:
+            node = node.setdefault(p, {})
+        node[leaf] = val
+    return nested
 
 
 def run_main(tmp_path, capsys, mapping):
@@ -86,7 +100,7 @@ class TestConfigSchema:
 
     def test_defaults_round_trip(self):
         defaults = {key: default for key, (_, default, _note) in cli._SCHEMA.items()}
-        cfg = cli.load_config(cli._nest(defaults))
+        cfg = cli.load_config(nest(defaults))
         assert cfg.command == "verify-suite"
         assert cfg["grid.n_cells"] == 64
 
@@ -291,7 +305,7 @@ class TestSchemaWalk:
                              ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_value_outside_domain_named(self, tmp_path, capsys, key, value):
         flat = {"command": "simulate", "grid.n_cells": 16, "mc.n_paths": 100, key: value}
-        rc, err = run_main(tmp_path, capsys, cli._nest(flat))
+        rc, err = run_main(tmp_path, capsys, nest(flat))
         assert rc == cli.EXIT_CONFIG
         assert f"config key {key}" in err
         assert not (tmp_path / "o").exists()
@@ -306,13 +320,49 @@ class TestSchemaWalk:
     def test_constructor_rejection_names_its_keys(self, tmp_path, capsys, params, keys,
                                                   message):
         # sum H_k = 0.08/0.4 >= 1/6; weight_ratio 0.6 >= sqrt(0.25); amp_ratio
-        # 0.6 >= weight_ratio 0.5; H_k underflows to 0 long before 10^6 heads
+        # 0.6 >= weight_ratio 0.5; H_k underflows to 0 long before k = 10^6
         rc, err = run_main(tmp_path, capsys, {"command": "girsanov", "grid": {"n_cells": 16},
                                               "mc": {"n_paths": 100}, **params})
         assert rc == cli.EXIT_CONFIG
         assert "config key" in err and message in err
         assert all(key in err for key in keys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"sequences": {"d_max": 1000000, "hurst_first": 1e-6, "hurst_ratio": 0.99999}},
+         "positive weights"),
+        ({"d": 1100, "sequences": {"d_max": 1100, "hurst_first": 0.01, "hurst_ratio": 0.9,
+                                   "weight_ratio": 0.9}}, "proj_scale_ratio^(d_max - 1)"),
+    ], ids=["weight_underflow", "scale_overflow"])
+    def test_drift_family_rejects_before_building(self, tmp_path, capsys, params, message):
+        # lambda_{d_max} = 0.5^999999 underflows to 0; the scale 2^1099 of
+        # component 1100 overflows.  Both reject at load, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_main(tmp_path, capsys, {"command": "girsanov",
+                                                  "grid": {"n_cells": 16},
+                                                  "mc": {"n_paths": 100}, **params})
+        assert rc == cli.EXIT_CONFIG
+        assert "config key" in err and message in err
+        assert all(key in err for key in cli._DRIFT_KEYS)
+        assert not (tmp_path / "o").exists()
+
+    def test_every_model_parameter_has_a_key(self):
+        # a parameter that no key reaches is model generality no command runs
+        family = inspect.signature(drift.indicator_exponential_family).parameters
+        keys = {f"drift.{name}" for name in family if name not in ("weights", "d_max", "region")}
+        read = []
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+        cylinder.make_sequences(Recording({key.removeprefix("sequences."): default
+                                           for key, (_, default, _) in cli._SCHEMA.items()
+                                           if key.startswith("sequences.")}))
+        keys |= {f"sequences.{key}" for key in read}
+        assert read and not keys - cli._SCHEMA.keys(), keys - cli._SCHEMA.keys()
 
 
 class TestImportPath:

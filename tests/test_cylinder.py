@@ -8,16 +8,16 @@ from cylfbm import cylinder, fbm, girsanov
 class TestSequences:
     def test_default_preset_accepted(self, sequences):
         hs, ws = sequences
-        assert hs.sup_value == pytest.approx(0.08)
+        assert hs.value(1) == 0.08
         assert hs.total_sum == pytest.approx(0.16)
-        assert hs.sup_value < 1 / 12 and hs.total_sum < 1 / 6
+        assert hs.value(1) < 1 / 12 and hs.total_sum < 1 / 6
 
     def test_geometric_examples(self):
-        hs = cylinder.HurstSequence.geometric(0.08, 0.5, 8)
+        hs = cylinder.HurstSequence(0.08, 0.5)
         assert hs.value(1) == pytest.approx(0.08)
         assert hs.value(3) == pytest.approx(0.02)
-        assert hs.value(12) == pytest.approx(0.08 * 2.0 ** -11)  # tail rule
-        ws = cylinder.WeightSequence.geometric(0.5, 0.5, 8)
+        assert hs.value(12) == pytest.approx(0.08 * 2.0 ** -11)
+        ws = cylinder.WeightSequence(0.5, 0.5)
         total = cylinder.validate_sequence_pair(hs, ws)
         # lambda_k/sqrt(H_k) sums to a finite geometric series
         exact = sum(0.5 ** k / np.sqrt(0.08 * 0.5 ** (k - 1)) for k in range(1, 200))
@@ -25,27 +25,27 @@ class TestSequences:
 
     def test_constant_hursts_rejected(self):
         with pytest.raises(cylinder.SequenceConstraintError) as err:
-            cylinder.HurstSequence(heads=(0.1, 0.1, 0.1), tail_ratio=0.9)
-        assert "decreasing" in str(err.value)
+            cylinder.HurstSequence(0.05, 1.0)
+        assert "decrease" in str(err.value)
         with pytest.raises(cylinder.SequenceConstraintError) as err:
-            cylinder.HurstSequence.geometric(0.1, 0.999999, 3)
+            cylinder.HurstSequence(0.1, 0.999999)
         assert "1/6" in str(err.value) or "1/12" in str(err.value)
 
     def test_sup_violation_named(self):
         with pytest.raises(cylinder.SequenceConstraintError) as err:
-            cylinder.HurstSequence.geometric(0.09, 0.2, 4)
+            cylinder.HurstSequence(0.09, 0.2)
         assert "1/12" in str(err.value)
 
     def test_mixed_tail_divergence_named(self):
-        hs = cylinder.HurstSequence.geometric(0.08, 0.25, 4)
-        ws = cylinder.WeightSequence.geometric(0.5, 0.6, 4)  # 0.6 > sqrt(0.25)
+        hs = cylinder.HurstSequence(0.08, 0.25)
+        ws = cylinder.WeightSequence(0.5, 0.6)  # 0.6 > sqrt(0.25)
         with pytest.raises(cylinder.SequenceConstraintError) as err:
             cylinder.validate_sequence_pair(hs, ws)
         assert "diverges" in str(err.value)
 
     def test_out_of_range_hurst(self):
         with pytest.raises(cylinder.SequenceConstraintError):
-            cylinder.HurstSequence(heads=(0.6,), tail_ratio=0.5)
+            cylinder.HurstSequence(0.6, 0.5)
 
 
 class TestEnsembles:
@@ -228,8 +228,8 @@ def expected_sup_norm(ens) -> float:
 
 class TestSupNormDiagnostic:
     def test_zero_weight_gives_zero(self, grid64):
-        hs = cylinder.HurstSequence.geometric(0.08, 0.5, 2)
-        ws = cylinder.WeightSequence(heads=(0.0, 0.0), tail_ratio=0.0)
+        hs = cylinder.HurstSequence(0.08, 0.5)
+        ws = cylinder.WeightSequence(0.0, 0.0)
         ens = cylinder.sample_cyl_fbm(hs, ws, 1, grid64, 200, seed=3)
         assert expected_sup_norm(ens) == 0.0
 

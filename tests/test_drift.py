@@ -16,7 +16,7 @@ from cylfbm import cli, cylinder, drift, fbm
 
 @pytest.fixture(scope="module")
 def weights():
-    return cylinder.WeightSequence.geometric(0.5, 0.5, 4)
+    return cylinder.WeightSequence(0.5, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +261,8 @@ class TestMollifiedStaysInClass:
 
 class TestFusedEvaluation:
     """The fused evaluations give the pass-by-pass formulas' floats exactly
-    (at scales and decay rates that are not powers of two, where regrouping
-    their products would round differently)."""
+    (at decay rates and, past component 1, scales that are not powers of
+    two, where regrouping their products would round differently)."""
 
     REGIONS = {
         "halfspace-axis0": drift.Region("halfspace", axis=0, offset=0.0),
@@ -270,31 +270,25 @@ class TestFusedEvaluation:
         "halfspace-axis3-negative-offset": drift.Region("halfspace", axis=3, offset=-0.2),
         "ball": drift.Region("ball", radius=0.8),
     }
-    PROJ_SETS = {
-        "own": None,
-        # two coordinates each; the fourth reads coordinate 4, past a 4-row
-        # state
-        "pairs": ((0, 1), (1, 2), (2, 0), (3, 4), (4, 0)),
-    }
+    PROJ_SETS = ("own",)  # each component reads its own coordinate
 
     @staticmethod
-    def states(n_rows, scale_first):
+    def states(n_rows):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((n_rows, 400)) * 1.5
         z[:, :10] = 0.0  # the origin and a vanishing norm
-        z[1, 10:20] = 0.3 / (4.5 * scale_first)  # on the axis-1 interface
+        z[1, 10:20] = 0.3 / 4.5  # on the axis-1 interface
         z[:, 20:25] = 40.0  # an underflowing amplitude
         return z
 
     @pytest.mark.parametrize("region", sorted(REGIONS))
-    @pytest.mark.parametrize("proj", sorted(PROJ_SETS))
+    @pytest.mark.parametrize("proj", PROJ_SETS)
     @pytest.mark.parametrize("t", [0.0, 0.7])
     def test_raw_mollified_and_gradient_bitwise(self, weights, region, proj, t):
-        ws5 = cylinder.WeightSequence.geometric(0.5, 0.5, 5)
         spec = drift.indicator_exponential_family(
-            ws5, 5, region=self.REGIONS[region], proj_sets=self.PROJ_SETS[proj],
-            decay_first=0.7, decay_ratio=0.9, proj_scale_first=1.3, proj_scale_ratio=4.5)
-        y = self.states(4, spec.components[0].structure.scale)
+            weights, 5, region=self.REGIONS[region],
+            decay_first=0.7, decay_ratio=0.9, proj_scale_ratio=4.5)
+        y = self.states(4)
         raw = drift.evaluate(spec, t, y)
         for k in range(4):
             st = spec.components[k].structure
@@ -316,24 +310,22 @@ class TestNodeTimeContract:
     bit, in one lane and in two."""
 
     @pytest.mark.parametrize("region", sorted(TestFusedEvaluation.REGIONS))
-    @pytest.mark.parametrize("proj", sorted(TestFusedEvaluation.PROJ_SETS))
-    def test_matches_stacked_node_calls(self, monkeypatch, region, proj):
-        ws5 = cylinder.WeightSequence.geometric(0.5, 0.5, 5)
+    @pytest.mark.parametrize("proj", TestFusedEvaluation.PROJ_SETS)
+    def test_matches_stacked_node_calls(self, monkeypatch, weights, region, proj):
         spec = drift.indicator_exponential_family(
-            ws5, 5, region=TestFusedEvaluation.REGIONS[region],
-            proj_sets=TestFusedEvaluation.PROJ_SETS[proj],
-            decay_first=0.7, decay_ratio=0.9, proj_scale_first=1.3, proj_scale_ratio=4.5)
+            weights, 5, region=TestFusedEvaluation.REGIONS[region],
+            decay_first=0.7, decay_ratio=0.9, proj_scale_ratio=4.5)
         grid = fbm.TimeGrid(1.0, 8)
-        base = TestFusedEvaluation.states(4, spec.components[0].structure.scale)
+        base = TestFusedEvaluation.states(4)
         # every node keeps the interface, origin and underflow columns
         y = np.stack([np.roll(base, 7 * i, axis=1) for i in range(grid.n_nodes)], axis=1)
         evaluators = {
             "raw": functools.partial(drift.evaluate, spec),
             "mollified": drift.mollify(spec, 4, 0.05),
             "truncated": functools.partial(drift.evaluate, drift.truncate_drift(spec, 2)),
-            "zero": functools.partial(drift.evaluate, drift.zero_drift(ws5, 4)),
+            "zero": functools.partial(drift.evaluate, drift.zero_drift(weights, 4)),
             "constant": functools.partial(drift.evaluate,
-                                          constant_drift([0.2, -0.1, 0.0, 0.3], ws5)),
+                                          constant_drift([0.2, -0.1, 0.0, 0.3], weights)),
         }
         for name, fn in evaluators.items():
             ref = np.stack([fn(s, y[:, i, :]) for i, s in enumerate(grid.nodes)], axis=1)

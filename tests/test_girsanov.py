@@ -84,8 +84,7 @@ class TestStochasticExponential:
 
 def hs_shifted(hs, k):
     """Sequence whose first entry is the k-th index of hs (single-component runs)."""
-    return cylinder.HurstSequence(heads=tuple(hs.value(k + 1 + j) for j in range(2)),
-                                  tail_ratio=hs.tail_ratio)
+    return cylinder.HurstSequence(hs.value(k + 1), hs.ratio)
 
 
 class TestWeakSolutionEstimator:
@@ -115,9 +114,9 @@ class TestWeakSolutionEstimator:
         assert not res.low_ess
 
     def test_zero_weight_with_drift_rejected(self, grid64):
-        hs = cylinder.HurstSequence.geometric(0.08, 0.5, 2)
-        ws = cylinder.WeightSequence(heads=(0.5, 0.0), tail_ratio=0.0)
-        spec = constant_drift([0.1, 0.1], cylinder.WeightSequence.geometric(0.5, 0.5, 2))
+        hs = cylinder.HurstSequence(0.08, 0.5)
+        ws = cylinder.WeightSequence(0.5, 0.0)
+        spec = constant_drift([0.1, 0.1], cylinder.WeightSequence(0.5, 0.5))
         with pytest.raises(fbm.DomainError):
             girsanov.weak_solution_estimator(spec, ["coordinate:1"], [0.0, 0.0], 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)

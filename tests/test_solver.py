@@ -26,8 +26,8 @@ def jump_sol(jump_md, noise2):
 
 
 def scalar_noise(H, lam, grid, n_paths, seed):
-    hs = cylinder.HurstSequence(heads=(H, H / 2), tail_ratio=0.5)
-    ws = cylinder.WeightSequence(heads=(lam, lam / 2), tail_ratio=0.5)
+    hs = cylinder.HurstSequence(H, 0.5)
+    ws = cylinder.WeightSequence(lam, 0.5)
     return cylinder.sample_cyl_fbm(hs, ws, 1, grid, n_paths, seed,
                                    method="kernel", keep_increments=True)
 
