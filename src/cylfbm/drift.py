@@ -25,9 +25,60 @@ LND_FLOOR = 0.4  # non-determinism constants the family's integral constants ass
 REGION_KINDS = ("halfspace", "ball")
 
 
+# W. J. Cody's rational Chebyshev approximations to erf (Math. Comp. 23, 1969),
+# highest power first: x P(x^2)/Q(x^2) for |x| <= _ERF_SMALL, and
+# erf(x) = 1 - exp(-x^2) C(|x|)/D(|x|) above, with |x| clipped at _ERF_CLIP,
+# past which erf rounds to +-1 (from 5.93 on)
+_ERF_SMALL = 0.46875
+_ERF_CLIP = 6.0
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+          3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_Q = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERF_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+          6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+          1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERF_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03)
+
+
+def _horner(coefs: tuple, y: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coefs`` (highest power first) at y,
+    in place over one fresh array."""
+    acc = y * coefs[0]
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= y
+    acc += coefs[-1]
+    return acc
+
+
+def _erf(x, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function of the array x (one dimension or more), written
+    into ``out`` (fresh by default; it may be x itself).  The C/D branch runs
+    on every entry, which on (4, 6] matches Cody's asymptotic branch to the
+    last bit, since erfc < 1.6e-8 there; the small entries are then
+    overwritten with x P/Q."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    small = y <= _ERF_SMALL
+    xs = x[small]  # read before out, which may be x, is written
+    np.minimum(y, _ERF_CLIP, out=y)
+    r = _horner(_ERF_C, y)
+    r /= _horner(_ERF_D, y)
+    np.square(y, out=y)
+    np.negative(y, out=y)
+    r *= np.exp(y, out=y)  # erfc(|x|)
+    np.subtract(1.0, r, out=r)
+    out = np.copysign(r, x, out=out)
+    ys = xs * xs
+    out[small] = xs * _horner(_ERF_P, ys) / _horner(_ERF_Q, ys)
+    return out
+
+
 def _norm_cdf(x):
-    from scipy.special import erf  # only the mollified drift loads scipy
-    return 0.5 * (1.0 + erf(np.asarray(x) / np.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf(np.asarray(x) / np.sqrt(2.0)))
 
 
 def _norm_pdf(x):
@@ -250,7 +301,9 @@ def indicator_exponential_family(
         region = Region("halfspace", axis=0, offset=0.0)
     if weights.value(d_max) == 0.0:  # the weights never increase: the last is the least
         raise DomainError("family components need positive weights")
-    for name, ratio in (("proj_scale_ratio", proj_scale_ratio), ("decay_ratio", decay_ratio)):
+    # component d_max's decay rate holds the product of the two powers
+    for name, ratio in (("proj_scale_ratio", proj_scale_ratio), ("decay_ratio", decay_ratio),
+                        ("(decay_ratio * proj_scale_ratio)", decay_ratio * proj_scale_ratio)):
         try:
             top = ratio ** (d_max - 1)
         except OverflowError:  # a Python float power raises rather than give inf
@@ -258,8 +311,9 @@ def indicator_exponential_family(
         if not math.isfinite(top):
             raise DomainError(f"{name}^(d_max - 1) = {ratio}^{d_max - 1} overflows")
     c_ratio = amp_ratio / weights.ratio if weights.ratio else 0.0
-    d_ratio = c_ratio / (decay_ratio * proj_scale_ratio * weights.ratio) \
-        if weights.ratio else 0.0
+    rate_ratio = decay_ratio * proj_scale_ratio * weights.ratio
+    # a rate ratio that underflows to 0 lies far below any positive c_ratio
+    d_ratio = c_ratio / rate_ratio if rate_ratio else (math.inf if c_ratio else 0.0)
     if c_ratio >= 1.0:
         raise DomainError(f"sup-bound constants not summable: tail ratio {c_ratio} >= 1")
     if d_ratio >= 1.0:
@@ -486,12 +540,12 @@ class MollifiedDrift:
         return self.evaluator(t, z, out=out)
 
 
-def _smoothed_step(st: JumpExpStructure, eps: float, erf, u: np.ndarray) -> np.ndarray:
+def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
     """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
     place over ``u`` in the operation order of :func:`_norm_cdf`."""
     u /= eps
     u /= np.sqrt(2.0)
-    erf(u, out=u)
+    _erf(u, out=u)
     u += 1.0
     u *= 0.5
     u *= st.a - st.b
@@ -499,7 +553,7 @@ def _smoothed_step(st: JumpExpStructure, eps: float, erf, u: np.ndarray) -> np.n
     return u
 
 
-def _mollified_structure_value(st: JumpExpStructure, eps: float, erf, t, z: np.ndarray,
+def _mollified_structure_value(st: JumpExpStructure, eps: float, t, z: np.ndarray,
                                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The mollified component's values at t on states z, written into
     ``out``; all workspace is taken from ``scratch``."""
@@ -508,12 +562,12 @@ def _mollified_structure_value(st: JumpExpStructure, eps: float, erf, t, z: np.n
     rho = np.abs(z[st.coord], out=out)
     if reg.kind == "halfspace":
         if reg.axis == st.coord:
-            smooth = _smoothed_step(st, eps, erf, np.subtract(reg.offset / st.scale,
-                                                              z[reg.axis], out=tmp))
+            smooth = _smoothed_step(st, eps, np.subtract(reg.offset / st.scale, z[reg.axis],
+                                                         out=tmp))
         else:
             smooth = st.a if 0.0 <= reg.offset else st.b
     else:
-        smooth = _smoothed_step(st, eps, erf, np.subtract(reg.radius / st.scale, rho, out=tmp))
+        smooth = _smoothed_step(st, eps, np.subtract(reg.radius / st.scale, rho, out=tmp))
     amp = _damped_amplitude(st, t, rho, node)
     amp *= smooth
     return amp
@@ -551,7 +605,6 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
     be zero or carry its closed-form structure (:func:`truncate_drift`)."""
     if not eps > 0.0:
         raise DomainError(f"mollifier width must be positive, got {eps}")
-    from scipy.special import erf  # once per mollification, not per evaluation
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
 
@@ -564,7 +617,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
 
         def work(k, scratch):
             if comps[k].sup_bound != 0.0:
-                _mollified_structure_value(comps[k].structure, eps, erf, t, z, out[k], scratch)
+                _mollified_structure_value(comps[k].structure, eps, t, z, out[k], scratch)
             else:
                 out[k] = 0.0
 

@@ -329,8 +329,7 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
-    # plain callables (the strong solve needs no Lipschitz estimate), built first:
-    # scipy.special (erf) loaded among the target's freed arrays raised peak RSS 16%
+    # plain callables: the strong solve needs no Lipschitz estimate
     evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,

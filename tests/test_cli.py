@@ -333,19 +333,29 @@ class TestSchemaWalk:
          "positive weights"),
         ({"d": 1100, "sequences": {"d_max": 1100, "hurst_first": 0.01, "hurst_ratio": 0.9,
                                    "weight_ratio": 0.9}}, "proj_scale_ratio^(d_max - 1)"),
-    ], ids=["weight_underflow", "scale_overflow"])
+        ({"d": 8, "drift": {"decay_ratio": 1e40, "proj_scale_ratio": 1e40}},
+         "(decay_ratio * proj_scale_ratio)^(d_max - 1)"),
+        ({"drift": {"decay_ratio": 1e-300, "proj_scale_ratio": 1e-300}},
+         "integral-bound constants not summable"),
+    ], ids=["weight_underflow", "scale_overflow", "decay_scale_product_overflow",
+            "decay_scale_product_underflow"])
     def test_drift_family_rejects_before_building(self, tmp_path, capsys, params, message):
         # lambda_{d_max} = 0.5^999999 underflows to 0; the scale 2^1099 of
-        # component 1100 overflows.  Both reject at load, without a warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc, err = run_main(tmp_path, capsys, {"command": "girsanov",
-                                                  "grid": {"n_cells": 16},
-                                                  "mc": {"n_paths": 100}, **params})
-        assert rc == cli.EXIT_CONFIG
-        assert "config key" in err and message in err
-        assert all(key in err for key in cli._DRIFT_KEYS)
-        assert not (tmp_path / "o").exists()
+        # component 1100 overflows; component 8's decay rate holds
+        # (1e40 * 1e40)^7, though each power alone is finite; the integral
+        # constants' tail ratio divides by 1e-300 * 1e-300, which underflows
+        # to 0.  Every command that builds the model rejects at load, without
+        # a warning
+        for command in ("validate", "solve", "girsanov", "converge"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, err = run_main(tmp_path, capsys, {"command": command,
+                                                      "grid": {"n_cells": 16},
+                                                      "mc": {"n_paths": 100}, **params})
+            assert rc == cli.EXIT_CONFIG, command
+            assert "config key" in err and message in err
+            assert all(key in err for key in cli._DRIFT_KEYS)
+            assert not (tmp_path / "o").exists()
 
     def test_every_model_parameter_has_a_key(self):
         # a parameter that no key reaches is model generality no command runs
@@ -367,9 +377,8 @@ class TestSchemaWalk:
 
 class TestImportPath:
     def test_sampling_commands_skip_quadrature_and_lemma_suite(self, tmp_path):
-        # import, girsanov, simulate and validate load no scipy module; the
-        # mollified drift of converge loads scipy.special for erf, and only
-        # verify-suite (and the stochastic derivative) need scipy.integrate.
+        # import and every command but verify-suite load no scipy module:
+        # only the lemma suite (and the stochastic derivative) need scipy.
         # The package still resolves `verify` on access, as the tracer does.
         # Only the sampling commands run component lanes: verify-suite and
         # validate start no thread.
@@ -386,14 +395,12 @@ def counted_start(thread):
     started.append(thread.name)
     start(thread)
 threading.Thread.start = counted_start
-for command in ("girsanov", "simulate", "validate", "converge"):
+for command in ("girsanov", "simulate", "validate", "solve", "converge"):
     cfg = cli.load_config({{"command": command, "grid": {{"n_cells": 16}},
                            "mc": {{"n_paths": 200, "seed": 3}}}})
     assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK
-    if command != "converge":
-        assert not scipy_modules(), (command, scipy_modules())
-loaded = sorted({{"scipy.integrate", "cylfbm.verify"}} & set(sys.modules))
-assert not loaded, loaded
+    assert not scipy_modules(), (command, scipy_modules())
+assert "cylfbm.verify" not in sys.modules
 assert getattr(cylfbm, "verify").__name__ == "cylfbm.verify"
 assert started or cylfbm.cylinder.usable_cpus() == 1, "lanes start no thread"
 active = threading.active_count()

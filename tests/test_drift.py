@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import (
     constant_drift,
@@ -214,6 +214,40 @@ class TestMollification:
             approx[:d] = md(0.5, states[:d])
             gaps.append(float(np.mean(np.sum((approx - full) ** 2, axis=0))))
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+
+class TestErf:
+    """The numpy erf of the mollified drift against scipy.special.erf: a
+    dense grid, geometric points down to the least subnormal, and the
+    neighbours of the branch edges and of the clip."""
+
+    @staticmethod
+    def points():
+        edges = np.array([drift._ERF_SMALL, 4.0, drift._ERF_CLIP])
+        near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+        x = np.concatenate([np.linspace(-7.0, 7.0, 200001), np.geomspace(5e-324, 1.0, 2000),
+                            near])
+        return np.concatenate([x, -x])
+
+    def test_matches_scipy(self):
+        x = self.points()
+        want = special.erf(x)
+        gap = np.abs(drift._erf(x) - want)
+        assert gap.max() <= 5e-16
+        normal = np.abs(want) >= 1e-300
+        assert np.all(gap[normal] <= 8 * np.spacing(np.abs(want[normal])))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        got = drift._erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert np.array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        assert np.array_equal(np.signbit(got[:2]), [False, True])
+        assert np.isnan(got[4])
+
+    def test_in_place_equals_out_of_place(self):
+        x = self.points()
+        y = x.copy()
+        assert drift._erf(y, out=y) is y
+        assert np.array_equal(y, drift._erf(x))
 
 
 class TestLipschitzFactorization:
