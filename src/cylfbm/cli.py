@@ -370,6 +370,10 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     d = cfg["d"]
     md = drift.mollify(spec, d, cfg["drift.epsilon"])
+    L, M, _ = drift.lipschitz_estimate(md)
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
+        raise ConfigError(f"config key {', '.join(_DRIFT_KEYS)}, drift.epsilon: "
+                          "the mollified drift's Lipschitz estimate is not finite")
     noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, cfg["mc.n_paths"], cfg["mc.seed"])
     x = np.asarray(cfg["x0"], dtype=float)
     sol = solver.picard_solve(md, x, noise)
@@ -387,9 +391,10 @@ def _cmd_girsanov(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     d = cfg["d"]
     x = np.asarray(cfg["x0"], dtype=float)
-    res = girsanov.weak_solution_estimator(
-        spec, cfg["phis"], x, cfg["t_eval"], hs, ws, d, grid,
-        cfg["mc.n_paths"], cfg["mc.seed"])
+    with _naming(*_DRIFT_KEYS):
+        res = girsanov.weak_solution_estimator(
+            spec, cfg["phis"], x, cfg["t_eval"], hs, ws, d, grid,
+            cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr",
                                  "n_paths", "seed"], provenance=_sample_provenance(res))
     for phi_id in cfg["phis"]:
@@ -410,9 +415,10 @@ def _sample_provenance(res: girsanov.EstimatorResult) -> dict:
 def _cmd_converge(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     x = np.asarray(cfg["x0"], dtype=float)
-    rows, target = solver.converge_experiment(
-        spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, x,
-        cfg["mc.n_paths"], cfg["mc.seed"])
+    with _naming(*_DRIFT_KEYS):
+        rows, target = solver.converge_experiment(
+            spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, x,
+            cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["d", "eps", "t", "phi_id", "value", "stderr",
                                  "target", "target_stderr", "gap",
                                  "paired_gap", "paired_stderr"],

@@ -6,7 +6,10 @@ coordinate a component reads, both with summable constant sequences.  The
 bundled example family multiplies an exponentially damped amplitude by a
 region indicator (a jump across a halfspace or ball), component k reading
 its own coordinate scaled by proj_scale_ratio^(k-1); truncation and Gaussian
-mollification produce the smooth approximants handed to the solvers.
+mollification produce the smooth approximants handed to the solvers.  The
+raw drift is the width-0 case of the mollified one: one kernel computes a
+closed-form component at every width eps >= 0, the indicator at eps = 0,
+and one driver runs the components for both.
 """
 
 from __future__ import annotations
@@ -134,9 +137,9 @@ class DriftComponent:
     :func:`validate_drift_class`), and ``decay_rate`` r certifies
     |b_k| <= sup_bound * exp(-r * |y restricted to deps|).  A component with
     closed-form ``structure`` has
-    ``fn = functools.partial(_structure_eval, structure)``, which also takes
-    ``out`` and ``scratch`` (see :meth:`write`): direct calls and
-    :func:`evaluate` run that one function.
+    ``fn = functools.partial(_component_values, structure, 0.0)``, the
+    raw (eps = 0) case of the one kernel that :func:`evaluate` and every
+    mollified evaluator run on it.
     """
 
     fn: object
@@ -147,15 +150,6 @@ class DriftComponent:
 
     def __call__(self, t, y: np.ndarray) -> np.ndarray:
         return self.fn(t, y)
-
-    def write(self, t, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Write ``fn(t, y)`` into ``out``.  A closed-form component's ``fn``
-        is ``fn(t, y, out, scratch)``: it writes into ``out``, works in
-        ``scratch`` (:func:`_workspace_size` floats) and allocates nothing."""
-        if self.structure is not None:
-            self.fn(t, y, out, scratch)
-        else:
-            out[...] = self.fn(t, y)
 
 
 @dataclass(frozen=True)
@@ -188,14 +182,30 @@ def evaluate(spec: DriftSpec, t, y: np.ndarray, out: np.ndarray | None = None) -
     (:func:`_max_lanes`).  The rows are written into ``out`` (a fresh array
     by default) and returned.
     """
+    return _evaluate_components(spec.components, 0.0, t, y, out)
+
+
+def _evaluate_components(comps: tuple, eps: float, t, y, out: np.ndarray | None = None
+                         ) -> np.ndarray:
+    """The first min(dy, len(comps)) components at mollifier width eps (0 for
+    the raw drift) under the time contract of :func:`evaluate`: a closed-form
+    component through :func:`_component_values` in its lane's scratch, any
+    other through its ``fn``."""
     y = np.asarray(y, dtype=float)
     if np.ndim(t) == 0:
         y = np.atleast_2d(y)
-    comps = spec.components[: y.shape[0]]
+    comps = comps[: y.shape[0]]
     if out is None:
         out = np.empty((len(comps),) + y.shape[1:])
-    run_component_lanes(len(comps), lambda k, scratch: comps[k].write(t, y, out[k], scratch),
-                        _workspace_size(t, y.shape[1:]), _max_lanes(t))
+
+    def work(k, scratch):
+        st = comps[k].structure
+        if st is None:
+            out[k] = comps[k].fn(t, y)
+        else:
+            _component_values(st, eps, t, y, out[k], scratch)
+
+    run_component_lanes(len(comps), work, _workspace_size(t, y.shape[1:]), _max_lanes(t))
     return out
 
 
@@ -249,10 +259,25 @@ def _damped_amplitude(st: JumpExpStructure, t, rho: np.ndarray,
     return rho
 
 
-def _structure_eval(st: JumpExpStructure, t, y: np.ndarray, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """The component's values at t on states y, written into ``out`` (fresh
-    by default); all workspace is taken from ``scratch``."""
+def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
+    """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
+    place over ``u`` in the operation order of :func:`_norm_cdf`."""
+    u /= eps
+    u /= np.sqrt(2.0)
+    _erf(u, out=u)
+    u += 1.0
+    u *= 0.5
+    u *= st.a - st.b
+    u += st.b
+    return u
+
+
+def _component_values(st: JumpExpStructure, eps: float, t, y: np.ndarray,
+                      out: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """The component's values at t on states y, its indicator factor smoothed
+    at mollifier width eps (the raw jump at eps = 0), written into ``out``
+    (fresh by default); all workspace is taken from ``scratch``."""
     shape = y.shape[1:]
     out = np.empty(shape) if out is None else out
     if scratch is None:
@@ -260,19 +285,22 @@ def _structure_eval(st: JumpExpStructure, t, y: np.ndarray, out: np.ndarray | No
     tmp, inside, node = _workspace(scratch, t, shape)
     reg = st.region
     rho = np.abs(y[st.coord], out=out)
-    if reg.kind == "ball":
-        np.less_equal(np.multiply(rho, st.scale, out=tmp), reg.radius, out=inside)
-    elif reg.axis == st.coord:
-        np.less_equal(np.multiply(y[reg.axis], st.scale, out=tmp), reg.offset, out=inside)
-    else:  # a halfspace whose axis the component does not read
-        inside = None
-    amp = _damped_amplitude(st, t, rho, node)
-    if inside is None:
-        amp *= st.a if 0.0 <= reg.offset else st.b
-    else:  # the indicator factor a or b, selected in place
+    if reg.kind == "halfspace" and reg.axis != st.coord:  # an axis the component does not read
+        factor = st.a if 0.0 <= reg.offset else st.b
+    elif eps == 0.0:  # the indicator factor a or b, selected in place
+        if reg.kind == "ball":
+            np.less_equal(np.multiply(rho, st.scale, out=tmp), reg.radius, out=inside)
+        else:
+            np.less_equal(np.multiply(y[reg.axis], st.scale, out=tmp), reg.offset, out=inside)
         np.copyto(tmp, st.b)
         np.copyto(tmp, st.a, where=inside)
-        amp *= tmp
+        factor = tmp
+    elif reg.kind == "ball":
+        factor = _smoothed_step(st, eps, np.subtract(reg.radius / st.scale, rho, out=tmp))
+    else:
+        factor = _smoothed_step(st, eps, np.subtract(reg.offset / st.scale, y[reg.axis], out=tmp))
+    amp = _damped_amplitude(st, t, rho, node)
+    amp *= factor
     return amp
 
 
@@ -330,7 +358,7 @@ def indicator_exponential_family(
         st = JumpExpStructure(amp=float(amps[k]), decay=float(decays[k]),
                               scale=float(scales[k]), coord=k, region=region, a=a, b=b)
         comps.append(DriftComponent(
-            fn=functools.partial(_structure_eval, st),
+            fn=functools.partial(_component_values, st, 0.0),
             deps=(k,),
             sup_bound=float(amps[k]) * peak,
             decay_rate=float(decays[k]) * float(scales[k]) / 2.0,
@@ -522,7 +550,8 @@ class MollifiedDrift:
     time contract of :func:`evaluate` (a time t with Z of shape (d, m), or
     node times with Z of shape (d, n_nodes, m), the components then in
     lanes); ``gradient_evaluator(t, Z)`` returns the Jacobian stack (d, d, m)
-    at one time.
+    at one time.  The evaluator is the driver of :func:`evaluate` at width
+    ``epsilon``, and calling the drift calls it.
     For the example family the smoothing of the indicator factor is evaluated
     in closed form along the jump's normal coordinate (an error-function
     profile); the damped amplitude is kept pointwise, so the evaluator is
@@ -538,39 +567,6 @@ class MollifiedDrift:
 
     def __call__(self, t, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.evaluator(t, z, out=out)
-
-
-def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
-    """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
-    place over ``u`` in the operation order of :func:`_norm_cdf`."""
-    u /= eps
-    u /= np.sqrt(2.0)
-    _erf(u, out=u)
-    u += 1.0
-    u *= 0.5
-    u *= st.a - st.b
-    u += st.b
-    return u
-
-
-def _mollified_structure_value(st: JumpExpStructure, eps: float, t, z: np.ndarray,
-                               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The mollified component's values at t on states z, written into
-    ``out``; all workspace is taken from ``scratch``."""
-    tmp, _, node = _workspace(scratch, t, z.shape[1:])
-    reg = st.region
-    rho = np.abs(z[st.coord], out=out)
-    if reg.kind == "halfspace":
-        if reg.axis == st.coord:
-            smooth = _smoothed_step(st, eps, np.subtract(reg.offset / st.scale, z[reg.axis],
-                                                         out=tmp))
-        else:
-            smooth = st.a if 0.0 <= reg.offset else st.b
-    else:
-        smooth = _smoothed_step(st, eps, np.subtract(reg.radius / st.scale, rho, out=tmp))
-    amp = _damped_amplitude(st, t, rho, node)
-    amp *= smooth
-    return amp
 
 
 def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
@@ -608,22 +604,6 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
     trunc = truncate_drift(spec, d)
     comps = trunc.components[:d]
 
-    def evaluator(t, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if np.ndim(t) == 0:
-            z = np.atleast_2d(z)
-        if out is None:
-            out = np.empty((d,) + z.shape[1:])
-
-        def work(k, scratch):
-            if comps[k].sup_bound != 0.0:
-                _mollified_structure_value(comps[k].structure, eps, t, z, out[k], scratch)
-            else:
-                out[k] = 0.0
-
-        run_component_lanes(d, work, _workspace_size(t, z.shape[1:]), _max_lanes(t))
-        return out
-
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         out = np.zeros((d, d, z.shape[1]))
@@ -633,7 +613,8 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
         return out
 
     return MollifiedDrift(base=trunc, d=d, epsilon=eps,
-                          evaluator=evaluator, gradient_evaluator=gradient_evaluator)
+                          evaluator=functools.partial(_evaluate_components, comps, eps),
+                          gradient_evaluator=gradient_evaluator)
 
 
 # ---------------------------------------------------------------------------

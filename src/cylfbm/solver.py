@@ -25,7 +25,7 @@ import numpy as np
 from . import drift as drift_mod
 from . import girsanov as girsanov_mod
 from .cylinder import CylEnsemble, HurstSequence, WeightSequence, sample_cyl_fbm
-from .drift import MollifiedDrift, lipschitz_estimate, mollify
+from .drift import mollify
 from .fbm import (
     DomainError,
     TimeGrid,
@@ -70,24 +70,6 @@ class SolutionEnsemble:
         return self.paths.shape[0]
 
 
-def _drift_callable(drift):
-    if isinstance(drift, MollifiedDrift):
-        return drift.evaluator
-    if callable(drift):
-        return drift
-    raise DomainError("drift must be a MollifiedDrift or a callable (t, states) -> rows")
-
-
-def _prepare(drift, x, noise: CylEnsemble):
-    """The drift as a callable and the start point padded (or cut) to the
-    noise dimension; a smoothed drift must have a finite Lipschitz estimate."""
-    if isinstance(drift, MollifiedDrift):
-        L, M, _ = lipschitz_estimate(drift)
-        if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
-            raise DomainError("drift Lipschitz estimate is not finite")
-    return _drift_callable(drift), girsanov_mod._start_point(x, noise.values.shape[0])
-
-
 def _rms(diff: np.ndarray) -> np.ndarray:
     """Root mean square over paths (last axis) of the state norm (first axis)."""
     return np.sqrt(np.mean(np.sum(diff ** 2, axis=0), axis=-1))
@@ -96,16 +78,20 @@ def _rms(diff: np.ndarray) -> np.ndarray:
 def picard_solve(drift, x, noise: CylEnsemble) -> SolutionEnsemble:
     """Solve Y_i = x + B_i + h sum_{j<i} F(t_j, Y_j) by one forward sweep.
 
-    The left rule is explicit: the drift is evaluated once per cell, at its
-    left node, and never at the last node.  The sweep leaves no residual, so
-    ``iterations_used`` is 1, ``final_residual`` 0 and ``residuals`` empty.
+    The drift F is any callable (t, states) -> rows, such as a
+    :class:`~cylfbm.drift.MollifiedDrift`; its Lipschitz estimate is not
+    checked here.  The start point x is padded (or cut) to the noise
+    dimension.  The left rule is explicit: the drift is evaluated once per
+    cell, at its left node, and never at the last node.  The sweep leaves no
+    residual, so ``iterations_used`` is 1, ``final_residual`` 0 and
+    ``residuals`` empty.
     """
-    fn, x = _prepare(drift, x, noise)
+    x = girsanov_mod._start_point(x, noise.values.shape[0])
     grid = noise.grid
     paths = x[:, None, None] + noise.values
     integral = np.zeros_like(paths[:, 0, :])
     for i in range(grid.n_cells):
-        integral += grid.step * fn(grid.nodes[i], paths[:, i, :])
+        integral += grid.step * drift(grid.nodes[i], paths[:, i, :])
         paths[:, i + 1, :] += integral
     return SolutionEnsemble(paths=paths, drift=drift, noise=noise, x0=x,
                             iterations_used=1, final_residual=0.0, residuals=())
@@ -117,6 +103,7 @@ def picard_iterates(drift, x, noise: CylEnsemble, tol: float = 1e-9,
     """Global Picard iteration of the left-rule system, kept as the
     contraction diagnostic.
 
+    The drift and the start point are taken as by :func:`picard_solve`.
     Every sweep re-evaluates the drift at the left node of every cell of the
     previous iterate, starting from x + noise, until the sup-over-grid RMS
     update is at most ``tol``; with ``exact_iterations`` it runs exactly that
@@ -124,14 +111,14 @@ def picard_iterates(drift, x, noise: CylEnsemble, tol: float = 1e-9,
     ``residuals`` holds the update of every sweep, the sequence
     :func:`picard_residual_curve` fits.
     """
-    fn, x = _prepare(drift, x, noise)
+    x = girsanov_mod._start_point(x, noise.values.shape[0])
     grid = noise.grid
     base = x[:, None, None] + noise.values
     Y = base.copy()
     residuals = []
     n_iter = exact_iterations if exact_iterations is not None else max_iter
     for it in range(1, n_iter + 1):
-        F = np.stack([fn(grid.nodes[i], Y[:, i, :]) for i in range(grid.n_cells)], axis=1)
+        F = np.stack([drift(grid.nodes[i], Y[:, i, :]) for i in range(grid.n_cells)], axis=1)
         Ynew = base.copy()
         Ynew[:, 1:, :] += np.cumsum(grid.step * F, axis=1)
         resid = float(np.max(_rms(Ynew - Y)))
@@ -329,7 +316,6 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
-    # plain callables: the strong solve needs no Lipschitz estimate
     evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,

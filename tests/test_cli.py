@@ -357,6 +357,27 @@ class TestSchemaWalk:
             assert all(key in err for key in cli._DRIFT_KEYS)
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "drift.amp_first", 1e308), ("solve", "drift.a", 1e308),
+        ("solve", "drift.a", -1e308), ("solve", "drift.b", 1e308),
+        ("solve", "drift.b", -1e308), ("solve", "drift.decay_first", 1e308),
+        ("girsanov", "drift.amp_first", 1e308), ("girsanov", "drift.a", 1e308),
+        ("girsanov", "drift.a", -1e308), ("converge", "drift.amp_first", 1e308),
+        ("converge", "drift.a", 1e308), ("converge", "drift.a", -1e308),
+    ])
+    def test_in_domain_overflow_names_the_drift_keys(self, tmp_path, capsys, command, key,
+                                                     value):
+        # each value lies inside its key's domain, but the mollified drift's
+        # Lipschitz estimate (solve) or the reweighting's Wiener integrand
+        # (girsanov, and converge's target) is not finite
+        flat = {"command": command, "grid.n_cells": 16, "mc.n_paths": 100, key: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc, err = run_main(tmp_path, capsys, nest(flat))
+        assert rc == cli.EXIT_CONFIG
+        assert f"config key {', '.join(cli._DRIFT_KEYS)}" in err and key in err
+        assert not (tmp_path / "o").exists()
+
     def test_every_model_parameter_has_a_key(self):
         # a parameter that no key reaches is model generality no command runs
         family = inspect.signature(drift.indicator_exponential_family).parameters

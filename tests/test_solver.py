@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import traced_peak
+from conftest import in_lanes, traced_peak
 from cylfbm import cylinder, drift, fbm, solver
 
 
@@ -49,6 +51,24 @@ class TestPicard:
         assert sol.iterations_used == 1
         assert np.array_equal(sol.paths, x[:, None, None] + noise2.values)
         assert np.all(sol.paths[:, 0, :] == x[:, None])
+
+    def test_zero_amplitude_family_is_driftless(self, monkeypatch, sequences, noise2, grid64):
+        # amp_first 0 lies inside its domain: every component then evaluates
+        # to zeros through the closed-form kernel, raw and mollified, at one
+        # time and at the node times, in one lane and in two
+        _, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4, amp_first=0.0)
+        x = np.array([0.3, -0.2])
+        y = x[:, None, None] + noise2.values
+        for fn in (functools.partial(drift.evaluate, spec), drift.mollify(spec, 2, 0.1)):
+            at_one = fn(grid64.nodes[3], y[:, 3, :])
+            one = in_lanes(monkeypatch, 1, lambda: fn(grid64.nodes, y))
+            two = in_lanes(monkeypatch, 2, lambda: fn(grid64.nodes, y))
+            assert at_one.shape == (2, noise2.n_paths) and one.shape == y.shape
+            assert not np.any(at_one) and not np.any(one) and np.array_equal(one, two)
+            paths = [in_lanes(monkeypatch, lanes, lambda: solver.picard_solve(fn, x, noise2).paths)
+                     for lanes in (1, 2)]
+            assert np.array_equal(paths[0], y) and np.array_equal(paths[1], y)
 
     def test_constant_drift_linear_in_time(self, noise2, grid64):
         c = np.array([0.4, -0.2])
