@@ -376,14 +376,14 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
                           "the mollified drift's Lipschitz estimate is not finite")
     noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, cfg["mc.n_paths"], cfg["mc.seed"])
     x = np.asarray(cfg["x0"], dtype=float)
-    sol = solver.picard_solve(md, x, noise)
     idx = girsanov._node_index(grid, cfg["t_eval"])
+    z = solver.picard_solve(md, x, noise, t_index=idx).paths[:, -1, :]
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr"])
     for phi_id in cfg["phis"]:
-        g = girsanov.make_functional(phi_id)(sol.paths[:, idx, :])
+        mom = girsanov.RunningMoments()
+        mom.add(girsanov.make_functional(phi_id)(z))
         table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d, "eps": cfg["drift.epsilon"],
-                   "estimate": float(np.mean(g)),
-                   "stderr": float(np.std(g, ddof=1) / np.sqrt(len(g)))})
+                   "estimate": mom.mean, "stderr": mom.stderr})
     return table
 
 

@@ -643,11 +643,13 @@ def lipschitz_estimate(md: MollifiedDrift, n_samples: int = 2048, seed: int = 0)
         if st is not None and st.region.kind == "halfspace" and st.region.axis < d:
             z[st.region.axis, k * block : (k + 1) * block] = st.region.offset / st.scale
     G = np.zeros((d, d))
-    for t in (0.0, 0.5, 1.0):
-        J = md.gradient_evaluator(t, z)
-        G = np.maximum(G, np.max(np.abs(J), axis=2))
-    rowmax = G.max(axis=1)
-    L = rowmax.copy()
-    safe = np.where(rowmax > 0, rowmax, 1.0)
-    M = (G / safe[:, None]).max(axis=0)
+    # an overflowing drift leaves the estimate non-finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (0.0, 0.5, 1.0):
+            J = md.gradient_evaluator(t, z)
+            G = np.maximum(G, np.max(np.abs(J), axis=2))
+        rowmax = G.max(axis=1)
+        L = rowmax.copy()
+        safe = np.where(rowmax > 0, rowmax, 1.0)
+        M = (G / safe[:, None]).max(axis=0)
     return L, M, G

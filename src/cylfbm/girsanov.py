@@ -63,12 +63,14 @@ def component_log_weights(shifts: np.ndarray, grid: TimeGrid, increments,
     def weigh(k, scratch):
         for s in chunks:
             v = scratch[: n_nodes * (s.stop - s.start)].reshape(n_nodes, -1)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 np.matmul(inverses[k], shifts[k][:, s], out=v)
-            if not np.all(np.isfinite(v)):
+                finite = np.all(np.isfinite(v))
+                stoch = np.einsum("jp,pj->p", v[:-1], increments[k].values[s])
+                quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
+            # a finite integrand's squared sum can still overflow
+            if not (finite and np.all(np.isfinite(quad))):
                 raise DomainError(f"non-finite Wiener integrand in component {k + 1}")
-            stoch = np.einsum("jp,pj->p", v[:-1], increments[k].values[s])
-            quad = np.sum(np.square(v[:-1], out=v[:-1]), axis=0) * h
             out[k, s] = -stoch - 0.5 * quad
 
     run_component_lanes(d, weigh, n_nodes * chunks[0].stop)
@@ -189,7 +191,8 @@ def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
     U = drift_eval(grid.nodes, X, out=out)[:d]
     scale = weights.head_array(d) * np.array(
         [kernel_fractional_norm(hursts.value(k + 1)) for k in range(d)])
-    U /= -scale[:, None, None]
+    with np.errstate(over="ignore"):  # an overflow is rejected by the log-weights
+        U /= -scale[:, None, None]
     return U
 
 

@@ -48,7 +48,8 @@ class PicardConvergenceError(RuntimeError):
 class SolutionEnsemble:
     """Pathwise solution with its generating data.
 
-    ``paths`` has shape (d, n_nodes, n_paths) and starts at x exactly.
+    ``paths`` has shape (d, n_nodes, n_paths) and starts at x exactly; a
+    sweep stopped at one node holds only that node, shape (d, 1, n_paths).
     ``residuals`` holds the update of every sweep of :func:`picard_iterates`;
     the explicit sweep of :func:`picard_solve` leaves it empty.
     """
@@ -75,24 +76,38 @@ def _rms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(diff ** 2, axis=0), axis=-1))
 
 
-def picard_solve(drift, x, noise: CylEnsemble) -> SolutionEnsemble:
+def picard_solve(drift, x, noise: CylEnsemble, t_index: int | None = None) -> SolutionEnsemble:
     """Solve Y_i = x + B_i + h sum_{j<i} F(t_j, Y_j) by one forward sweep.
 
     The drift F is any callable (t, states) -> rows, such as a
     :class:`~cylfbm.drift.MollifiedDrift`; its Lipschitz estimate is not
     checked here.  The start point x is padded (or cut) to the noise
     dimension.  The left rule is explicit: the drift is evaluated once per
-    cell, at its left node, and never at the last node.  The sweep leaves no
-    residual, so ``iterations_used`` is 1, ``final_residual`` 0 and
-    ``residuals`` empty.
+    cell, at its left node, and never at the last node.  The sweep keeps a
+    running drift integral and writes each next state as (x + B_{i+1}) +
+    integral, by default into every node of ``paths``.  With ``t_index`` it
+    stops at that node after ``t_index`` drift evaluations, overwriting one
+    state, so ``paths`` has shape (d, 1, n_paths) and holds node ``t_index``
+    alone.  The sweep leaves no residual, so ``iterations_used`` is 1,
+    ``final_residual`` 0 and ``residuals`` empty.
     """
     x = girsanov_mod._start_point(x, noise.values.shape[0])
     grid = noise.grid
-    paths = x[:, None, None] + noise.values
-    integral = np.zeros_like(paths[:, 0, :])
-    for i in range(grid.n_cells):
-        integral += grid.step * drift(grid.nodes[i], paths[:, i, :])
-        paths[:, i + 1, :] += integral
+    B = noise.values
+    full = t_index is None
+    n_cells = grid.n_cells if full else t_index
+    if not 0 <= n_cells <= grid.n_cells:
+        raise DomainError(f"node index {t_index} is outside the grid")
+    paths = np.empty(B.shape if full else (B.shape[0], 1, B.shape[2]))
+    state = paths[:, 0, :]
+    np.add(x[:, None], B[:, 0, :], out=state)
+    integral = np.zeros_like(state)
+    for i in range(n_cells):
+        integral += grid.step * drift(grid.nodes[i], state)
+        if full:
+            state = paths[:, i + 1, :]
+        np.add(x[:, None], B[:, i + 1, :], out=state)
+        state += integral
     return SolutionEnsemble(paths=paths, drift=drift, noise=noise, x0=x,
                             iterations_used=1, final_residual=0.0, residuals=())
 
@@ -278,7 +293,7 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     noise2 = CylEnsemble(d=sol.noise.d, grid=grid, values=sol.noise.values + pert,
                          hursts=sol.noise.hursts, weights=sol.noise.weights,
                          increments=None)
-    sol2 = picard_solve(sol.drift, sol.x0, noise2)
+    sol2 = picard_solve(sol.drift, sol.x0, noise2, t_index=grid.n_cells)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
     avg = malliavin_directional(sol, s_index, m, window_cells)[:, -1, :]
     num = math.sqrt(float(np.mean(np.sum((fd - avg) ** 2, axis=0))))
@@ -309,9 +324,9 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     target at d_ref comes from a sample of its own.  Returns the rows (value,
     target, their standard errors, the gap and the paired gap, per
     functional; no averaging across functionals) and the target's
-    :class:`~cylfbm.girsanov.EstimatorResult`.  A block's noise is released
-    before the next block is sampled, and of the reference solve only the
-    state at t is kept.
+    :class:`~cylfbm.girsanov.EstimatorResult`.  Every solve of a block stops
+    at t and holds only the state there, so a block holds its noise and a
+    few states; the noise is released before the next block is sampled.
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
     d_ref = max(dd for dd, _ in schedule)
@@ -328,16 +343,14 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     for m, block_seed in girsanov_mod.mc_blocks(n_paths, run_seed, block_size):
         noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                method="kernel")
-        ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise)
-        z_ref = ref.paths[:, idx_t, :].copy()  # a view would keep all of ref.paths
-        del ref
+        z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
+                             t_index=idx_t).paths[:, -1, :]
         ref_phi = {phi_id: phi(z_ref) for phi_id, phi in phis.items()}
         driftless = x[:, None] + noise.values[:, idx_t, :]
         for (dd, _), fn, point in zip(schedule, evaluators, moments):
-            sol = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]))
             z = driftless.copy()
-            z[:dd] = sol.paths[:, idx_t, :]
-            del sol  # before the next point's solve allocates its paths
+            z[:dd] = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]),
+                                  t_index=idx_t).paths[:, -1, :]
             for phi_id, phi in phis.items():
                 g = phi(z)
                 point[phi_id][0].add(g)

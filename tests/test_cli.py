@@ -364,15 +364,21 @@ class TestSchemaWalk:
         ("girsanov", "drift.amp_first", 1e308), ("girsanov", "drift.a", 1e308),
         ("girsanov", "drift.a", -1e308), ("converge", "drift.amp_first", 1e308),
         ("converge", "drift.a", 1e308), ("converge", "drift.a", -1e308),
+        ("girsanov", "drift.a", 1e160), ("girsanov", "drift.a", 1e200),
+        ("girsanov", "drift.b", 1e308), ("girsanov", "drift.b", -1e308),
+        ("converge", "drift.a", 1e160), ("converge", "drift.amp_first", 1e160),
+        ("converge", "drift.b", 1e308), ("converge", "drift.b", -1e308),
     ])
     def test_in_domain_overflow_names_the_drift_keys(self, tmp_path, capsys, command, key,
                                                      value):
         # each value lies inside its key's domain, but the mollified drift's
         # Lipschitz estimate (solve) or the reweighting's Wiener integrand
-        # (girsanov, and converge's target) is not finite
+        # (girsanov, and converge's target) is not finite; at 1e160 the
+        # integrand is finite and its squared sum overflows.  No numpy
+        # warning comes before the rejection
         flat = {"command": command, "grid.n_cells": 16, "mc.n_paths": 100, key: value}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             rc, err = run_main(tmp_path, capsys, nest(flat))
         assert rc == cli.EXIT_CONFIG
         assert f"config key {', '.join(cli._DRIFT_KEYS)}" in err and key in err
