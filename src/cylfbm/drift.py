@@ -261,8 +261,10 @@ def _damped_amplitude(st: JumpExpStructure, t, rho: np.ndarray,
 
 def _smoothed_step(st: JumpExpStructure, eps: float, u: np.ndarray) -> np.ndarray:
     """b + (a - b) Phi(u / eps), Phi the standard normal CDF, computed in
-    place over ``u`` in the operation order of :func:`_norm_cdf`."""
-    u /= eps
+    place over ``u`` in the operation order of :func:`_norm_cdf`.  A quotient
+    that overflows saturates the step, as erf(+-inf) = +-1."""
+    with np.errstate(over="ignore"):
+        u /= eps
     u /= np.sqrt(2.0)
     _erf(u, out=u)
     u += 1.0

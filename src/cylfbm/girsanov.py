@@ -240,7 +240,9 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     Paths of x + ensemble are drawn under the base measure; each path gets
     the stochastic-exponential weight of :func:`drift_shift`.  Returns the
     weighted average and standard error per functional, the mean weight and
-    the effective-sample-size fraction (flagged when below 10%).
+    the effective-sample-size fraction (flagged when below 10%).  A sample
+    whose every weight underflows to 0 estimates nothing and is rejected
+    with a DomainError.
 
     Each block of :func:`mc_blocks` is streamed one path chunk
     (:func:`cylfbm.cylinder.path_chunks`) at a time: sample, states at t,
@@ -305,6 +307,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
         for phi_id, phi in phis.items():
             moments[phi_id].add(phi(X_t) * w)
     sum_w, sum_w2 = weight_moments.sum, weight_moments.sum_sq
+    if sum_w == 0.0:
+        raise DomainError("every reweighting weight underflowed to 0")
     ess = (sum_w ** 2 / sum_w2) / n_paths if sum_w2 > 0 else 0.0
     return EstimatorResult(
         estimates={phi_id: (mom.mean, mom.stderr) for phi_id, mom in moments.items()},

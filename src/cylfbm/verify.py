@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .fbm import (
     DomainError,
@@ -123,8 +122,17 @@ def shuffle_enumerate(m: int, n: int) -> ShuffleSet:
 
 
 def _right_cumulative_integral(gvals: np.ndarray, dx: float) -> np.ndarray:
-    """I(x_i) = integral_{x_i}^{x_end} g, composite Simpson accuracy."""
-    cum = integrate.cumulative_simpson(gvals, dx=dx, initial=0.0)
+    """I(x_i) = integral_{x_i}^{x_end} g by cumulative Simpson on equal steps
+    (Cartwright 2017): each step's integral from the parabola through it and
+    its right neighbour, the left one on every second step and the last.
+    Needs at least three values."""
+    def steps(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    fwd, bwd = steps(gvals), steps(gvals[::-1])[::-1]
+    sub = np.empty(len(gvals) - 1)
+    sub[:-1:2], sub[1::2], sub[-1] = fwd[::2], bwd[::2], bwd[-1]
+    cum = np.concatenate(([0.0], np.cumsum(sub)))
     return cum[-1] - cum
 
 
@@ -147,6 +155,8 @@ def shuffle_integral_check(fs, s: float, t: float, m: int, n: int,
         raise DomainError("nested quadrature capped at five variables")
     if len(fs) != m + n:
         raise DomainError("need one function per factor")
+    if n_grid < 2:
+        raise DomainError("cumulative Simpson needs at least two grid steps")
     xs = np.linspace(s, t, n_grid + 1)
     dx = (t - s) / n_grid
     fvals = np.stack([np.asarray([f(x) for x in xs], dtype=float) for f in fs])
@@ -266,8 +276,8 @@ def gaussian_conditioning_check(cov, seed: int = 0, n_mc: int = 400_000) -> Chec
     conditional variance under larger conditioning sets, and the reduction of
     a weighted Gaussian integral to a one-dimensional one.
 
-    The integral identity is checked by direct quadrature in dimension 2 and
-    by Monte Carlo (three-standard-error slack) in dimension 3.
+    The integral identity is checked by a 64 x 64 Gauss-Legendre rule in
+    dimension 2 and by Monte Carlo (three-standard-error slack) in dimension 3.
     """
     cov = np.asarray(cov, dtype=float)
     nn = cov.shape[0]
@@ -310,12 +320,11 @@ def gaussian_conditioning_check(cov, seed: int = 0, n_mc: int = 400_000) -> Chec
         L1 = 12.0 * math.sqrt(float(prec[0, 0]))
         c00, c01, c11 = float(cov[0, 0]), float(cov[0, 1] + cov[1, 0]), float(cov[1, 1])
         L2, slope = 12.0 / math.sqrt(c11), -c01 / (2 * c11)
-
-        def integrand(v2, v1):
-            return v1 * v1 * math.exp(-0.5 * (c00 * v1 * v1 + c01 * v1 * v2 + c11 * v2 * v2))
-
-        lhs, _ = integrate.dblquad(integrand, -L1, L1, lambda v1: slope * v1 - L2,
-                                   lambda v1: slope * v1 + L2, epsabs=1e-10, epsrel=1e-8)
+        x, wq = np.polynomial.legendre.leggauss(64)
+        v1 = L1 * x[:, None]
+        v2 = slope * v1 + L2 * x
+        vals = v1 * v1 * np.exp(-0.5 * (c00 * v1 * v1 + c01 * v1 * v2 + c11 * v2 * v2))
+        lhs = L1 * L2 * float(wq @ vals @ wq)
         cd_gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
         cd_ok = cd_gap <= 1e-4
         cd_se = 0.0
@@ -384,7 +393,7 @@ def beta_identity_gap(a: float, b: float, theta: float, s2: float) -> float:
     half = np.array([0.5 * length])
     val = float(_graded_half(lambda dl: (length - dl) ** a * dl ** b, b, half)[0]
                 + _graded_half(lambda dr: dr ** a * (length - dr) ** b, a, half)[0])
-    exact = (special.gamma(a + 1) * special.gamma(b + 1) / special.gamma(a + b + 2)
+    exact = (math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
              * length ** (a + b + 1))
     return abs(val - exact) / max(abs(exact), 1e-30)
 
@@ -399,14 +408,57 @@ def _kernel_increment_from_theta(H: float, theta: float, delta, theta_p: float) 
 
 def _increment_sign_changes(H: float, theta: float, theta_p: float, span: float) -> np.ndarray:
     """Zeros in (0, span] of delta -> K(theta + delta, theta) - K(theta + delta,
-    theta_p): the kinks of its absolute value, by a log-grid scan and brentq."""
-    from scipy.optimize import brentq
-
+    theta_p): the kinks of its absolute value, by a log-grid scan and the
+    Illinois variant of regula falsi (Dowell & Jarratt 1971) in each bracket,
+    to a width of 1e-15 + 4 eps |root|.  The refinement runs on Python floats,
+    a tenth of the cost of a one-element array evaluation."""
+    f = lambda delta: _kernel_increment_from_theta(H, theta, delta, theta_p)
     grid = span * np.logspace(-12.0, 0.0, 400)
-    sign = np.sign(_kernel_increment_from_theta(H, theta, grid, theta_p))
-    return np.array([brentq(lambda d: float(_kernel_increment_from_theta(H, theta, d, theta_p)),
-                            grid[i], grid[i + 1], xtol=1e-15)
-                     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)])
+    fg = f(grid)
+    roots = []
+    for i in np.flatnonzero(np.sign(fg[:-1]) * np.sign(fg[1:]) < 0):
+        a, b, fa, fb = float(grid[i]), float(grid[i + 1]), float(fg[i]), float(fg[i + 1])
+        while abs(b - a) > 1e-15 + 4 * math.ulp(1.0) * abs(b) and fb != 0.0:
+            c = b - fb * (b - a) / (fb - fa)
+            fc = float(f(c))
+            # the root lies between b and c: b becomes the far end; else the
+            # far end stays and its value halves, so it moves on the next step
+            a, fa = (b, fb) if (fc < 0.0) != (fb < 0.0) else (a, 0.5 * fa)
+            b, fb = c, fc
+        roots.append(b)
+    return np.array(roots)
+
+
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """Monotone cubic Hermite interpolant of y at the increasing knots x (at
+    least three; Fritsch & Carlson 1980), the PCHIP rule: inner slopes the
+    weighted harmonic mean of the adjacent secants (0 where they differ in
+    sign or one is 0), Moler's one-sided three-point slopes at the ends, and
+    the end cubics extrapolated."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+
+    def end_slope(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0) else e
+
+    d[0], d[-1] = end_slope(h[0], h[1], m[0], m[1]), end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def interp(xq):
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(h) - 1)
+        s = xq - x[i]
+        return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * (s * s * s)
+
+    return interp
 
 
 def _increment_shape(H: float, gamma: float, s, theta: float, theta_p: float):
@@ -422,11 +474,10 @@ def _weighted_simplex_integral(H: float, w, eps_flags, theta: float, theta_p: fl
 
     All level integrands are handled in distance-from-theta form so the
     kernel singularity at s = theta stays representable.  Each inner level is
-    tabulated at the offsets by two graded-rule halves per offset and Pchip
-    interpolated.  Returns the integral, the offsets and the level tables.
+    tabulated at the offsets by two graded-rule halves per offset and
+    interpolated by :func:`_pchip`.  Returns the integral, the offsets and the
+    level tables.
     """
-    from scipy.interpolate import PchipInterpolator
-
     n = len(w)
     span = t - theta
     offsets = span * np.linspace(0.0, 1.0, n_grid + 1) ** 2.0
@@ -449,7 +500,7 @@ def _weighted_simplex_integral(H: float, w, eps_flags, theta: float, theta_p: fl
             + _graded_half(lambda dr, _phi=phi: _phi(col - dr) * dr ** w_next,
                            w_next, half, offsets[1:, None] - knots)
         levels.append(vals)
-        interp = PchipInterpolator(offsets, vals)
+        interp = _pchip(offsets, vals)
         phi = lambda delta, _ip=interp, _f=eps_flags[j + 1]: kappa(_f, delta) * _ip(delta)
         knots = np.concatenate([offsets, kinks if eps_flags[j + 1] else []])
         left_exp = left_exp + w_next + 1.0 + (H - 0.5 - gamma) * eps_flags[j + 1]
@@ -470,6 +521,8 @@ def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
     H = as_hurst(H)
     if n > 3:
         raise DomainError("nested quadrature capped at n = 3")
+    if n_grid < 2:
+        raise DomainError("the level interpolant needs at least two grid steps")
     w = [float(x) for x in w]
     eps_flags = [int(e) for e in eps_flags]
     if len(w) != n or len(eps_flags) != n:
@@ -498,7 +551,7 @@ def simplex_beta_check(w, eps_flags, H, theta: float, theta_p: float, t: float,
 
     lhs = _weighted_simplex_integral(H, w, eps_flags, theta, theta_p, t, gamma, n_grid)[0]
 
-    pi_const = float(np.prod(special.gamma(np.add(a, 1.0)))) / special.gamma(sum(a) + n + 1.0)
+    pi_const = math.prod(math.gamma(aj + 1.0) for aj in a) / math.gamma(sum(a) + n + 1.0)
     bound = kfac ** sum(eps_flags) * pi_const * (t - theta) ** (sum(a) + n)
     ratio = lhs / bound if bound > 0 else math.inf
     ok = base_gap <= 1e-6 and lhs <= bound * (1 + 1e-9)
@@ -514,7 +567,8 @@ def kernel_increment_bound_check(H, t: float, gamma: float, beta: float,
 
     The constant is fitted on half the sampled pairs and verified with a
     factor-2 headroom on the other half; the double integral value must move
-    less than 5% when the adaptive quadrature tolerance tightens a hundredfold.
+    less than 5% from the fixed 64-node Gauss-Legendre rules (per level and
+    end) to the 128-node ones.
     """
     H = as_hurst(H)
     if not (0.0 < gamma < H):
@@ -704,14 +758,42 @@ def stirling_bound_check(multi_indices) -> CheckResult:
         if d > 8:
             raise DomainError("dimension capped at 8")
         tot = int(alpha.sum())
-        log_lhs = float(np.sum(special.gammaln(2 * alpha + 1.0)))
+        log_lhs = sum(math.lgamma(2 * ak + 1.0) for ak in alpha.tolist())
         log_rhs = (d / 2.0) * math.log(2 * math.pi) + tot / 2.0 \
-            + float(special.gammaln(2.5 * tot + 1.0)) - 0.5 * math.log(5 * math.pi * tot)
+            + math.lgamma(2.5 * tot + 1.0) - 0.5 * math.log(5 * math.pi * tot)
         worst = max(worst, log_lhs - log_rhs)
         if log_lhs > log_rhs:
             ok = False
     return CheckResult("stirling_bound", bool(ok), worst, 0.0, -worst,
                        {"n_indices": count})
+
+
+def _kummer(s: float, z: float) -> float:
+    """Kummer's 1F1(s; 1 + s; -z) = s z^-s gamma(s, z) for s > 0, z >= 0, through
+    the lower incomplete gamma: its power series e^-z sum_n z^n / ((s+1)...(s+n))
+    below z = s + 1; above, Gamma(s + 1) z^-s less s e^-z z^-s Gamma(s, z), the
+    upper one by its continued fraction (modified Lentz)."""
+    if z < s + 1.0:
+        term = total = 1.0
+        n = 0
+        while term > 1e-17 * total:
+            n += 1
+            term *= z / (s + n)
+            total += term
+        return math.exp(-z) * total
+    # z^-s e^z Gamma(s, z) = 1/(z + 1 - s - 1 (1 - s)/(z + 3 - s - 2 (2 - s)/(z + 5 - s - ...)))
+    b = z + 1.0 - s
+    c, d = math.inf, 1.0 / b
+    cf = d
+    for i in range(1, 1000):
+        an, b = -i * (i - s), b + 2.0
+        d = 1.0 / (an * d + b or 1e-300)
+        c = b + an / c or 1e-300
+        delta = c * d
+        cf *= delta
+        if abs(delta - 1.0) <= 1e-15:
+            break
+    return math.exp(math.lgamma(s + 1.0) - s * math.log(z)) - s * math.exp(-z) * cf
 
 
 def occupation_density_check(H, n_cells: int, n_paths: int, xis,
@@ -723,7 +805,7 @@ def occupation_density_check(H, n_cells: int, n_paths: int, xis,
     3 SE (1e-12 relative if all paths agree) of the exact grid value h^2 sum_{j,j'}
     exp(-xi^2 Var(B_{t_j} - B_{t_j'})/2), whose diagonal is the floor h.  ``details``
     adds the continuum 2 int_0^1 (1-u) exp(-xi^2 u^2H/2) du ~ |xi|^(-1/H), in closed
-    form 2 M(1/2H) - M(1/H) with Kummer's M(s) = 1F1(s; 1 + s; -xi^2/2).
+    form 2 M(1/2H) - M(1/H) with Kummer's M(s) = 1F1(s; 1 + s; -xi^2/2) (:func:`_kummer`).
     """
     H = as_hurst(H)
     grid, h = TimeGrid(1.0, n_cells), 1.0 / n_cells
@@ -736,7 +818,7 @@ def occupation_density_check(H, n_cells: int, n_paths: int, xis,
     sq = h * h * (np.sum(np.cos(phase), axis=1) ** 2 + np.sum(np.sin(phase), axis=1) ** 2)
     mean, se = np.mean(sq, axis=1), np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
     exact = h * h * np.array([np.sum(np.exp(-0.5 * x * x * var)) for x in xis])
-    kummer = lambda s: special.hyp1f1(s, 1.0 + s, -0.5 * np.asarray(xis, dtype=float) ** 2)
+    kummer = lambda s: np.array([_kummer(s, 0.5 * x * x) for x in np.asarray(xis, dtype=float)])
     continuum = 2.0 * kummer(0.5 / H) - kummer(1.0 / H)
     worst = float(np.max(np.abs(mean - exact) / np.maximum(3.0 * se, 1e-12 * exact)))
     return CheckResult("occupation_density", worst <= 1.0, worst, 1.0, 1.0 - worst, {

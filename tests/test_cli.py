@@ -1,3 +1,4 @@
+import csv
 import inspect
 import math
 import os
@@ -368,13 +369,15 @@ class TestSchemaWalk:
         ("girsanov", "drift.b", 1e308), ("girsanov", "drift.b", -1e308),
         ("converge", "drift.a", 1e160), ("converge", "drift.amp_first", 1e160),
         ("converge", "drift.b", 1e308), ("converge", "drift.b", -1e308),
+        ("girsanov", "drift.a", 1e10), ("converge", "drift.a", 1e10),
     ])
     def test_in_domain_overflow_names_the_drift_keys(self, tmp_path, capsys, command, key,
                                                      value):
         # each value lies inside its key's domain, but the mollified drift's
         # Lipschitz estimate (solve) or the reweighting's Wiener integrand
         # (girsanov, and converge's target) is not finite; at 1e160 the
-        # integrand is finite and its squared sum overflows.  No numpy
+        # integrand is finite and its squared sum overflows; at 1e10 every
+        # log-weight is finite, but every weight underflows to 0.  No numpy
         # warning comes before the rejection
         flat = {"command": command, "grid.n_cells": 16, "mc.n_paths": 100, key: value}
         with warnings.catch_warnings():
@@ -383,6 +386,22 @@ class TestSchemaWalk:
         assert rc == cli.EXIT_CONFIG
         assert f"config key {', '.join(cli._DRIFT_KEYS)}" in err and key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize("offset", [1e308, -1e308])
+    def test_saturated_step_runs_without_warning(self, tmp_path, capsys, command, offset):
+        # (y - offset) / eps overflows, and the smoothed step saturates at a
+        # or b as erf(+-inf) = +-1: the right result, with no numpy warning
+        flat = {"command": command, "grid.n_cells": 16, "mc.n_paths": 100,
+                "drift.region_offset": offset}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _ = run_main(tmp_path, capsys, nest(flat))
+        assert rc == cli.EXIT_OK
+        rows = list(csv.DictReader(read_body(tmp_path / "o" / "results.csv")))
+        values = [float(v) for row in rows for k, v in row.items()
+                  if k not in ("phi_id", "config_hash")]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_every_model_parameter_has_a_key(self):
         # a parameter that no key reaches is model generality no command runs
@@ -403,10 +422,11 @@ class TestSchemaWalk:
 
 
 class TestImportPath:
-    def test_sampling_commands_skip_quadrature_and_lemma_suite(self, tmp_path):
-        # import and every command but verify-suite load no scipy module:
-        # only the lemma suite (and the stochastic derivative) need scipy.
-        # The package still resolves `verify` on access, as the tracer does.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # import and every command, the lemma suite included, load no scipy
+        # module: only the stochastic derivative's one quadrature needs it.
+        # The sampling commands do not import the lemma suite; the package
+        # still resolves `verify` on access, as the tracer does.
         # Only the sampling commands run component lanes: verify-suite and
         # validate start no thread.
         script = f"""
@@ -434,6 +454,7 @@ active = threading.active_count()
 started.clear()
 cfg = cli.load_config({{"command": "verify-suite", "mc": {{"seed": 0}}}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/verify") == cli.EXIT_OK
+assert not scipy_modules(), ("verify-suite", scipy_modules())
 cfg = cli.load_config({{"command": "validate", "grid": {{"n_cells": 16}}, "d": 2}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate-d2") == cli.EXIT_OK
 assert not started, started

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 from scipy.interpolate import PchipInterpolator
 
 from conftest import traced_peak
@@ -70,6 +70,18 @@ class TestShuffleEnumeration:
             verify.shuffle_enumerate(7, 6)
 
 
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 9, 10, 2001])
+    def test_matches_scipy(self, n):
+        # odd and even lengths: the last step always comes from the backward pass
+        x = np.linspace(0.2, 1.1, n)
+        g = np.exp(np.sin(3 * x)) + x ** 3
+        dx = x[1] - x[0]
+        cum = integrate.cumulative_simpson(g, dx=dx, initial=0.0)
+        np.testing.assert_allclose(verify._right_cumulative_integral(g, dx), cum[-1] - cum,
+                                   rtol=1e-14, atol=1e-15)
+
+
 class TestShuffleIntegral:
     def test_constant_combinatorics(self):
         res = verify.shuffle_integral_check([lambda x: 1.0] * 4, 0.2, 1.2, 2, 2)
@@ -93,6 +105,15 @@ class TestShuffleIntegral:
     def test_size_cap(self):
         with pytest.raises(fbm.DomainError):
             verify.shuffle_integral_check([lambda x: 1.0] * 6, 0, 1, 3, 3)
+
+    @pytest.mark.parametrize("n_grid", [0, 1])
+    def test_grid_needs_two_steps(self, n_grid):
+        # cumulative Simpson and the level interpolant need three nodes
+        with pytest.raises(fbm.DomainError):
+            verify.shuffle_integral_check([lambda x: 1.0] * 2, 0, 1, 1, 1, n_grid=n_grid)
+        with pytest.raises(fbm.DomainError):
+            verify.simplex_beta_check([-0.2, -0.1], [1, 0], 0.1, 0.3, 0.2, 1.0, 2,
+                                      n_grid=n_grid)
 
     def test_bound_is_the_tolerance_used(self):
         # constant 2 on [0, 2]: each 2-simplex integral is 4 * 2^2 / 2 = 8
@@ -182,6 +203,15 @@ class TestGaussianMoments:
             assert res.status, f"draw {trial} violated the bound"
 
 
+TWO_DIM_COVS = [
+    verify._random_psd(np.random.default_rng(7 + 4), 2),  # run_all(7)'s matrix
+    np.array([[1.0, 0.995], [0.995, 1.0]]),  # condition number 399
+    *(verify._random_psd(np.random.default_rng(100 + k), 2) for k in range(3)),
+    np.diag([100.0, 0.01]),  # a box as wide as cov^-1's largest entry misses the peak
+    np.array([[1.0, 0.999], [0.999, 1.0]]),  # condition number 1999
+]
+
+
 class TestGaussianConditioning:
     def test_two_by_two_closed_form(self):
         s1, s2, rho = 1.3, 0.8, 0.45
@@ -204,16 +234,25 @@ class TestGaussianConditioning:
         rhs = (2 * math.pi) ** 0.5 / math.sqrt(det) * math.sqrt(2 * math.pi)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
-    @pytest.mark.parametrize("cov", [
-        verify._random_psd(np.random.default_rng(7 + 4), 2),  # run_all(7)'s matrix
-        np.array([[1.0, 0.995], [0.995, 1.0]]),  # condition number 399
-        *(verify._random_psd(np.random.default_rng(100 + k), 2) for k in range(3)),
-        np.diag([100.0, 0.01]),  # a box as wide as cov^-1's largest entry misses the peak
-        np.array([[1.0, 0.999], [0.999, 1.0]]),  # condition number 1999
-    ])
+    @pytest.mark.parametrize("cov", TWO_DIM_COVS)
     def test_two_dim_quadrature_matches_closed_form(self, cov):
         res = verify.gaussian_conditioning_check(cov, seed=1)
         assert res.details["cd_lhs"] == pytest.approx(res.details["cd_rhs"], rel=1e-8)
+
+    @pytest.mark.parametrize("cov", TWO_DIM_COVS)
+    def test_two_dim_rule_matches_adaptive_quadrature(self, cov):
+        # the same integrand on the same sheared window of 12 deviations
+        prec = np.linalg.inv(cov)
+        L1 = 12.0 * math.sqrt(prec[0, 0])
+        c00, c01, c11 = cov[0, 0], cov[0, 1] + cov[1, 0], cov[1, 1]
+        L2, slope = 12.0 / math.sqrt(c11), -c01 / (2 * c11)
+        want, _ = integrate.dblquad(
+            lambda v2, v1: v1 * v1 * math.exp(-0.5 * (c00 * v1 * v1 + c01 * v1 * v2
+                                                      + c11 * v2 * v2)),
+            -L1, L1, lambda v1: slope * v1 - L2, lambda v1: slope * v1 + L2,
+            epsabs=0.0, epsrel=1e-13)
+        res = verify.gaussian_conditioning_check(cov, seed=1)
+        assert res.details["cd_lhs"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_three_dim_monte_carlo(self):
         rng = np.random.default_rng(4)
@@ -289,6 +328,32 @@ class TestSimplexBeta:
         p_out = p0 + w[1] + 1.0 + (H - 0.5 - gamma) * flags[1]
         want = _scalar_half(outer, p_out, t - theta, list(offsets[1:-1]) + [kink])
         assert total == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("H", [0.1, 0.2])
+    def test_kinks_match_brentq(self, H):
+        theta, theta_p, span = 0.3, 0.2, 0.7
+        f = lambda d: float(verify._kernel_increment_from_theta(H, theta, d, theta_p))
+        grid = span * np.logspace(-12.0, 0.0, 400)
+        sign = np.sign([f(d) for d in grid])
+        want = [optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+                for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+        got = verify._increment_sign_changes(H, theta, theta_p, span)
+        assert len(want) == len(got) == 1
+        np.testing.assert_array_less(np.abs(got - want),
+                                     1e-15 + 4 * np.finfo(float).eps * np.abs(want))
+
+    @pytest.mark.parametrize("y", [
+        np.cumsum(np.linspace(0.1, 2.0, 12) ** 2),  # increasing
+        np.r_[np.zeros(4), np.linspace(0.0, 1.0, 5), np.ones(3)],  # flat stretches
+        np.sin(np.linspace(0.0, 7.0, 12)),  # sign-changing slopes
+        np.array([0.0, 0.01, 5.0, 4.0, -6.0, -5.5, 3.0, 2.0]),  # end slopes set to 0 and 3 m
+    ], ids=["monotone", "flat", "sign_changing", "end_slopes"])
+    def test_pchip_matches_scipy(self, y):
+        x = np.sort(np.random.default_rng(3).uniform(0.0, 2.0, len(y)))
+        xq = np.concatenate([x, np.linspace(x[0] - 0.5, x[-1] + 0.5, 301)])
+        want = PchipInterpolator(x, y)(xq)
+        np.testing.assert_allclose(verify._pchip(x, y)(xq), want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
 
     def test_three_levels(self):
         H, theta, theta_p, t, gamma = 0.1, 0.3, 0.2, 1.0, 0.05
@@ -480,6 +545,17 @@ class TestOccupationDensity:
         """A Hurst index outside the window (0, 1/2) is rejected before any draw."""
         with pytest.raises(fbm.DomainError):
             verify.occupation_density_check(H, 64, 10, (1.0,), seed=1)
+
+    @pytest.mark.parametrize("H", [0.01, 0.02, 0.04, 0.08, 0.2, 0.3, 0.49])
+    def test_kummer_matches_hyp1f1(self, H):
+        # both exponents of the continuum value, on both sides of z = s + 1.
+        # hyp1f1 itself is off by 1.04e-10 relative at s = 50, xi = 14.75
+        # (against a 40-digit evaluation), where _kummer is within 1e-14
+        for s in (0.5 / H, 1.0 / H):
+            for xi in np.linspace(0.0, 40.0, 161):
+                z = 0.5 * xi * xi
+                assert verify._kummer(s, z) == pytest.approx(
+                    special.hyp1f1(s, 1.0 + s, -z), rel=2e-10, abs=0.0), (s, xi)
 
     def test_interior_theta_uses_the_tail(self):
         """At large xi the continuum value follows its tail
