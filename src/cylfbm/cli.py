@@ -429,7 +429,7 @@ def _cmd_converge(cfg: RunConfig) -> ResultTable:
 
 
 def _cmd_verify(cfg: RunConfig) -> ResultTable:
-    # the lemma suite alone needs scipy.integrate; the sampling commands skip it
+    # imported here so that the sampling commands skip compiling verify.py
     from . import verify
 
     results = verify.run_all(seed=cfg["mc.seed"])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cylinder import WeightSequence, run_component_lanes
-from .fbm import DomainError
+from .fbm import DomainError, gauss_legendre
 
 _ENVELOPE_CUTOFF = 1e-8  # relative tail mass ignored when boxing a maximization
 LND_FLOOR = 0.4  # non-determinism constants the family's integral constants assume
@@ -477,7 +477,7 @@ def _integral_over_deps(comp: DriftComponent, d: int, scaling: np.ndarray,
     edge = np.array([radius, -radius])
     if comp.decay_rate == 0.0 and np.max(integrand(edge)) > 1e-6 * max(sup_here, 1e-300):
         return math.inf
-    x, w = np.polynomial.legendre.leggauss(400)
+    x, w = gauss_legendre(400)
     return float(np.sum(w * radius * integrand(x * radius)))
 
 

@@ -1,9 +1,10 @@
 """One-dimensional fractional Brownian motion with rough paths (Hurst index below 1/2).
 
-Covariance, the complete and incomplete beta functions in numpy, the
-lower-triangular Volterra kernel and its closed-form grid discretization, the
-Cholesky factor of the node covariance, Gaussian conditioning, and the
-empirical local non-determinism constant.
+Covariance, the complete and incomplete beta functions in numpy, the fixed
+Gauss-Legendre rules every module shares, the lower-triangular Volterra
+kernel and its closed-form grid discretization, the Cholesky factor of the
+node covariance, Gaussian conditioning, and the empirical local
+non-determinism constant.
 :func:`cylfbm.cylinder.sample_cyl_fbm`, the one sampler, draws the weighted
 components from the kernel matrix or the Cholesky factor.
 """
@@ -94,6 +95,14 @@ def covariance(H, t: float, s: float) -> float:
 def beta(a: float, b: float) -> float:
     """Complete beta Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0; cached for scalar quadrature."""
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _beta_series(a: float, b: float, x):
@@ -220,7 +229,7 @@ def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) ->
     kappa[0], _ = integrate.quad(g, 0.0, (nodes[start_index + 1] - s) ** q,
                                  epsabs=1e-13, epsrel=1e-10, limit=200)
     if n_right > 1:
-        x, w = np.polynomial.legendre.leggauss(12)
+        x, w = gauss_legendre(12)
         left = nodes[start_index + 1 : grid.n_cells]
         h = grid.step
         u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h

@@ -101,6 +101,16 @@ class TestBetaFunctions:
             np.testing.assert_allclose(scalar[:, 0], lower, rtol=0, atol=4e-16)
             np.testing.assert_allclose(scalar[:, 1], upper, rtol=0, atol=4e-16)
 
+    def test_gauss_legendre_is_built_once_and_read_only(self):
+        x, w = fbm.gauss_legendre(64)
+        again = fbm.gauss_legendre(64)
+        assert again[0] is x and again[1] is w
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        want = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
     def test_complete_beta_matches_scipy(self):
         for H in (0.001, 0.01, 0.02, 0.04, 0.08, 0.3, 0.45, 0.499):
             for a, b in beta_families(H):

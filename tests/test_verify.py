@@ -211,6 +211,13 @@ TWO_DIM_COVS = [
     np.array([[1.0, 0.999], [0.999, 1.0]]),  # condition number 1999
 ]
 
+THREE_DIM_COVS = [
+    verify._random_psd(np.random.default_rng(7 + 6), 3),  # run_all(7)'s matrix
+    *(verify._random_psd(np.random.default_rng(200 + k), 3) for k in range(3)),
+    np.diag([100.0, 0.01, 1.0]),
+    np.full((3, 3), 0.999) + 0.001 * np.eye(3),  # every pair 0.999-correlated
+]
+
 
 class TestGaussianConditioning:
     def test_two_by_two_closed_form(self):
@@ -253,6 +260,26 @@ class TestGaussianConditioning:
             epsabs=0.0, epsrel=1e-13)
         res = verify.gaussian_conditioning_check(cov, seed=1)
         assert res.details["cd_lhs"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_three_dim_rule_is_seed_free(self):
+        cov = THREE_DIM_COVS[0]
+        lhs = {verify.gaussian_conditioning_check(cov, seed=k).details["cd_lhs"]
+               for k in range(20)}
+        assert len(lhs) == 1
+
+    @pytest.mark.parametrize("cov", THREE_DIM_COVS)
+    def test_three_dim_rule_matches_closed_form(self, cov):
+        res = verify.gaussian_conditioning_check(cov, seed=1)
+        assert res.status
+        assert res.details["cd_lhs"] == pytest.approx(res.details["cd_rhs"], rel=1e-12, abs=0.0)
+
+    def test_one_dim_rule_matches_closed_form(self):
+        res = verify.gaussian_conditioning_check([[0.3]], seed=1)
+        assert res.status and res.measured < 1e-12
+
+    def test_dimension_four_rejected(self):
+        with pytest.raises(fbm.DomainError, match="capped at dimension 3"):
+            verify.gaussian_conditioning_check(np.eye(4))
 
     def test_three_dim_monte_carlo(self):
         rng = np.random.default_rng(4)
@@ -620,6 +647,15 @@ class TestSuite:
         res = verify.permanent_check(seed=0)
         row = res.row()
         assert set(row) == {"check_id", "status", "measured", "bound", "slack"}
+
+    def test_seed_that_failed_the_monte_carlo_gate_passes(self):
+        # the 3-D conditioning identity once gated on three Monte Carlo standard
+        # errors, which this seed's draw missed by 0.2 %
+        results = verify.run_all(929346862)
+        assert [r.check_id for r in results if not r.status] == []
+
+    def test_run_all_memory_peak(self):
+        assert traced_peak(lambda: verify.run_all(7)) <= 12 * 2 ** 20
 
 
 class TestMultiIndex:
