@@ -159,8 +159,10 @@ def child_seed(seed, i: int) -> np.random.SeedSequence:
 
 # paths per chunk of the per-component work; a multiple of the BLAS kernels'
 # column blocking, so a chunked product equals the unchunked one unless the
-# last chunk is narrow
-PATH_CHUNK = 2048
+# last chunk is narrow.  Measured at d = 4, N = 128 (BENCH_31.json): 512-path
+# chunks are slower per operation, and 2048 doubles the chunk memory and is no
+# faster
+PATH_CHUNK = 1024
 
 
 def usable_cpus() -> int:

@@ -287,10 +287,12 @@ def gaussian_conditioning_check(cov, seed: int = 0) -> CheckResult:
     nn = cov.shape[0]
     if nn > 3:
         raise DomainError("conditioning check capped at dimension 3")
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise DomainError("covariance must be nonsingular positive definite")
-    det = math.exp(logdet)
+    # the rule's factor: cov^-1 = L L^T exists exactly when cov is positive definite
+    try:
+        L = np.linalg.cholesky(np.linalg.inv(cov))
+    except np.linalg.LinAlgError:
+        raise DomainError("covariance must be nonsingular positive definite") from None
+    det = math.exp(np.linalg.slogdet(cov)[1])
     prod = 1.0
     for j in range(nn):
         prod *= schur_conditional_variance(cov, j, list(range(j)))
@@ -320,7 +322,6 @@ def gaussian_conditioning_check(cov, seed: int = 0) -> CheckResult:
     # the integrand is a Gaussian in v with covariance cov^-1 = L L^T: at v = L (12 x),
     # v_i spans 12 conditional deviations around its mean given v_1 .. v_{i-1}; the
     # exponent reads cov itself, since L^T cov L = I would assume the identity checked
-    L = np.linalg.cholesky(np.linalg.inv(cov))
     x, wq = gauss_legendre(64)
     xs = np.ix_(*[12.0 * x] * nn)
     v = [sum(L[i, j] * xs[j] for j in range(i + 1)) for i in range(nn)]

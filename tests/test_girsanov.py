@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import block_estimator_reference, constant_drift, in_lanes, traced_peak
-from cylfbm import cylinder, drift, fbm, fraccalc, girsanov
+from cylfbm import cylinder, drift, fbm, fraccalc, girsanov, solver
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,17 @@ class TestBlockMemory:
             assert peaks[m] <= (3.1 + 1.2 * lanes / d) * chunk + 4 * (d + 1) * m * 8
         assert peaks[16000] - peaks[4000] <= 4 * (d + 1) * 12000 * 8
 
+    def test_benchmark_shape_peak(self, monkeypatch, model, grid128):
+        # girsanov-d4's shape in two lanes: the chunk arrays and lane scratch
+        # stay within an absolute budget, which a wider chunk would exceed
+        hs, ws, spec = model
+        d = 4
+        args = (spec, ["coordinate:2", "clipped_norm:2"], np.zeros(d), 1.0, hs, ws, d, grid128)
+        girsanov.weak_solution_estimator(*args, 50, seed=2)  # fill the kernel caches
+        peak = in_lanes(monkeypatch, 2, lambda: traced_peak(
+            lambda: girsanov.weak_solution_estimator(*args, 10_000, seed=3)))
+        assert peak <= 18e6
+
     def test_log_weights_match_fresh_integrands(self, sequences, grid64):
         # one reused integrand buffer gives the floats of a fresh one per component
         hs, ws = sequences
@@ -227,6 +238,53 @@ class TestStreamedEstimator:
             girsanov.weak_solution_estimator(
                 spec, ["coordinate:1"], 0.0, 1.0, hs, ws, 3, grid64, 100, 41,
                 drift_eval=lambda t, y: drift.evaluate(spec, t, y))
+
+
+class TestChunkWidth:
+    """Outputs do not depend on cylinder.PATH_CHUNK: at these path counts
+    every last chunk is at least 368 paths wide."""
+
+    WIDTHS = (512, 1024, 2048)
+
+    def _at_widths(self, monkeypatch, fn):
+        out = []
+        for width in self.WIDTHS:
+            monkeypatch.setattr(cylinder, "PATH_CHUNK", width)
+            out.append(fn())
+        return out
+
+    def test_sampler(self, monkeypatch, model, grid128):
+        hs, ws, _ = model
+
+        def sample():
+            kern = cylinder.sample_cyl_fbm(hs, ws, 4, grid128, 3000, 5, method="kernel",
+                                           keep_increments=True)
+            chol = cylinder.sample_cyl_fbm(hs, ws, 4, grid128, 3000, 5, method="cholesky")
+            return kern.values, [inc.values for inc in kern.increments], chol.values
+
+        (kv, ki, cv), *rest = self._at_widths(monkeypatch, sample)
+        for kv2, ki2, cv2 in rest:
+            assert np.array_equal(kv, kv2) and np.array_equal(cv, cv2)
+            assert all(np.array_equal(a, b) for a, b in zip(ki, ki2))
+
+    def test_estimator(self, monkeypatch, model, grid128):
+        hs, ws, spec = model
+        args = (spec, ["coordinate:2", "clipped_norm:2"], np.zeros(4), 1.0, hs, ws, 4,
+                grid128, 6000, 9)
+        first, *rest = self._at_widths(
+            monkeypatch, lambda: girsanov.weak_solution_estimator(*args))
+        for res in rest:
+            assert res.estimates == first.estimates
+            assert (res.mean_weight, res.ess_fraction) == (first.mean_weight,
+                                                           first.ess_fraction)
+
+    def test_converge(self, monkeypatch, model, grid128):
+        hs, ws, spec = model
+        schedule = [(1, 0.1), (2, 0.05), (4, 0.025), (4, 0.0125)]
+        first, *rest = self._at_widths(monkeypatch, lambda: solver.converge_experiment(
+            spec, schedule, 1.0, ["coordinate:2", "clipped_norm:2"], hs, ws, grid128,
+            np.zeros(4), 3000, seed=13)[0])
+        assert all(rows == first for rows in rest)
 
 
 class TestMonteCarloBlocks:

@@ -291,6 +291,12 @@ class TestGaussianConditioning:
         with pytest.raises(fbm.DomainError):
             verify.gaussian_conditioning_check(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("diag", [(-1.0, -1.0, 1.0), (-2.0, -1.0, 3.0)])
+    def test_even_negative_eigenvalues_rejected(self, diag):
+        # an even number of negative eigenvalues gives a positive determinant
+        with pytest.raises(fbm.DomainError, match="positive definite"):
+            verify.gaussian_conditioning_check(np.diag(diag))
+
 
 class TestSimplexBeta:
     def test_trivial_exponents(self):
