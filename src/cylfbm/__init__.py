@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # `cli` loads on first access, so `python -m cylfbm.cli` does not find it
-    # already imported by the package; `verify` too, as the lemma suite loads
-    # scipy.integrate: importing the package loads no scipy module at all
+    # already imported by the package; `verify` too, so that the sampling
+    # commands never compile the lemma suite
     if name in ("cli", "verify"):
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

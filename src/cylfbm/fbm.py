@@ -28,6 +28,8 @@ class FactorizationError(RuntimeError):
 
 # Relative jitter ladder tried before giving up on a Cholesky factorization.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
+# Absolute jitter added to a singular conditioning block.
+SCHUR_JITTER = 1e-12
 
 
 def as_hurst(H) -> float:
@@ -206,12 +208,10 @@ def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) ->
 
     Returns kappa with kappa[j] = integral over (t_{start+j}, t_{start+j+1})
     of K(u, s) du for the cells right of node start_index (where t_start = s).
-    The first cell crosses the u -> s singularity and is substituted away.
-    Only the stochastic derivative calls this; it imports ``scipy.integrate``
-    itself, so that sampling never loads it.
+    The first cell crosses the u -> s singularity: v = (u - s)^(H+1/2) makes
+    its integrand bounded, and a 64-point Gauss-Legendre rule integrates it;
+    the other cells take a 12-point rule in u.
     """
-    from scipy import integrate
-
     H = as_hurst(H)
     nodes = grid.nodes
     if not np.isclose(nodes[start_index], s):
@@ -221,13 +221,11 @@ def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) ->
     if n_right == 0:
         return kappa
     q = H + 0.5
-
-    def g(v):
-        lk = _log_kernel(H, s + v ** (1.0 / q), s, log_diff=np.log(v) / q)
-        return np.exp(lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
-
-    kappa[0], _ = integrate.quad(g, 0.0, (nodes[start_index + 1] - s) ** q,
-                                 epsabs=1e-13, epsrel=1e-10, limit=200)
+    x, w = gauss_legendre(64)
+    half = 0.5 * (nodes[start_index + 1] - s) ** q
+    log_v = np.log(half * (x + 1.0))
+    lk = _log_kernel(H, s + np.exp(log_v / q), s, log_diff=log_v / q)
+    kappa[0] = half * np.sum(w * np.exp(lk + (1.0 / q - 1.0) * log_v)) / q
     if n_right > 1:
         x, w = gauss_legendre(12)
         left = nodes[start_index + 1 : grid.n_cells]
@@ -321,32 +319,23 @@ def cholesky_factor(H, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def schur_conditional_variance(cov: np.ndarray, target: int, conditioning,
-                               jitter: float = 1e-12, return_info: bool = False):
+def schur_conditional_variance(cov: np.ndarray, target: int, conditioning) -> float:
     """Var(X_target | X_j, j in conditioning) by Schur complement.
 
-    A singular conditioning block is regularized with the documented jitter
-    and flagged in the info dict when ``return_info`` is set.
+    A singular conditioning block is regularized with ``SCHUR_JITTER``.
     """
     conditioning = sorted(set(int(j) for j in conditioning))
     if target in conditioning:
         raise DomainError("target index may not be conditioned on")
     if not conditioning:
-        value, regularized = float(cov[target, target]), False
-    else:
-        S = cov[np.ix_(conditioning, conditioning)]
-        c = cov[target, conditioning]
-        regularized = False
-        try:
-            sol = np.linalg.solve(S, c)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.solve(S + jitter * np.eye(len(conditioning)), c)
-            regularized = True
-        value = float(cov[target, target] - c @ sol)
-        value = max(value, 0.0)  # roundoff for near-perfect conditioning
-    if return_info:
-        return value, {"regularized": regularized}
-    return value
+        return float(cov[target, target])
+    S = cov[np.ix_(conditioning, conditioning)]
+    c = cov[target, conditioning]
+    try:
+        sol = np.linalg.solve(S, c)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.solve(S + SCHUR_JITTER * np.eye(len(conditioning)), c)
+    return max(float(cov[target, target] - c @ sol), 0.0)  # roundoff near perfect conditioning
 
 
 def estimate_lnd_constant(H, grid: TimeGrid, r: float) -> float:

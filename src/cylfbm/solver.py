@@ -245,27 +245,6 @@ def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> np.ndar
                                  mass=lam_m * kappa)
 
 
-def _bump_profile(sol: SolutionEnsemble, s_index: int, m: int,
-                  window_cells: int) -> np.ndarray:
-    """Noise response at the nodes t_1..t_N of driving component m to a unit
-    Cameron-Martin bump with density 1/window on the cells starting at
-    s_index, chained through the discrete kernel."""
-    grid = sol.grid
-    if s_index + window_cells > grid.n_cells:
-        raise DomainError("bump window exceeds the grid")
-    km = kernel_matrix(sol.noise.hursts.value(m), grid)
-    win = slice(s_index, s_index + window_cells)
-    return sol.noise.weights.value(m) * np.sum(km[:, win], axis=1) / window_cells
-
-
-def malliavin_directional(sol: SolutionEnsemble, s_index: int, m: int,
-                          window_cells: int = 2) -> np.ndarray:
-    """Window-averaged derivative: the response to the bump of
-    :func:`_bump_profile`.  Shape (d, n_nodes, n_paths)."""
-    profile = _bump_profile(sol, s_index, m, window_cells)[s_index:]  # nodes s_index+1..N
-    return _step_linear_equation(sol, s_index, m - 1, profile)
-
-
 @dataclass(frozen=True)
 class FdCheckResult:
     relative_error: float
@@ -278,24 +257,32 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     """Finite-difference validation of the stochastic derivative.
 
     Perturbs driving component m by ``bump`` times the Cameron-Martin
-    direction with density 1/window on the bump window, chains the
-    perturbation through the kernel discretization, re-solves, and compares
-    (X_bumped - X)/bump at the final time against the window-averaged
-    derivative.  Both follow the solve's left rule, so they differ only by
-    the bump's second-order term.
+    direction with density 1/window on the ``window_cells`` cells starting
+    at s_index, chains the perturbation through the kernel discretization,
+    re-solves, and compares (X_bumped - X)/bump at the final time against the
+    window-averaged derivative: the left-rule linearisation driven by the
+    same noise response.  They differ only by the bump's second-order term.
     """
     grid = sol.grid
-    shift_nodes = np.zeros(grid.n_nodes)
-    shift_nodes[1:] = _bump_profile(sol, s_index, m, window_cells)
+    if not (1 <= m <= sol.d):
+        raise DomainError("component index out of range")
+    if not (0 <= s_index and 1 <= window_cells and s_index + window_cells <= grid.n_cells):
+        raise DomainError("bump window must hold at least one cell of the grid")
+    if bump == 0:
+        raise DomainError("bump size must be nonzero")
+    # noise response at the nodes t_1..t_N to the unit bump
+    km = kernel_matrix(sol.noise.hursts.value(m), grid)
+    profile = sol.noise.weights.value(m) * np.sum(
+        km[:, s_index : s_index + window_cells], axis=1) / window_cells
     pert = np.zeros_like(sol.noise.values)
-    pert[m - 1] = bump * shift_nodes[:, None]
+    pert[m - 1, 1:] = bump * profile[:, None]
     # increments dropped: they would no longer generate the perturbed values
     noise2 = CylEnsemble(d=sol.noise.d, grid=grid, values=sol.noise.values + pert,
                          hursts=sol.noise.hursts, weights=sol.noise.weights,
                          increments=None)
     sol2 = picard_solve(sol.drift, sol.x0, noise2, t_index=grid.n_cells)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
-    avg = malliavin_directional(sol, s_index, m, window_cells)[:, -1, :]
+    avg = _step_linear_equation(sol, s_index, m - 1, profile[s_index:])[:, -1, :]
     num = math.sqrt(float(np.mean(np.sum((fd - avg) ** 2, axis=0))))
     den = math.sqrt(float(np.mean(np.sum(avg ** 2, axis=0))))
     rel = num / den if den > 0 else math.inf
@@ -309,8 +296,7 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
 
 def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
                         hursts: HurstSequence, weights: WeightSequence,
-                        grid: TimeGrid, x, n_paths: int, seed: int,
-                        block_size: int = girsanov_mod.DEFAULT_BLOCK_SIZE):
+                        grid: TimeGrid, x, n_paths: int, seed: int):
     """Solve along an approximation schedule on one noise sample and compare
     against the measure-change target for the original drift.
 
@@ -333,14 +319,14 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
     evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
-        spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths,
-        target_seed, block_size=block_size)
+        spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths, target_seed)
     idx_t = girsanov_mod._node_index(grid, t)
     x = girsanov_mod._start_point(x, d_ref)
     phis = {phi_id: girsanov_mod.make_functional(phi_id) for phi_id in phi_ids}
     moments = [{phi_id: (girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
                 for phi_id in phis} for _ in schedule]
-    for m, block_seed in girsanov_mod.mc_blocks(n_paths, run_seed, block_size):
+    blocks = girsanov_mod.mc_blocks(n_paths, run_seed, girsanov_mod.DEFAULT_BLOCK_SIZE)
+    for m, block_seed in blocks:
         noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                method="kernel")
         z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,

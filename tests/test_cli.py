@@ -18,6 +18,14 @@ def read_body(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
 
 
+def run_python(*args, timeout):
+    """A fresh interpreter that imports the package from this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
 def read_header(path):
     """The ``# key: value`` comment lines as a mapping."""
     return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
@@ -84,12 +92,7 @@ class TestConfigSchema:
     def test_module_run_without_runpy_warning(self):
         # the package must not import cli itself, or runpy warns that
         # cylfbm.cli is already in sys.modules
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "cylfbm.cli", "--schema"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-            timeout=120)
+        proc = run_python("-W", "default", "-m", "cylfbm.cli", "--schema", timeout=120)
         assert proc.returncode == 0
         assert "configuration schema" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
@@ -424,7 +427,7 @@ class TestSchemaWalk:
 class TestImportPath:
     def test_no_command_loads_scipy(self, tmp_path):
         # import and every command, the lemma suite included, load no scipy
-        # module: only the stochastic derivative's one quadrature needs it.
+        # module; the package runs without scipy installed at all (below).
         # The sampling commands do not import the lemma suite; the package
         # still resolves `verify` on access, as the tracer does.
         # Only the sampling commands run component lanes: verify-suite and
@@ -460,12 +463,37 @@ assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate-d2") == cli.EXIT_OK
 assert not started, started
 assert threading.active_count() == active
 """
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        proc = run_python("-c", script, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "verify" / "report.csv").exists()
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import refused,
+        # all six commands and the stochastic derivative still run
+        script = f"""
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy refused: " + name)
+        return None
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
+import cylfbm
+from cylfbm import cli, cylinder, drift, solver
+for command in ("girsanov", "simulate", "validate", "solve", "converge", "verify-suite"):
+    cfg = cli.load_config({{"command": command, "grid": {{"n_cells": 16}},
+                           "mc": {{"n_paths": 200, "seed": 3}}}})
+    assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK, command
+hs, ws, spec, _ = cli._build_model(cli.load_config({{}}))
+noise = cylinder.sample_cyl_fbm(hs, ws, 2, cylfbm.fbm.TimeGrid(1.0, 32), 50, seed=5,
+                                method="kernel", keep_increments=True)
+sol = solver.picard_solve(drift.mollify(spec, 2, 0.1), np.zeros(2), noise)
+assert np.all(np.isfinite(solver.malliavin_derivative(sol, 8, 1)))
+assert solver.malliavin_fd_check(sol, 8, 2).relative_error < 1e-2
+"""
+        proc = run_python("-c", script, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifySuiteCommand:

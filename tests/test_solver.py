@@ -361,6 +361,16 @@ class TestFdCheck:
         fine = solver.malliavin_fd_check(jump_sol, 16, 1, bump=1e-4)
         assert fine.relative_error < coarse.relative_error
 
+    @pytest.mark.parametrize("s_index, m, kwargs", [
+        (8, 3, {}), (8, 0, {}), (-1, 1, {}), (8, 1, {"window_cells": 0}),
+        (8, 1, {"bump": 0.0}), (63, 1, {"window_cells": 2}),
+    ])
+    def test_bad_arguments_rejected(self, jump_sol, s_index, m, kwargs):
+        # d = 2: component 3 and base -1 would index out of range, an empty
+        # window or a zero bump would divide by zero
+        with pytest.raises(fbm.DomainError):
+            solver.malliavin_fd_check(jump_sol, s_index, m, **kwargs)
+
 
 class TestGridRefinement:
     def test_estimates_stable_under_halving(self, sequences):
