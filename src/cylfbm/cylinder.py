@@ -249,6 +249,8 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
         raise DomainError("truncation level must be >= 1")
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
+    if isinstance(seed, (list, tuple)) and len(seed) < d:
+        raise DomainError(f"{d} components need {d} Generators, got {len(seed)}")
     if method == "kernel":
         factors = [fbm.kernel_matrix(hs.value(k + 1), grid) for k in range(d)]
     elif method == "cholesky":

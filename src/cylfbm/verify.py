@@ -9,7 +9,9 @@ Identities are asserted at fixed tolerances, their integrals evaluated by
 fixed Gauss-Legendre rules (:func:`cylfbm.fbm.gauss_legendre`) rather than
 sampled; inequalities with unspecified constants carry Monte Carlo
 three-standard-error slack.  Every check returns a machine-readable result
-with its measured slack.
+with its measured slack.  The checks with large rules or samples evaluate
+them in blocks of about :data:`BLOCK_ELEMENTS` elements per array, which
+changes no result bit.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ class CheckResult:
     def row(self) -> dict:
         return {"check_id": self.check_id, "status": "pass" if self.status else "FAIL",
                 "measured": self.measured, "bound": self.bound, "slack": self.slack}
+
+
+# array elements a blocked check evaluates at once: every block length derives from it
+BLOCK_ELEMENTS = 2 ** 14
+
+
+def _blocks(n: int, size: int, least: int = 2) -> list:
+    """Consecutive slices covering range(n), each of as many items of ``size``
+    elements as BLOCK_ELEMENTS holds but at least ``least`` (all n if fewer);
+    a shorter last block joins the one before it.  Two items at least keep a
+    block's numbers those of the whole array: a one-row matrix product takes
+    another BLAS path, and a one-column array is summed in another order."""
+    step = max(least, BLOCK_ELEMENTS // size)
+    starts = list(range(0, max(n - least + 1, 1), step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +255,40 @@ def _replicated_covariance(cov: np.ndarray, counts) -> np.ndarray:
     return cov[np.ix_(idx, idx)]
 
 
+def _abs_products(cov: np.ndarray, n_mc: int, seed: int) -> np.ndarray:
+    """prod_i |X_i| for the n_mc draws X of ``rng.multivariate_normal(0, cov,
+    n_mc, method="cholesky")``, bit for bit: rows of standard normals times
+    the transposed Cholesky factor, drawn from one Generator a block of rows
+    at a time."""
+    rng = np.random.default_rng(seed)
+    factor_t = np.linalg.cholesky(cov).T
+    out = np.empty(n_mc)
+    for b in _blocks(n_mc, len(cov)):
+        out[b] = np.prod(np.abs(rng.standard_normal((b.stop - b.start, len(cov))) @ factor_t),
+                         axis=1)
+    return out
+
+
 def gaussian_moment_bounds_check(cov, multi_index, n_mc: int = 200_000,
                                  seed: int = 0) -> CheckResult:
     """Absolute-moment bound through the permanent, and the diagonal
     factorial bound for the replicated covariance.
 
     Three-standard-error slack on the Monte Carlo side; the permanent
-    comparison is deterministic.
+    comparison is deterministic.  The draws come in blocks of rows holding
+    BLOCK_ELEMENTS normals (4096 rows in dimension 4); only the n_mc
+    products outlive a block.
     """
     cov = np.asarray(cov, dtype=float)
     nn = cov.shape[0]
     if nn > 8:
         raise DomainError("moment check capped at dimension 8")
+    if n_mc < 2:
+        raise DomainError("the Monte Carlo standard error needs n_mc >= 2")
     if isinstance(multi_index, MultiIndex):
         multi_index = multi_index.block_sums()
     alpha = np.asarray(multi_index, dtype=int)
-    rng = np.random.default_rng(seed)
-    X = rng.multivariate_normal(np.zeros(nn), cov, size=n_mc, method="cholesky")
-    prod_abs = np.prod(np.abs(X), axis=1)
+    prod_abs = _abs_products(cov, n_mc, seed)
     mean = float(np.mean(prod_abs))
     se = float(np.std(prod_abs, ddof=1) / math.sqrt(n_mc))
     bound = math.sqrt(permanent(cov))
@@ -281,7 +314,11 @@ def gaussian_conditioning_check(cov, seed: int = 0) -> CheckResult:
     one-dimensional one, in dimension 1 to 3.
 
     The integral identity is checked, at 1e-4 relative, by a tensor 64-node
-    Gauss-Legendre rule sheared along the Cholesky factor of cov^-1.
+    Gauss-Legendre rule sheared along the Cholesky factor of cov^-1.  The rule
+    is evaluated one slab of leading-axis nodes at a time, each slab holding
+    BLOCK_ELEMENTS nodes but two leading nodes at least (4 in dimension 3):
+    its trailing axes are contracted per slab, the leading axis once all
+    slabs are in.
     """
     cov = np.asarray(cov, dtype=float)
     nn = cov.shape[0]
@@ -323,13 +360,17 @@ def gaussian_conditioning_check(cov, seed: int = 0) -> CheckResult:
     # v_i spans 12 conditional deviations around its mean given v_1 .. v_{i-1}; the
     # exponent reads cov itself, since L^T cov L = I would assume the identity checked
     x, wq = gauss_legendre(64)
-    xs = np.ix_(*[12.0 * x] * nn)
-    v = [sum(L[i, j] * xs[j] for j in range(i + 1)) for i in range(nn)]
-    vals = v[0] * v[0] * np.exp(-0.5 * sum(cov[i, j] * v[i] * v[j]
-                                           for i in range(nn) for j in range(nn)))
-    for _ in range(nn):
-        vals = vals @ wq
-    lhs = 12.0 ** nn * float(np.prod(np.diag(L))) * float(vals)
+    nodes = 12.0 * x
+    lead = np.empty(64)
+    for b in _blocks(64, 64 ** (nn - 1)):
+        xs = np.ix_(nodes[b], *[nodes] * (nn - 1))
+        v = [sum(L[i, j] * xs[j] for j in range(i + 1)) for i in range(nn)]
+        vals = v[0] * v[0] * np.exp(-0.5 * sum(cov[i, j] * v[i] * v[j]
+                                               for i in range(nn) for j in range(nn)))
+        for _ in range(nn - 1):
+            vals = vals @ wq
+        lead[b] = vals
+    lhs = 12.0 ** nn * float(np.prod(np.diag(L))) * float(lead @ wq)
     cd_gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     ok = bool(det_ok and mono_ok and cd_gap <= 1e-4)
     return CheckResult("gauss_conditioning", ok, cd_gap, 1e-4, 1e-4 - cd_gap,
@@ -353,6 +394,14 @@ _DELTA_FLOOR = 1e-200
 _GRADED_EDGES = 0.2 ** np.arange(1, 23)
 
 
+def _graded_edges(p: float):
+    """The substitution exponent kap and the fixed panel edges in x of
+    :func:`_graded_half` for an integrand like delta^p at 0."""
+    kap = p + 1.0 if p < 0.0 else 1.0
+    n_uni = math.ceil(4.0 / kap)
+    return kap, np.union1d(_GRADED_EDGES, np.arange(n_uni + 1) / n_uni)
+
+
 def _graded_half(fn, p: float, half, breaks=()) -> np.ndarray:
     """integral_0^half fn(delta) d delta, one column per entry of ``half``.
 
@@ -361,12 +410,12 @@ def _graded_half(fn, p: float, half, breaks=()) -> np.ndarray:
     (shape (columns, k); entries outside (0, half) are ignored).  delta =
     half x^(1/kap), kap = p + 1 for p < 0, flattens the endpoint; panels in x
     are graded toward 0 for the remaining fractional powers, plus ceil(4/kap)
-    uniform ones for the fast variation near x = 1 at small kap.
+    uniform ones for the fast variation near x = 1 at small kap.  A column's
+    value depends on its own entries only, bit for bit among two columns or
+    more.
     """
     half = np.asarray(half, dtype=float)
-    kap = p + 1.0 if p < 0.0 else 1.0
-    n_uni = math.ceil(4.0 / kap)
-    fixed = np.union1d(_GRADED_EDGES, np.arange(n_uni + 1) / n_uni)
+    kap, fixed = _graded_edges(p)
     breaks = np.asarray(breaks, dtype=float).reshape(len(half), -1)
     xb = np.clip(breaks / half[:, None], 0.0, 1.0) ** kap
     edges = np.sort(np.hstack([np.broadcast_to(fixed, (len(half), len(fixed))), xb]), axis=1)
@@ -468,8 +517,9 @@ def _weighted_simplex_integral(H: float, w, eps_flags, theta: float, theta_p: fl
     All level integrands are handled in distance-from-theta form so the
     kernel singularity at s = theta stays representable.  Each inner level is
     tabulated at the offsets by two graded-rule halves per offset and
-    interpolated by :func:`_pchip`.  Returns the integral, the offsets and the
-    level tables.
+    interpolated by :func:`_pchip`; a block of offsets (columns) holds about
+    BLOCK_ELEMENTS rule nodes, two columns at least (28 columns at run_all's
+    first level).  Returns the integral, the offsets and the level tables.
     """
     n = len(w)
     span = t - theta
@@ -488,10 +538,15 @@ def _weighted_simplex_integral(H: float, w, eps_flags, theta: float, theta_p: fl
     for j in range(n - 1):
         w_next = w[j + 1]
         vals = np.zeros(len(offsets))
-        vals[1:] = _graded_half(lambda dl, _phi=phi: _phi(dl) * (col - dl) ** w_next,
-                                left_exp, half, np.tile(knots, (n_grid, 1))) \
-            + _graded_half(lambda dr, _phi=phi: _phi(col - dr) * dr ** w_next,
-                           w_next, half, offsets[1:, None] - knots)
+        left_breaks, right_breaks = np.tile(knots, (n_grid, 1)), offsets[1:, None] - knots
+        # rule nodes per column, at most: 16 per panel of the larger half
+        nodes = 16 * (max(len(_graded_edges(p)[1]) for p in (left_exp, w_next)) + len(knots))
+        for b in _blocks(n_grid, nodes):
+            c = col[b]
+            vals[1:][b] = _graded_half(lambda dl: phi(dl) * (c - dl) ** w_next,
+                                       left_exp, half[b], left_breaks[b]) \
+                + _graded_half(lambda dr: phi(c - dr) * dr ** w_next,
+                               w_next, half[b], right_breaks[b])
         levels.append(vals)
         interp = _pchip(offsets, vals)
         phi = lambda delta, _ip=interp, _f=eps_flags[j + 1]: kappa(_f, delta) * _ip(delta)
@@ -799,19 +854,29 @@ def occupation_density_check(H, n_cells: int, n_paths: int, xis,
     exp(-xi^2 Var(B_{t_j} - B_{t_j'})/2), whose diagonal is the floor h.  ``details``
     adds the continuum 2 int_0^1 (1-u) exp(-xi^2 u^2H/2) du ~ |xi|^(-1/H), in closed
     form 2 M(1/2H) - M(1/H) with Kummer's M(s) = 1F1(s; 1 + s; -xi^2/2) (:func:`_kummer`).
+    The phases xi B_{t_j} are formed for as many xi at once as BLOCK_ELEMENTS
+    holds, one at least (one at run_all's 64 cells and 1000 paths); a sum
+    over the nodes of one xi is taken in the same order at any block length.
     """
     H = as_hurst(H)
+    xi = np.asarray(xis, dtype=float)
+    if xi.size == 0:
+        raise DomainError("need at least one frequency xi")
+    if n_paths < 2:
+        raise DomainError("the Monte Carlo standard error needs n_paths >= 2")
     grid, h = TimeGrid(1.0, n_cells), 1.0 / n_cells
     rng = np.random.default_rng(seed)
     left = np.zeros((n_cells, n_paths))
     left[1:] = (cholesky_factor(H, grid) @ rng.standard_normal((n_cells, n_paths)))[:-1]
     cov = covariance_matrix(H, grid.nodes[:-1])
     var = np.add.outer(np.diag(cov), np.diag(cov)) - 2.0 * cov
-    phase = np.multiply.outer(np.asarray(xis, dtype=float), left)
-    sq = h * h * (np.sum(np.cos(phase), axis=1) ** 2 + np.sum(np.sin(phase), axis=1) ** 2)
+    sq = np.empty((len(xi), n_paths))
+    for b in _blocks(len(xi), left.size, least=1):
+        phase = np.multiply.outer(xi[b], left)
+        sq[b] = h * h * (np.sum(np.cos(phase), axis=1) ** 2 + np.sum(np.sin(phase), axis=1) ** 2)
     mean, se = np.mean(sq, axis=1), np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
-    exact = h * h * np.array([np.sum(np.exp(-0.5 * x * x * var)) for x in xis])
-    kummer = lambda s: np.array([_kummer(s, 0.5 * x * x) for x in np.asarray(xis, dtype=float)])
+    exact = h * h * np.array([np.sum(np.exp(-0.5 * x * x * var)) for x in xi])
+    kummer = lambda s: np.array([_kummer(s, 0.5 * x * x) for x in xi])
     continuum = 2.0 * kummer(0.5 / H) - kummer(1.0 / H)
     worst = float(np.max(np.abs(mean - exact) / np.maximum(3.0 * se, 1e-12 * exact)))
     return CheckResult("occupation_density", worst <= 1.0, worst, 1.0, 1.0 - worst, {

@@ -199,6 +199,15 @@ class TestComponentLanes:
         assert np.array_equal(a.values, b.values)
         assert ss.n_children_spawned == 0
 
+    @pytest.mark.parametrize("method", ["kernel", "cholesky"])
+    def test_too_few_generators_rejected(self, monkeypatch, sequences, grid64, method):
+        hs, ws = sequences
+        monkeypatch.setattr(cylinder, "run_component_lanes",
+                            lambda *a, **k: pytest.fail("a lane started"))
+        rngs = [np.random.default_rng(1)]
+        with pytest.raises(fbm.DomainError, match="3 components need 3 Generators, got 1"):
+            cylinder.sample_cyl_fbm(hs, ws, 3, grid64, 10, rngs, method=method)
+
     @pytest.mark.parametrize("lanes", [1, 2, 4])
     def test_lowest_failing_component_named(self, monkeypatch, sequences, grid64, lanes):
         hs, ws = sequences

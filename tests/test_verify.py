@@ -664,6 +664,140 @@ class TestSuite:
         assert traced_peak(lambda: verify.run_all(7)) <= 12 * 2 ** 20
 
 
+# run_all(7)'s arguments of the four checks that evaluate their rule or sample in blocks
+RUN_ALL_BLOCKED = {
+    "gaussian_moment_bounds_check": lambda: verify.gaussian_moment_bounds_check(
+        verify._random_psd(np.random.default_rng(7 + 2), 4), [1, 1, 0, 0], n_mc=100_000,
+        seed=7 + 3),
+    "gaussian_conditioning_check": lambda: verify.gaussian_conditioning_check(
+        THREE_DIM_COVS[0], seed=7 + 7),
+    "simplex_beta_check": lambda: verify.simplex_beta_check(
+        [-0.2, -0.1], [1, 0], 0.1, 0.3, 0.2, 1.0, 2),
+    "occupation_density_check": lambda: verify.occupation_density_check(
+        0.08, 64, 1000, (0.5, 1.0, 2.0, 3.0), seed=7 + 11),
+}
+
+
+def _whole_grid_cd_lhs(cov):
+    """The conditioning check's sheared 64^n rule on its whole tensor grid."""
+    nn = len(cov)
+    L = np.linalg.cholesky(np.linalg.inv(cov))
+    x, wq = fbm.gauss_legendre(64)
+    xs = np.ix_(*[12.0 * x] * nn)
+    v = [sum(L[i, j] * xs[j] for j in range(i + 1)) for i in range(nn)]
+    vals = v[0] * v[0] * np.exp(-0.5 * sum(cov[i, j] * v[i] * v[j]
+                                           for i in range(nn) for j in range(nn)))
+    for _ in range(nn):
+        vals = vals @ wq
+    return 12.0 ** nn * float(np.prod(np.diag(L))) * float(vals)
+
+
+def _whole_column_levels(H, w, flags, theta, theta_p, t, gamma, n_grid):
+    """The level tables of the weighted simplex integral, each level's graded
+    halves on all n_grid columns at once."""
+    span = t - theta
+    offsets = span * np.linspace(0.0, 1.0, n_grid + 1) ** 2.0
+    col, half = offsets[1:, None, None], 0.5 * offsets[1:]
+    kinks = verify._increment_sign_changes(H, theta, theta_p, span)
+    kappa = lambda flag, d: np.abs(verify._kernel_increment_from_theta(
+        H, theta, d, theta_p)) if flag else 1.0
+    phi = lambda d: kappa(flags[0], d) * d ** w[0]
+    knots = kinks if flags[0] else np.empty(0)
+    left_exp = w[0] + (H - 0.5 - gamma) * flags[0]
+    levels = []
+    for j in range(len(w) - 1):
+        vals = np.zeros(len(offsets))
+        vals[1:] = verify._graded_half(lambda dl: phi(dl) * (col - dl) ** w[j + 1], left_exp,
+                                       half, np.tile(knots, (n_grid, 1))) \
+            + verify._graded_half(lambda dr: phi(col - dr) * dr ** w[j + 1], w[j + 1], half,
+                                  offsets[1:, None] - knots)
+        levels.append(vals)
+        phi = lambda d, _ip=verify._pchip(offsets, vals), _f=flags[j + 1]: kappa(_f, d) * _ip(d)
+        knots = np.concatenate([offsets, kinks if flags[j + 1] else []])
+        left_exp += w[j + 1] + 1.0 + (H - 0.5 - gamma) * flags[j + 1]
+    return levels
+
+
+class TestBlockedChecks:
+    """The four checks that hold one block of their rule or sample at a time
+    give the whole-array formulas' numbers bit for bit."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify.occupation_density_check(0.08, 16, 1, (0.5,)),
+        lambda: verify.occupation_density_check(0.08, 16, 10, ()),
+        lambda: verify.gaussian_moment_bounds_check(np.eye(2), [1, 1], n_mc=1),
+        lambda: verify.gaussian_moment_bounds_check(np.eye(2), [1, 1], n_mc=0),
+    ], ids=["one-path", "no-xi", "one-draw", "no-draw"])
+    def test_degenerate_sizes_rejected(self, call):
+        with pytest.raises(fbm.DomainError):
+            call()
+
+    @pytest.mark.parametrize("name", list(RUN_ALL_BLOCKED))
+    def test_working_memory(self, name):
+        # 4.7e6 to 1.0e7 bytes with the whole rule or sample at once
+        assert traced_peak(RUN_ALL_BLOCKED[name]) <= 2.5e6
+
+    @pytest.mark.parametrize("nn", [2, 4])
+    def test_moment_products_match_multivariate_normal(self, nn):
+        cov = verify._random_psd(np.random.default_rng(nn), nn)
+        rows = verify.BLOCK_ELEMENTS // nn
+        for n_mc in (2, rows - 1, rows, rows + 1, 2 * rows + 1, 100_000):
+            draws = np.random.default_rng(5).multivariate_normal(np.zeros(nn), cov, size=n_mc,
+                                                                 method="cholesky")
+            want = np.prod(np.abs(draws), axis=1)
+            assert np.array_equal(verify._abs_products(cov, n_mc, 5), want), n_mc
+        res = verify.gaussian_moment_bounds_check(cov, [1] * nn, n_mc=100_000, seed=5)
+        assert res.details["mc_mean"] == float(np.mean(want))
+        assert res.details["mc_se"] == float(np.std(want, ddof=1) / math.sqrt(100_000))
+
+    @pytest.mark.parametrize("cov", TWO_DIM_COVS[:3] + THREE_DIM_COVS[:3])
+    @pytest.mark.parametrize("lead", [None, 1, 3])
+    def test_conditioning_rule_matches_whole_grid(self, monkeypatch, cov, lead):
+        # lead: leading nodes per slab budgeted, None for BLOCK_ELEMENTS itself;
+        # a budget of one node still gives slabs of two
+        if lead is not None:
+            monkeypatch.setattr(verify, "BLOCK_ELEMENTS", lead * 64 ** (len(cov) - 1))
+        res = verify.gaussian_conditioning_check(cov, seed=1)
+        assert res.details["cd_lhs"] == _whole_grid_cd_lhs(cov)
+
+    @pytest.mark.parametrize("cols", ["1", "block-1", "block", "block+1", "160"])
+    @pytest.mark.parametrize("w,flags", [([-0.2, -0.1], [1, 0]),  # run_all's
+                                         ([-0.1, -0.2, -0.1], [1, 0, 1])])
+    def test_simplex_levels_match_whole_columns(self, monkeypatch, cols, w, flags):
+        args = (0.1, w, flags, 0.3, 0.2, 1.0, 0.05, 160)
+        sizes = []
+        blocks = verify._blocks
+        monkeypatch.setattr(verify, "_blocks",
+                            lambda n, size: sizes.append(size) or blocks(n, size))
+        verify._weighted_simplex_integral(*args)
+        # the first level's columns per block; a budget of one column still gives two
+        block = verify.BLOCK_ELEMENTS // sizes[0]
+        count = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                 "160": 160}[cols]
+        monkeypatch.setattr(verify, "BLOCK_ELEMENTS", count * sizes[0])
+        _, _, levels = verify._weighted_simplex_integral(*args)
+        for got, want in zip(levels, _whole_column_levels(*args), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_cells,n_paths,xis", [
+        (64, 1000, (0.5, 1.0, 2.0, 3.0)),  # run_all's: one xi per block
+        (8, 10, (0.0, 0.5, 3.0, 20.0, 40.0)),  # all xi in one block
+        (16, 500, (0.5, 1.0, 2.0, 3.0, 4.0)),  # two xi per block, the last one joins
+    ])
+    def test_occupation_matches_outer_product(self, n_cells, n_paths, xis):
+        res = verify.occupation_density_check(0.08, n_cells, n_paths, xis, seed=3)
+        rng = np.random.default_rng(3)
+        left = np.zeros((n_cells, n_paths))
+        left[1:] = (fbm.cholesky_factor(0.08, fbm.TimeGrid(1.0, n_cells))
+                    @ rng.standard_normal((n_cells, n_paths)))[:-1]
+        phase = np.multiply.outer(np.asarray(xis, dtype=float), left)
+        sq = (np.sum(np.cos(phase), axis=1) ** 2 + np.sum(np.sin(phase), axis=1) ** 2) \
+            / n_cells ** 2
+        assert np.array_equal(res.details["mean"], np.mean(sq, axis=1))
+        assert np.array_equal(res.details["stderr"],
+                              np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths))
+
+
 class TestMultiIndex:
     def test_norm_and_block_sums(self):
         mi = verify.MultiIndex(entries=((1, 2), (0, 3)))
