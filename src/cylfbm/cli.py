@@ -335,17 +335,22 @@ def _build_model(cfg):
 
 def _cmd_simulate(cfg: RunConfig) -> ResultTable:
     hs, ws, _, grid = _build_model(cfg)
-    ens = cylinder.sample_cyl_fbm(hs, ws, cfg["d"], grid, cfg["mc.n_paths"], cfg["mc.seed"])
+    d, nodes = cfg["d"], [grid.n_cells // 2, grid.n_cells]
+    first, second = girsanov.RunningMoments(), girsanov.RunningMoments()
+    for m, block_seed in girsanov.mc_blocks(cfg["mc.n_paths"], cfg["mc.seed"],
+                                            girsanov.DEFAULT_BLOCK_SIZE):
+        vals = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, block_seed).values[:, nodes, :]
+        first.add(vals)
+        second.add(vals * vals)
     table = ResultTable(columns=["component", "time", "mean", "second_moment",
                                  "predicted_second_moment"])
-    lam = ws.head_array(cfg["d"])
-    for k in range(cfg["d"]):
+    lam = ws.head_array(d)
+    for k in range(d):
         H = hs.value(k + 1)
-        for i in (grid.n_cells // 2, grid.n_cells):
+        for j, i in enumerate(nodes):
             tt = grid.nodes[i]
-            vals = ens.values[k, i, :]
-            table.add({"component": k + 1, "time": tt, "mean": float(np.mean(vals)),
-                       "second_moment": float(np.mean(vals ** 2)),
+            table.add({"component": k + 1, "time": tt, "mean": float(first.mean[k, j]),
+                       "second_moment": float(second.mean[k, j]),
                        "predicted_second_moment": lam[k] ** 2 * tt ** (2 * H)})
     return table
 
@@ -374,26 +379,28 @@ def _cmd_solve(cfg: RunConfig) -> ResultTable:
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(M))):
         raise ConfigError(f"config key {', '.join(_DRIFT_KEYS)}, drift.epsilon: "
                           "the mollified drift's Lipschitz estimate is not finite")
-    noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, cfg["mc.n_paths"], cfg["mc.seed"])
-    x = np.asarray(cfg["x0"], dtype=float)
     idx = girsanov._node_index(grid, cfg["t_eval"])
-    z = solver.picard_solve(md, x, noise, t_index=idx).paths[:, -1, :]
+    phis = [girsanov.make_functional(phi_id) for phi_id in cfg["phis"]]
+    mom = girsanov.RunningMoments()
+    for m, block_seed in girsanov.mc_blocks(cfg["mc.n_paths"], cfg["mc.seed"],
+                                            girsanov.DEFAULT_BLOCK_SIZE):
+        noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, block_seed)
+        z = solver.picard_solve(md, cfg["x0"], noise, t_index=idx).paths[:, -1, :]
+        mom.add(np.stack([phi(z) for phi in phis]))
+        del noise  # free this block before the next one is sampled
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr"])
-    for phi_id in cfg["phis"]:
-        mom = girsanov.RunningMoments()
-        mom.add(girsanov.make_functional(phi_id)(z))
+    for phi_id, estimate, stderr in zip(cfg["phis"], mom.mean.tolist(), mom.stderr.tolist()):
         table.add({"phi_id": phi_id, "t": cfg["t_eval"], "d": d, "eps": cfg["drift.epsilon"],
-                   "estimate": mom.mean, "stderr": mom.stderr})
+                   "estimate": estimate, "stderr": stderr})
     return table
 
 
 def _cmd_girsanov(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
     d = cfg["d"]
-    x = np.asarray(cfg["x0"], dtype=float)
     with _naming(*_DRIFT_KEYS):
         res = girsanov.weak_solution_estimator(
-            spec, cfg["phis"], x, cfg["t_eval"], hs, ws, d, grid,
+            spec, cfg["phis"], cfg["x0"], cfg["t_eval"], hs, ws, d, grid,
             cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["phi_id", "t", "d", "eps", "estimate", "stderr",
                                  "n_paths", "seed"], provenance=_sample_provenance(res))
@@ -414,10 +421,9 @@ def _sample_provenance(res: girsanov.EstimatorResult) -> dict:
 
 def _cmd_converge(cfg: RunConfig) -> ResultTable:
     hs, ws, spec, grid = _build_model(cfg)
-    x = np.asarray(cfg["x0"], dtype=float)
     with _naming(*_DRIFT_KEYS):
         rows, target = solver.converge_experiment(
-            spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, x,
+            spec, cfg["schedule"], cfg["t_eval"], cfg["phis"], hs, ws, grid, cfg["x0"],
             cfg["mc.n_paths"], cfg["mc.seed"])
     table = ResultTable(columns=["d", "eps", "t", "phi_id", "value", "stderr",
                                  "target", "target_stderr", "gap",

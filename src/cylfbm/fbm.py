@@ -23,11 +23,9 @@ class DomainError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """Covariance factorization failed after the jitter ladder was exhausted."""
+    """A covariance matrix that should be positive definite has no Cholesky factor."""
 
 
-# Relative jitter ladder tried before giving up on a Cholesky factorization.
-JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 # Absolute jitter added to a singular conditioning block.
 SCHUR_JITTER = 1e-12
 
@@ -297,21 +295,14 @@ def exact_covariance_matrix(H, grid: TimeGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
-    scale = float(np.mean(np.diag(C)))
-    for jit in JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(C + jit * scale * np.eye(C.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(
-        "covariance not positive definite after jitter ladder %s" % (JITTER_LADDER,))
-
-
 def cholesky_factor(H, grid: TimeGrid) -> np.ndarray:
-    """Lower Cholesky factor of :func:`exact_covariance_matrix`, with the
-    jitter ladder as fallback."""
-    return _cholesky_with_jitter(exact_covariance_matrix(as_hurst(H), grid))
+    """Lower Cholesky factor of :func:`exact_covariance_matrix`, unperturbed:
+    a covariance that is not numerically positive definite raises
+    FactorizationError rather than sample another law."""
+    try:
+        return np.linalg.cholesky(exact_covariance_matrix(H, grid))
+    except np.linalg.LinAlgError:
+        raise FactorizationError(f"node covariance at H = {H} not positive definite") from None
 
 
 # ---------------------------------------------------------------------------

@@ -141,11 +141,11 @@ def mc_blocks(n_paths: int, seed, block_size: int):
 
 
 class RunningMoments:
-    """Running sum and sum of squares of a per-path quantity over blocks.
+    """Running sums over blocks, one row per leading index, paths on the last axis.
 
-    The standard error comes from sums about a shift, the first block's mean:
-    sum_sq / n - mean^2 cancels catastrophically when the mean is far from 0
-    relative to the spread."""
+    The standard error comes from sums about a shift, each row's first-block
+    mean: sum_sq / n - mean^2 cancels catastrophically when the mean is far
+    from 0 relative to the spread."""
 
     def __init__(self):
         self.n = 0
@@ -156,23 +156,24 @@ class RunningMoments:
 
     def add(self, values: np.ndarray) -> None:
         if self._shift is None:
-            self._shift = float(np.mean(values))
-        self.n += values.size
-        self.sum += float(np.sum(values))
-        self.sum_sq += float(np.sum(values * values))
-        dev = values - self._shift
-        self._dev_sq += float(np.sum(dev * dev))
+            self._shift = np.mean(values, axis=-1)
+        self.n += values.shape[-1]
+        self.sum = self.sum + np.sum(values, axis=-1)
+        self.sum_sq = self.sum_sq + np.sum(values * values, axis=-1)
+        dev = values - self._shift[..., None]
+        self._dev_sq = self._dev_sq + np.sum(dev * dev, axis=-1)
 
     @property
-    def mean(self) -> float:
+    def mean(self) -> np.ndarray:
         return self.sum / self.n
 
     @property
-    def stderr(self) -> float:
-        var = self._dev_sq / self.n - (self.mean - self._shift) ** 2
-        if not math.isfinite(var):
-            raise OverflowError(f"sample variance {var} over {self.n} values is not finite")
-        return math.sqrt(max(var, 0.0) / self.n)
+    def stderr(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = self._dev_sq / self.n - (self.mean - self._shift) ** 2
+        if not np.all(np.isfinite(var)):
+            raise OverflowError(f"a sample variance over {self.n} values is not finite: {var}")
+        return np.sqrt(np.maximum(var, 0.0) / self.n)
 
 
 def drift_shift(drift_eval, X: np.ndarray, hursts: HurstSequence,
@@ -232,7 +233,6 @@ def _chunk(buffer: np.ndarray, shape: tuple) -> np.ndarray:
 def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
                             hursts: HurstSequence, weights: WeightSequence,
                             d: int, grid: TimeGrid, n_paths: int, seed,
-                            block_size: int = DEFAULT_BLOCK_SIZE,
                             drift_eval=None) -> EstimatorResult:
     """Estimate the mean at time t of each functional in ``phi_ids`` for the
     drifted process by reweighting one sample of driftless paths.
@@ -244,7 +244,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     whose every weight underflows to 0 estimates nothing and is rejected
     with a DomainError.
 
-    Each block of :func:`mc_blocks` is streamed one path chunk
+    Each block of :func:`mc_blocks` (``DEFAULT_BLOCK_SIZE`` paths, read at
+    call time) is streamed one path chunk
     (:func:`cylfbm.cylinder.path_chunks`) at a time: sample, states at t,
     drift shift and log-weights, in chunk buffers allocated once per call.
     Only the states at t and the log-weights are kept per path, so the
@@ -262,7 +263,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     do.  A callable that does not take that form is rejected with a
     DomainError.
     """
-    phis = {phi_id: make_functional(phi_id) for phi_id in phi_ids}
+    phis = [make_functional(phi_id) for phi_id in phi_ids]
     x = _start_point(x, d)
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else functools.partial(
@@ -278,15 +279,15 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
             raise DomainError(f"component {k + 1} has zero weight but non-zero drift")
     idx_t = _node_index(grid, t)
     n_nodes, n_cells = grid.n_nodes, grid.n_cells
-    width = path_chunks(min(block_size, n_paths))[0].stop
+    width = path_chunks(min(DEFAULT_BLOCK_SIZE, n_paths))[0].stop
     # chunk buffers: the states, their Wiener increments and the drift rows
     states = np.empty(d * n_nodes * width)
     increments = np.empty(d * width * n_cells)
     shifts = np.empty(probe.shape[0] * n_nodes * width)
     inverses = _inverse_matrices(hursts, d, grid)
-    moments = {phi_id: RunningMoments() for phi_id in phis}
+    moments = RunningMoments()
     weight_moments = RunningMoments()
-    for m, block_seed in mc_blocks(n_paths, seed, block_size):
+    for m, block_seed in mc_blocks(n_paths, seed, DEFAULT_BLOCK_SIZE):
         rngs = [np.random.default_rng(child_seed(block_seed, k)) for k in range(d)]
         X_t = np.empty((d, m))
         log_w = np.empty(m)
@@ -304,12 +305,11 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
             log_w[s] = stochastic_exponential(shift, grid, ens.increments, hursts, inverses)
         w = np.exp(log_w, out=log_w)
         weight_moments.add(w)
-        for phi_id, phi in phis.items():
-            moments[phi_id].add(phi(X_t) * w)
-    sum_w, sum_w2 = weight_moments.sum, weight_moments.sum_sq
+        moments.add(np.stack([phi(X_t) for phi in phis]) * w)
+    sum_w, sum_w2 = float(weight_moments.sum), float(weight_moments.sum_sq)
     if sum_w == 0.0:
         raise DomainError("every reweighting weight underflowed to 0")
     ess = (sum_w ** 2 / sum_w2) / n_paths if sum_w2 > 0 else 0.0
-    return EstimatorResult(
-        estimates={phi_id: (mom.mean, mom.stderr) for phi_id, mom in moments.items()},
-        mean_weight=weight_moments.mean, ess_fraction=ess)
+    estimates = zip(moments.mean.tolist(), moments.stderr.tolist())
+    return EstimatorResult(estimates=dict(zip(phi_ids, estimates)),
+                           mean_weight=float(weight_moments.mean), ess_fraction=ess)

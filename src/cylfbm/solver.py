@@ -322,36 +322,36 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths, target_seed)
     idx_t = girsanov_mod._node_index(grid, t)
     x = girsanov_mod._start_point(x, d_ref)
-    phis = {phi_id: girsanov_mod.make_functional(phi_id) for phi_id in phi_ids}
-    moments = [{phi_id: (girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
-                for phi_id in phis} for _ in schedule]
+    phis = [girsanov_mod.make_functional(phi_id) for phi_id in phi_ids]
+    moments = [(girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
+               for _ in schedule]
     blocks = girsanov_mod.mc_blocks(n_paths, run_seed, girsanov_mod.DEFAULT_BLOCK_SIZE)
     for m, block_seed in blocks:
         noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
                                method="kernel")
         z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
                              t_index=idx_t).paths[:, -1, :]
-        ref_phi = {phi_id: phi(z_ref) for phi_id, phi in phis.items()}
+        ref_phi = np.stack([phi(z_ref) for phi in phis])
         driftless = x[:, None] + noise.values[:, idx_t, :]
-        for (dd, _), fn, point in zip(schedule, evaluators, moments):
+        for (dd, _), fn, (value, paired) in zip(schedule, evaluators, moments):
             z = driftless.copy()
             z[:dd] = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]),
                                   t_index=idx_t).paths[:, -1, :]
-            for phi_id, phi in phis.items():
-                g = phi(z)
-                point[phi_id][0].add(g)
-                point[phi_id][1].add(g - ref_phi[phi_id])
+            g = np.stack([phi(z) for phi in phis])
+            value.add(g)
+            paired.add(g - ref_phi)
         del noise  # free this block before the next one is sampled
     rows = []
-    for (dd, ee), point in zip(schedule, moments):
-        for phi_id in phi_ids:
-            mom, paired = point[phi_id]
+    for (dd, ee), (value, paired) in zip(schedule, moments):
+        columns = zip(phi_ids, value.mean.tolist(), value.stderr.tolist(),
+                      paired.mean.tolist(), paired.stderr.tolist())
+        for phi_id, mean, se, paired_mean, paired_se in columns:
             tgt, tgt_se = target.estimates[phi_id]
             rows.append({
                 "d": dd, "eps": ee, "t": t, "phi_id": phi_id,
-                "value": mom.mean, "stderr": mom.stderr,
+                "value": mean, "stderr": se,
                 "target": tgt, "target_stderr": tgt_se,
-                "gap": mom.mean - tgt,
-                "paired_gap": paired.mean, "paired_stderr": paired.stderr,
+                "gap": mean - tgt,
+                "paired_gap": paired_mean, "paired_stderr": paired_se,
             })
     return rows, target

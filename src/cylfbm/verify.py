@@ -277,7 +277,8 @@ def gaussian_moment_bounds_check(cov, multi_index, n_mc: int = 200_000,
     Three-standard-error slack on the Monte Carlo side; the permanent
     comparison is deterministic.  The draws come in blocks of rows holding
     BLOCK_ELEMENTS normals (4096 rows in dimension 4); only the n_mc
-    products outlive a block.
+    products outlive a block.  A multi-index that is not one exponent per
+    coordinate, or that passes the permanent cap, is rejected before any draw.
     """
     cov = np.asarray(cov, dtype=float)
     nn = cov.shape[0]
@@ -287,15 +288,16 @@ def gaussian_moment_bounds_check(cov, multi_index, n_mc: int = 200_000,
         raise DomainError("the Monte Carlo standard error needs n_mc >= 2")
     if isinstance(multi_index, MultiIndex):
         multi_index = multi_index.block_sums()
-    alpha = np.asarray(multi_index, dtype=int)
+    counts = 2 * np.asarray(multi_index, dtype=int)
+    if counts.shape != (nn,) or np.any(counts < 0):
+        raise DomainError(f"need one exponent >= 0 per coordinate of the {nn}-dim covariance")
+    if counts.sum() > MAX_PERMANENT_SIZE:
+        raise DomainError("replicated covariance exceeds the permanent cap")
     prod_abs = _abs_products(cov, n_mc, seed)
     mean = float(np.mean(prod_abs))
     se = float(np.std(prod_abs, ddof=1) / math.sqrt(n_mc))
     bound = math.sqrt(permanent(cov))
     mc_ok = mean - 3 * se <= bound
-    counts = 2 * alpha
-    if counts.sum() > MAX_PERMANENT_SIZE:
-        raise DomainError("replicated covariance exceeds the permanent cap")
     R = _replicated_covariance(cov, counts)
     perm_R = permanent(R) if R.size else 1.0
     fact_bound = math.factorial(int(counts.sum())) * float(np.prod(np.diag(R))) \

@@ -56,12 +56,13 @@ def in_lanes(monkeypatch, lanes, fn):
 
 
 def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, seed,
-                              block_size=girsanov.DEFAULT_BLOCK_SIZE,
                               drift_eval=None) -> girsanov.EstimatorResult:
-    """The reweighting estimator with each Monte Carlo block at once: the
-    block's whole sample and Wiener increments, the drift called node by
-    node into a fresh shift array, and the states at t copied out of the
-    sample.  The streamed estimator must reproduce it bit for bit."""
+    """The reweighting estimator with each Monte Carlo block (of
+    ``girsanov.DEFAULT_BLOCK_SIZE`` paths) at once: the block's whole sample
+    and Wiener increments, the drift called node by node into a fresh shift
+    array, the states at t copied out of the sample, and one 1-D
+    accumulator per functional.  The streamed estimator must reproduce it
+    bit for bit."""
     drift_eval = drift_eval or functools.partial(drift.evaluate, spec)
     x = girsanov._start_point(x, d)
     idx_t = girsanov._node_index(grid, t)
@@ -70,7 +71,7 @@ def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, see
     phis = {phi_id: girsanov.make_functional(phi_id) for phi_id in phi_ids}
     moments = {phi_id: girsanov.RunningMoments() for phi_id in phi_ids}
     weights = girsanov.RunningMoments()
-    for m, blk in girsanov.mc_blocks(n_paths, seed, block_size):
+    for m, blk in girsanov.mc_blocks(n_paths, seed, girsanov.DEFAULT_BLOCK_SIZE):
         ens = cylinder.sample_cyl_fbm(hs, ws, d, grid, m, blk, method="kernel",
                                       keep_increments=True)
         X = ens.values + x[:, None, None]
@@ -84,8 +85,10 @@ def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, see
         for phi_id, phi in phis.items():
             moments[phi_id].add(phi(X_t) * w)
     return girsanov.EstimatorResult(
-        estimates={phi_id: (mom.mean, mom.stderr) for phi_id, mom in moments.items()},
-        mean_weight=weights.mean, ess_fraction=(weights.sum ** 2 / weights.sum_sq) / n_paths)
+        estimates={phi_id: (float(mom.mean), float(mom.stderr))
+                   for phi_id, mom in moments.items()},
+        mean_weight=float(weights.mean),
+        ess_fraction=(float(weights.sum) ** 2 / float(weights.sum_sq)) / n_paths)
 
 
 def constant_drift(values, weights) -> drift.DriftSpec:

@@ -7,10 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from cylfbm import cli, cylinder, drift
+from conftest import traced_peak
+from cylfbm import cli, cylinder, drift, fbm, girsanov, solver
 
 
 def read_body(path):
@@ -290,6 +292,16 @@ class TestRunBasics:
         body = read_body(tmp_path / "results.csv")
         assert len(body) == 3
 
+    @pytest.mark.parametrize("command", ["simulate", "solve"])
+    def test_indefinite_node_covariance_exits_two(self, monkeypatch, tmp_path, capsys, command):
+        monkeypatch.setattr(fbm, "exact_covariance_matrix",
+                            lambda H, grid: -np.eye(grid.n_cells))
+        cfg = cli.load_config({"command": command, "mc": {"n_paths": 100},
+                               "grid": {"n_cells": 16}})
+        assert cli.run(cfg, out_dir=tmp_path / "o") == cli.EXIT_NUMERICAL
+        assert "not positive definite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validate_command(self, tmp_path):
         cfg = cli.load_config({"command": "validate", "grid": {"n_cells": 32},
                                "d": 2, "mc": {"n_paths": 200, "seed": 2}})
@@ -299,6 +311,64 @@ class TestRunBasics:
         assert cli.main(["--schema"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "sup" in out
+
+
+def csv_column(path, column):
+    return [row[column] for row in csv.DictReader(read_body(path))]
+
+
+class TestBlockedCommands:
+    """solve and simulate draw their sample in the blocks of girsanov.mc_blocks,
+    as girsanov and converge do, and release a block before drawing the next."""
+
+    CONFIG = {"mc": {"n_paths": 2500, "seed": 11}, "grid": {"n_cells": 16}, "d": 3,
+              "phis": ["coordinate:2", "clipped_norm:2"]}
+
+    def test_simulate_body_equals_block_loop(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", 1000)
+        cfg = cli.load_config({"command": "simulate", **self.CONFIG})
+        assert cli.run(cfg, out_dir=tmp_path) == cli.EXIT_OK
+        hs, ws, _, grid = cli._build_model(cfg)
+        nodes = (grid.n_cells // 2, grid.n_cells)
+        sums = np.zeros((2, 3, 2))
+        for m, blk in girsanov.mc_blocks(2500, 11, 1000):
+            vals = cylinder.sample_cyl_fbm(hs, ws, 3, grid, m, blk).values
+            for k in range(3):
+                for j, i in enumerate(nodes):
+                    sums[0, k, j] += np.sum(vals[k, i])
+                    sums[1, k, j] += np.sum(vals[k, i] * vals[k, i])
+        for column, want in zip(("mean", "second_moment"), (sums / 2500).reshape(2, -1)):
+            assert csv_column(tmp_path / "results.csv", column) == \
+                [format(v, ".17g") for v in want.tolist()]
+
+    def test_solve_body_equals_block_loop(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", 1000)
+        cfg = cli.load_config({"command": "solve", **self.CONFIG})
+        assert cli.run(cfg, out_dir=tmp_path) == cli.EXIT_OK
+        hs, ws, spec, grid = cli._build_model(cfg)
+        md = drift.mollify(spec, 3, cfg["drift.epsilon"])
+        moments = {phi_id: girsanov.RunningMoments() for phi_id in cfg["phis"]}
+        for m, blk in girsanov.mc_blocks(2500, 11, 1000):
+            noise = cylinder.sample_cyl_fbm(hs, ws, 3, grid, m, blk)
+            z = solver.picard_solve(md, np.zeros(1), noise).paths[:, -1, :]
+            for phi_id, mom in moments.items():
+                mom.add(girsanov.make_functional(phi_id)(z))
+        body = tmp_path / "results.csv"
+        assert csv_column(body, "estimate") == \
+            [format(float(mom.mean), ".17g") for mom in moments.values()]
+        assert csv_column(body, "stderr") == \
+            [format(float(mom.stderr), ".17g") for mom in moments.values()]
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_peak_is_one_block(self, monkeypatch, tmp_path, command):
+        # 8.5 MB of noise per 4096-path block at d = 4, N = 64
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", 4096)
+        peaks = []
+        for n_paths in (4096, 4096, 4 * 4096):  # the first run fills the caches
+            cfg = cli.load_config({"command": command, "mc": {"n_paths": n_paths},
+                                   "grid": {"n_cells": 64}, "d": 4})
+            peaks.append(traced_peak(lambda: cli.run(cfg, out_dir=tmp_path)))
+        assert peaks[2] <= 1.1 * peaks[1]
 
 
 class TestSchemaWalk:

@@ -300,9 +300,12 @@ class TestSampling:
         rel = np.abs(implied - C) / np.abs(C)
         assert np.max(rel) > 0.02  # genuinely discrepant, not hidden
 
-    def test_factorization_error_surfaces(self):
+    def test_factorization_error_surfaces(self, monkeypatch, grid64):
+        # no jitter: an indefinite covariance is an error, never a nearby law
+        monkeypatch.setattr(fbm, "exact_covariance_matrix",
+                            lambda H, grid: np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(fbm.FactorizationError):
-            fbm._cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            fbm.cholesky_factor(0.3, grid64)
 
 
 class TestConditioning:

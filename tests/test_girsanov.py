@@ -137,7 +137,7 @@ class TestWeakSolutionEstimator:
             girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(2), 0.513,
                                              hs, ws, 2, grid64, 200, seed=1)
 
-    def test_one_seed_one_sample(self, model, grid64):
+    def test_one_seed_one_sample(self, monkeypatch, model, grid64):
         # a SeedSequence names one sample however often it is used, and
         # functionals priced together equal functionals priced one by one
         hs, ws, spec = model
@@ -145,8 +145,10 @@ class TestWeakSolutionEstimator:
         args = (x, 1.0, hs, ws, 2, grid64, 3000)
         phi_ids = ["coordinate:2", "clipped_norm:2"]
         ss = np.random.SeedSequence(37)
-        first = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss, block_size=1000)
-        again = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss, block_size=1000)
+        with monkeypatch.context() as mp:
+            mp.setattr(girsanov, "DEFAULT_BLOCK_SIZE", 1000)
+            first = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss)
+            again = girsanov.weak_solution_estimator(spec, phi_ids, *args, ss)
         assert first == again
         joint = girsanov.weak_solution_estimator(spec, phi_ids, *args, 37)
         for phi_id in phi_ids:
@@ -216,7 +218,8 @@ class TestStreamedEstimator:
         d, x = 3, np.array([0.1, -0.2, 0.0])
         phi_ids = ["coordinate:2", "clipped_norm:2"]
         drift_eval = drift.mollify(spec, d, 0.1) if mollified else None
-        args = (spec, phi_ids, x, 1.0, hs, ws, d, grid64, n_paths, 41, block_size, drift_eval)
+        args = (spec, phi_ids, x, 1.0, hs, ws, d, grid64, n_paths, 41, drift_eval)
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", block_size)
         ref = block_estimator_reference(*args)
         res = in_lanes(monkeypatch, lanes, lambda: girsanov.weak_solution_estimator(*args))
         assert res.estimates == ref.estimates
@@ -228,8 +231,9 @@ class TestStreamedEstimator:
         real = girsanov.kh_inverse_matrix
         monkeypatch.setattr(girsanov, "kh_inverse_matrix",
                             lambda H, grid: built.append(H) or real(H, grid))
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", 3000)
         girsanov.weak_solution_estimator(spec, ["coordinate:1"], 0.0, 1.0, hs, ws, 3, grid64,
-                                         7000, 41, block_size=3000)
+                                         7000, 41)
         assert built == [hs.value(k + 1) for k in range(3)]
 
     def test_plain_drift_callable_rejected(self, model, grid64):
@@ -318,6 +322,22 @@ class TestMonteCarloBlocks:
         chunks = np.split(values, 4)
         assert mom.sum == sum(float(np.sum(c)) for c in chunks)
         assert mom.sum_sq == sum(float(np.sum(c * c)) for c in chunks)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    @pytest.mark.parametrize("splits", [[1000], [250, 750], [1, 998, 1], [300, 300, 400]])
+    def test_running_moments_rows_equal_one_dimensional(self, shape, splits):
+        # one accumulator of rows gives each row's floats of its own 1-D accumulator
+        values = 5.0 + np.random.default_rng(9).standard_normal((*shape, 1000))
+        rows = girsanov.RunningMoments()
+        alone = [girsanov.RunningMoments() for _ in range(math.prod(shape))]
+        for block in np.split(values, np.cumsum(splits)[:-1], axis=-1):
+            rows.add(block)
+            for mom, row in zip(alone, block.reshape(-1, block.shape[-1])):
+                mom.add(row)
+        for name in ("sum", "sum_sq", "mean", "stderr"):
+            got = getattr(rows, name)
+            assert got.shape == shape
+            assert got.ravel().tolist() == [float(getattr(mom, name)) for mom in alone], name
 
     def test_running_moments_overflowing_variance_raises(self):
         # an infinite standard error must not reach a CSV body

@@ -202,6 +202,16 @@ class TestGaussianMoments:
                                                       n_mc=20_000, seed=trial)
             assert res.status, f"draw {trial} violated the bound"
 
+    @pytest.mark.parametrize("multi_index", [[1], [1, 1, 1], [3, 3], [1, -1]],
+                             ids=["short", "long", "past-cap", "negative"])
+    def test_bad_multi_index_rejected_before_drawing(self, monkeypatch, multi_index):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the multi-index")
+
+        monkeypatch.setattr(verify, "_abs_products", no_draws)
+        with pytest.raises(fbm.DomainError):
+            verify.gaussian_moment_bounds_check(np.eye(2), multi_index, n_mc=1000)
+
 
 TWO_DIM_COVS = [
     verify._random_psd(np.random.default_rng(7 + 4), 2),  # run_all(7)'s matrix
@@ -661,7 +671,9 @@ class TestSuite:
         assert [r.check_id for r in results if not r.status] == []
 
     def test_run_all_memory_peak(self):
-        assert traced_peak(lambda: verify.run_all(7)) <= 12 * 2 ** 20
+        # 2.45e6 bytes, set by kernel_increment_bound_check; 9.98e6 with the
+        # whole rule or sample of each check at once
+        assert traced_peak(lambda: verify.run_all(7)) <= 4 * 2 ** 20
 
 
 # run_all(7)'s arguments of the four checks that evaluate their rule or sample in blocks
