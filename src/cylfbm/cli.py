@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import cylinder, drift, fbm, girsanov, solver
 
@@ -280,6 +279,8 @@ def load_config_file(path, overrides: dict) -> RunConfig:
     overrides, validated once.  load_config reads a dotted key as its path."""
     data = {}
     if path is not None:
+        import yaml  # here, so that a mapping configuration never loads it
+
         with open(path) as fh:
             data = yaml.safe_load(fh)
     if not isinstance(data, dict | None):
@@ -487,32 +488,21 @@ def run(cfg: RunConfig, out_dir=None) -> int:
 
 
 def _emit_converge_plotdata(table: ResultTable, plot_dir: Path) -> None:
-    """One (eps, gap, paired_gap, paired_stderr) series per level and functional."""
+    """One whitespace-separated (eps, gap, paired_gap, paired_stderr) series per
+    level and functional, for external plotting."""
     plot_dir.mkdir(parents=True, exist_ok=True)
     di, pi = table.columns.index("d"), table.columns.index("phi_id")
+    cols = [table.columns.index(c) for c in ("eps", "gap", "paired_gap", "paired_stderr")]
     for dd, phi_id in sorted({(row[di], row[pi]) for row in table.rows}):
-        sub = ResultTable(columns=table.columns, rows=[
-            r for r in table.rows if r[di] == dd and r[pi] == phi_id])
-        emit_plotdata(sub, "eps", ["gap", "paired_gap", "paired_stderr"],
-                      plot_dir / f"gap_d{dd}_{str(phi_id).replace(':', '_')}.dat")
-
-
-def emit_plotdata(table: ResultTable, x: str, ys, path) -> None:
-    """Whitespace-separated numeric columns (x first) for external plotting."""
-    cols = [x, *ys]
-    for col in cols:
-        if col not in table.columns:
-            raise ConfigError(f"unknown column: {col}")
-    with open(path, "w") as fh:
-        for row in table.rows:
-            cells = [row[table.columns.index(c)] for c in cols]
-            for c in cells:
-                if not isinstance(c, (int, float)) or isinstance(c, bool):
-                    raise ConfigError(f"non-numeric value {c!r} in plot column")
-            fh.write(" ".join(_fmt(c) for c in cells) + "\n")
+        with open(plot_dir / f"gap_d{dd}_{str(phi_id).replace(':', '_')}.dat", "w") as fh:
+            for row in table.rows:
+                if row[di] == dd and row[pi] == phi_id:
+                    fh.write(" ".join(_fmt(row[c]) for c in cols) + "\n")
 
 
 def main(argv=None) -> int:
+    import yaml
+
     parser = argparse.ArgumentParser(
         prog="cylfbm",
         description="experiment harness for rough cylindrical noise and singular drifts")

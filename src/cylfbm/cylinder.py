@@ -125,19 +125,22 @@ def make_sequences(params: dict) -> tuple:
 
 @dataclass(frozen=True)
 class CylEnsemble:
-    """Sampled weighted ensemble: values (d, n_nodes, n_paths).
+    """Sampled weighted ensemble: values (d, n_nodes, n_paths), d and n_paths read off it.
 
     ``increments`` retains the per-component Wiener increments when the
     kernel construction produced the ensemble (needed by measure-change and
     perturbation machinery); Cholesky sampling leaves it None.
     """
 
-    d: int
     grid: TimeGrid
     values: np.ndarray
     hursts: HurstSequence
     weights: WeightSequence
     increments: tuple | None = None
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[0]
 
     @property
     def n_paths(self) -> int:
@@ -291,7 +294,7 @@ def sample_cyl_fbm(hs: HurstSequence, ws: WeightSequence, d: int, grid: TimeGrid
             vals[1:, s] *= lam[k]
 
     run_component_lanes(d, fill, 0 if incs is not None else chunks[0].stop * n)
-    return CylEnsemble(d=d, grid=grid, values=values, hursts=hs, weights=ws,
+    return CylEnsemble(grid=grid, values=values, hursts=hs, weights=ws,
                        increments=None if incs is None else tuple(
                            WienerIncrements(grid=grid, values=v) for v in incs))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -519,34 +519,10 @@ def validate_drift_class(spec: DriftSpec, d: int, scaling: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def truncate_drift(spec: DriftSpec, d: int) -> DriftSpec:
-    """Project the drift onto the first d coordinates.
-
-    Components past d become zero; the first d are kept as they are, each
-    closed-form one reading only its own coordinate, below d.  A nonzero
-    component needs its closed-form structure.
-    """
-    if d < 1:
-        raise DomainError("truncation level must be >= 1")
-    comps = []
-    for k, comp in enumerate(spec.components):
-        if k >= d:
-            comps.append(DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0))
-        elif comp.structure is not None or comp.sup_bound == 0.0:
-            comps.append(comp)
-        else:
-            raise DomainError(f"component {k + 1} is nonzero and has no closed-form "
-                              "structure to truncate and mollify")
-    cb = spec.c_bounds.copy()
-    db = spec.d_bounds.copy()
-    cb[d:] = 0.0
-    db[d:] = 0.0
-    return replace(spec, components=tuple(comps), c_bounds=cb, d_bounds=db)
-
-
 @dataclass(frozen=True)
 class MollifiedDrift:
-    """Smoothed truncated drift acting on d coordinates.
+    """Smoothed truncation of the drift ``base`` to its first d components,
+    acting on d coordinates.
 
     ``evaluator(t, Z, out=None)`` maps states Z to d drift rows under the
     time contract of :func:`evaluate` (a time t with Z of shape (d, m), or
@@ -598,13 +574,18 @@ def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
 
 
 def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
-    """Gaussian smoothing (unit mass) of width eps > 0 of the d-truncated
-    drift in its d spatial coordinates.  Each of the first d components must
-    be zero or carry its closed-form structure (:func:`truncate_drift`)."""
+    """Gaussian smoothing (unit mass) of width eps > 0 of the first d >= 1
+    components of the drift in their d spatial coordinates; the rest are
+    dropped.  Each of the d must be zero or carry its closed-form structure."""
     if not eps > 0.0:
         raise DomainError(f"mollifier width must be positive, got {eps}")
-    trunc = truncate_drift(spec, d)
-    comps = trunc.components[:d]
+    if d < 1:
+        raise DomainError("truncation level must be >= 1")
+    comps = spec.components[:d]
+    for k, comp in enumerate(comps):
+        if comp.structure is None and comp.sup_bound != 0.0:
+            raise DomainError(f"component {k + 1} is nonzero and has no closed-form "
+                              "structure to truncate and mollify")
 
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -614,7 +595,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
                 out[k] = _mollified_structure_grad(comp.structure, eps, t, z, d)
         return out
 
-    return MollifiedDrift(base=trunc, d=d, epsilon=eps,
+    return MollifiedDrift(base=spec, d=d, epsilon=eps,
                           evaluator=functools.partial(_evaluate_components, comps, eps),
                           gradient_evaluator=gradient_evaluator)
 

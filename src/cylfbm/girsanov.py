@@ -43,7 +43,9 @@ def component_log_weights(shifts: np.ndarray, grid: TimeGrid, increments,
 
     The Wiener-frame integrand is evaluated at the left node of each cell
     (the adapted choice), which makes the weights exactly mean one for
-    adapted shifts, not just in the continuum limit.  The components run in
+    adapted shifts, not just in the continuum limit.  The measure change acts
+    dimension-wise: the joint log weight of a path is the sum of its rows in
+    component order (``.sum(axis=0)``).  The components run in
     :func:`cylfbm.cylinder.run_component_lanes`, one path chunk at a time,
     with the integrand in the lane's chunk-sized scratch.  ``inverses`` are
     the d :func:`cylfbm.fraccalc.kh_inverse_matrix` matrices of the grid,
@@ -75,21 +77,6 @@ def component_log_weights(shifts: np.ndarray, grid: TimeGrid, increments,
 
     run_component_lanes(d, weigh, n_nodes * chunks[0].stop)
     return out
-
-
-def stochastic_exponential(shifts: np.ndarray, grid: TimeGrid, increments,
-                           hursts: HurstSequence, inverses=None) -> np.ndarray:
-    """Joint log change-of-measure weight per path for a multi-component shift.
-
-    The measure change acts dimension-wise: the joint log weight is the sum
-    of the per-component log weights (:func:`component_log_weights`, with
-    its ``inverses``) in component order.
-    """
-    logs = component_log_weights(shifts, grid, increments, hursts, inverses)
-    total = np.zeros(logs.shape[1])
-    for k in range(logs.shape[0]):
-        total += logs[k]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +225,12 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     drifted process by reweighting one sample of driftless paths.
 
     Paths of x + ensemble are drawn under the base measure; each path gets
-    the stochastic-exponential weight of :func:`drift_shift`.  Returns the
+    the stochastic-exponential weight of :func:`drift_shift`, the exponential
+    of its :func:`component_log_weights` summed over components.  Returns the
     weighted average and standard error per functional, the mean weight and
     the effective-sample-size fraction (flagged when below 10%).  A sample
     whose every weight underflows to 0 estimates nothing and is rejected
-    with a DomainError.
+    with a DomainError, and so is an empty ``phi_ids``, before any draw.
 
     Each block of :func:`mc_blocks` (``DEFAULT_BLOCK_SIZE`` paths, read at
     call time) is streamed one path chunk
@@ -264,6 +252,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     DomainError.
     """
     phis = [make_functional(phi_id) for phi_id in phi_ids]
+    if not phis:
+        raise DomainError("phi_ids: at least one functional is required")
     x = _start_point(x, d)
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else functools.partial(
@@ -302,7 +292,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
             X_t[:, s] = X[:, idx_t, :]
             shift = drift_shift(eval_fn, X, hursts, weights, grid,
                                 out=_chunk(shifts, (probe.shape[0], n_nodes, c)))
-            log_w[s] = stochastic_exponential(shift, grid, ens.increments, hursts, inverses)
+            log_w[s] = component_log_weights(shift, grid, ens.increments, hursts,
+                                             inverses).sum(axis=0)
         w = np.exp(log_w, out=log_w)
         weight_moments.add(w)
         moments.add(np.stack([phi(X_t) for phi in phis]) * w)

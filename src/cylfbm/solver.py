@@ -277,9 +277,7 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
     pert = np.zeros_like(sol.noise.values)
     pert[m - 1, 1:] = bump * profile[:, None]
     # increments dropped: they would no longer generate the perturbed values
-    noise2 = CylEnsemble(d=sol.noise.d, grid=grid, values=sol.noise.values + pert,
-                         hursts=sol.noise.hursts, weights=sol.noise.weights,
-                         increments=None)
+    noise2 = replace(sol.noise, values=sol.noise.values + pert, increments=None)
     sol2 = picard_solve(sol.drift, sol.x0, noise2, t_index=grid.n_cells)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
     avg = _step_linear_equation(sol, s_index, m - 1, profile[s_index:])[:, -1, :]
@@ -335,7 +333,7 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
         driftless = x[:, None] + noise.values[:, idx_t, :]
         for (dd, _), fn, (value, paired) in zip(schedule, evaluators, moments):
             z = driftless.copy()
-            z[:dd] = picard_solve(fn, x, replace(noise, d=dd, values=noise.values[:dd]),
+            z[:dd] = picard_solve(fn, x, replace(noise, values=noise.values[:dd]),
                                   t_index=idx_t).paths[:, -1, :]
             g = np.stack([phi(z) for phi in phis])
             value.add(g)

@@ -79,7 +79,7 @@ def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, see
         for i, s in enumerate(grid.nodes):
             U[:, i, :] = drift_eval(s, X[:, i, :])[:d]
         U /= -scale[:, None, None]
-        w = np.exp(girsanov.stochastic_exponential(U, grid, ens.increments, hs))
+        w = np.exp(girsanov.component_log_weights(U, grid, ens.increments, hs).sum(axis=0))
         weights.add(w)
         X_t = X[:, idx_t, :].copy()
         for phi_id, phi in phis.items():

@@ -501,13 +501,15 @@ class TestImportPath:
         # The sampling commands do not import the lemma suite; the package
         # still resolves `verify` on access, as the tracer does.
         # Only the sampling commands run component lanes: verify-suite and
-        # validate start no thread.
+        # validate start no thread.  A mapping configuration loads no yaml
+        # module either: only reading a YAML file does.
         script = f"""
 import sys
 import threading
 import cylfbm
 from cylfbm import cli
 scipy_modules = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+yaml_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("yaml", "_yaml"))
 assert not scipy_modules(), scipy_modules()
 started = []
 start = threading.Thread.start
@@ -520,6 +522,7 @@ for command in ("girsanov", "simulate", "validate", "solve", "converge"):
                            "mc": {{"n_paths": 200, "seed": 3}}}})
     assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK
     assert not scipy_modules(), (command, scipy_modules())
+    assert not yaml_modules(), (command, yaml_modules())
 assert "cylfbm.verify" not in sys.modules
 assert getattr(cylfbm, "verify").__name__ == "cylfbm.verify"
 assert started or cylfbm.cylinder.usable_cpus() == 1, "lanes start no thread"
@@ -528,6 +531,7 @@ started.clear()
 cfg = cli.load_config({{"command": "verify-suite", "mc": {{"seed": 0}}}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/verify") == cli.EXIT_OK
 assert not scipy_modules(), ("verify-suite", scipy_modules())
+assert not yaml_modules(), ("verify-suite", yaml_modules())
 cfg = cli.load_config({{"command": "validate", "grid": {{"n_cells": 16}}, "d": 2}})
 assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/validate-d2") == cli.EXIT_OK
 assert not started, started
@@ -588,33 +592,28 @@ class TestVerifySuiteCommand:
 
 
 class TestPlotData:
-    def _table(self):
-        t = cli.ResultTable(columns=["eps", "gap", "label"])
-        t.add({"eps": 0.1, "gap": 0.5, "label": "a"})
-        t.add({"eps": 0.05, "gap": 0.25, "label": "b"})
-        return t
+    COLUMNS = ["d", "eps", "t", "phi_id", "value", "gap", "paired_gap", "paired_stderr"]
 
-    def test_two_column_output(self, tmp_path):
-        path = tmp_path / "series.dat"
-        cli.emit_plotdata(self._table(), "eps", ["gap"], path)
-        rows = path.read_text().splitlines()
-        assert len(rows) == 2
-        assert [float(v) for v in rows[0].split()] == [0.1, 0.5]
+    def test_series_columns(self, tmp_path):
+        t = cli.ResultTable(columns=self.COLUMNS)
+        for d, eps, phi_id, gap in ((2, 0.1, "coordinate:1", 0.5),
+                                    (1, 0.2, "coordinate:1", 0.7),
+                                    (2, 0.05, "coordinate:1", 0.25),
+                                    (2, 0.1, "clipped_norm:2", 0.1)):
+            t.add({"d": d, "eps": eps, "t": 1.0, "phi_id": phi_id, "value": 9.0, "gap": gap,
+                   "paired_gap": gap / 2, "paired_stderr": 1 / 3})
+        cli._emit_converge_plotdata(t, tmp_path / "plotdata")
+        files = sorted(p.name for p in (tmp_path / "plotdata").iterdir())
+        assert files == ["gap_d1_coordinate_1.dat", "gap_d2_clipped_norm_2.dat",
+                         "gap_d2_coordinate_1.dat"]
+        # eps, gap, paired_gap, paired_stderr in table order, at 17 digits
+        rows = (tmp_path / "plotdata" / "gap_d2_coordinate_1.dat").read_text().splitlines()
+        assert rows == ["0.10000000000000001 0.5 0.25 0.33333333333333331",
+                        "0.050000000000000003 0.25 0.125 0.33333333333333331"]
 
-    def test_empty_table_empty_file(self, tmp_path):
-        t = cli.ResultTable(columns=["x", "y"])
-        path = tmp_path / "empty.dat"
-        cli.emit_plotdata(t, "x", ["y"], path)
-        assert path.read_text() == ""
-
-    def test_missing_column_named(self, tmp_path):
-        with pytest.raises(cli.ConfigError) as err:
-            cli.emit_plotdata(self._table(), "eps", ["nope"], tmp_path / "x.dat")
-        assert "nope" in str(err.value)
-
-    def test_non_numeric_column_rejected(self, tmp_path):
-        with pytest.raises(cli.ConfigError):
-            cli.emit_plotdata(self._table(), "eps", ["label"], tmp_path / "x.dat")
+    def test_empty_table_no_series(self, tmp_path):
+        cli._emit_converge_plotdata(cli.ResultTable(columns=self.COLUMNS), tmp_path / "plotdata")
+        assert list((tmp_path / "plotdata").iterdir()) == []
 
 
 class TestConvergePlotData:

@@ -116,32 +116,15 @@ class TestClassValidation:
 
 
 class TestTruncation:
-    def test_full_level_is_identity(self, jump_spec):
-        trunc = drift.truncate_drift(jump_spec, 4)
-        rng = np.random.default_rng(1)
-        y = rng.standard_normal((4, 50))
-        for t in (0.0, 0.7):
-            assert np.allclose(drift.evaluate(trunc, t, y),
-                               drift.evaluate(jump_spec, t, y), atol=1e-14)
-
-    def test_higher_components_vanish(self, jump_spec):
-        trunc = drift.truncate_drift(jump_spec, 2)
-        y = np.random.default_rng(2).standard_normal((4, 20))
-        out = drift.evaluate(trunc, 0.3, y)
-        assert np.all(out[2:] == 0.0)
-
     def test_pointwise_convergence_to_full(self, jump_spec):
+        # truncating at d neglects the components k > d, and the largest
+        # neglected |b_k| falls with d
         rng = np.random.default_rng(3)
         y = rng.standard_normal((4, 100))
         ts = rng.uniform(0, 1, size=100)
         full = np.stack([drift.evaluate(jump_spec, t, y[:, i : i + 1])[:, 0]
-                         for i, t in enumerate(ts)])
-        gaps = []
-        for d in (1, 2, 3, 4):
-            trunc = drift.truncate_drift(jump_spec, d)
-            vals = np.stack([drift.evaluate(trunc, t, y[:, i : i + 1])[:, 0]
-                             for i, t in enumerate(ts)])
-            gaps.append(np.max(np.abs(vals - full)))
+                         for i, t in enumerate(ts)], axis=1)
+        gaps = [np.max(np.abs(full[d:]), initial=0.0) for d in (1, 2, 3, 4)]
         assert gaps[-1] < 1e-14
         assert gaps[0] >= gaps[1] >= gaps[2] >= gaps[3]
 
@@ -165,7 +148,7 @@ class TestMollification:
         rng = np.random.default_rng(5)
         z = rng.uniform(-2, 2, size=(2, 100))
         z[0][np.abs(z[0]) < 0.05] = 0.5  # keep clear of the interface
-        raw = drift.evaluate(drift.truncate_drift(jump_spec, 2), 0.2, z)[:2]
+        raw = drift.evaluate(jump_spec, 0.2, z)
         md = drift.mollify(jump_spec, 2, 1e-3)
         assert np.max(np.abs(md(0.2, z) - raw)) < 1e-6
 
@@ -184,8 +167,17 @@ class TestMollification:
 
     def test_generic_high_dim_unsupported(self, weights):
         # smoothing needs the closed-form structure of every nonzero component
-        with pytest.raises(fbm.DomainError):
+        with pytest.raises(fbm.DomainError, match="^component 1 is nonzero and has no "
+                           "closed-form structure to truncate and mollify$"):
             drift.mollify(constant_drift([1.0, 0.5, 0.2, 0.1], weights), 4, 0.1)
+        # only the first d components are smoothed, and a zero one needs none
+        md = drift.mollify(constant_drift([0.0, 0.5], weights), 1, 0.1)
+        assert np.array_equal(md(0.3, np.ones((1, 3))), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_level_must_be_positive(self, jump_spec, d):
+        with pytest.raises(fbm.DomainError, match="^truncation level must be >= 1$"):
+            drift.mollify(jump_spec, d, 0.1)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
     def test_width_must_be_positive(self, jump_spec, eps):
@@ -356,7 +348,7 @@ class TestNodeTimeContract:
         evaluators = {
             "raw": functools.partial(drift.evaluate, spec),
             "mollified": drift.mollify(spec, 4, 0.05),
-            "truncated": functools.partial(drift.evaluate, drift.truncate_drift(spec, 2)),
+            "truncated": drift.mollify(spec, 2, 0.05),
             "zero": functools.partial(drift.evaluate, drift.zero_drift(weights, 4)),
             "constant": functools.partial(drift.evaluate,
                                           constant_drift([0.2, -0.1, 0.0, 0.3], weights)),

@@ -29,7 +29,7 @@ class TestStochasticExponential:
         hs, _ = sequences
         incs = self._increments(sequences, grid64, 2, 100, 3)
         shifts = self._pathwise(np.zeros((2, grid64.n_nodes)), 100)
-        log_w = girsanov.stochastic_exponential(shifts, grid64, incs, hs)
+        log_w = girsanov.component_log_weights(shifts, grid64, incs, hs).sum(axis=0)
         assert np.all(np.exp(log_w) == 1.0)
 
     def test_unit_mean(self, sequences, grid64):
@@ -38,7 +38,7 @@ class TestStochasticExponential:
         incs = self._increments(sequences, grid64, 2, n, 7)
         rng = np.random.default_rng(1)
         shifts = self._pathwise(np.clip(rng.standard_normal((2, grid64.n_nodes)), -1, 1), n)
-        w = np.exp(girsanov.stochastic_exponential(shifts, grid64, incs, hs))
+        w = np.exp(girsanov.component_log_weights(shifts, grid64, incs, hs).sum(axis=0))
         se = np.std(w, ddof=1) / math.sqrt(n)
         assert abs(np.mean(w) - 1.0) < 3 * se
 
@@ -66,12 +66,12 @@ class TestStochasticExponential:
         incs = self._increments(sequences, grid64, 3, 500, 13)
         rng = np.random.default_rng(2)
         shifts = self._pathwise(rng.standard_normal((3, grid64.n_nodes)), 500)
-        joint = girsanov.stochastic_exponential(shifts, grid64, incs, hs)
-        parts = np.zeros(500)
+        # each component's row of a joint call is its measure change alone
+        joint = girsanov.component_log_weights(shifts, grid64, incs, hs)
         for k in range(3):
-            parts += girsanov.stochastic_exponential(shifts[k : k + 1], grid64,
-                                                     incs[k : k + 1], hs_shifted(hs, k))
-        assert np.max(np.abs(joint - parts)) < 1e-10
+            alone = girsanov.component_log_weights(shifts[k : k + 1], grid64,
+                                                   incs[k : k + 1], hs_shifted(hs, k))
+            assert np.max(np.abs(joint[k] - alone[0])) < 1e-10
 
     def test_nonfinite_shift_rejected(self, sequences, grid64):
         hs, _ = sequences
@@ -79,7 +79,7 @@ class TestStochasticExponential:
         bad = np.zeros((1, grid64.n_nodes))
         bad[0, 5] = np.inf
         with pytest.raises(fbm.DomainError):
-            girsanov.stochastic_exponential(self._pathwise(bad, 10), grid64, incs, hs)
+            girsanov.component_log_weights(self._pathwise(bad, 10), grid64, incs, hs)
 
 
 def hs_shifted(hs, k):
@@ -135,6 +135,17 @@ class TestWeakSolutionEstimator:
         hs, ws, spec = model
         with pytest.raises(fbm.DomainError):
             girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(2), 0.513,
+                                             hs, ws, 2, grid64, 200, seed=1)
+
+    def test_no_functional_rejected_before_sampling(self, monkeypatch, model, grid64):
+        hs, ws, spec = model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(girsanov, "sample_cyl_fbm", no_draw)
+        with pytest.raises(fbm.DomainError, match="^phi_ids: at least one functional"):
+            girsanov.weak_solution_estimator(spec, [], np.zeros(2), 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)
 
     def test_one_seed_one_sample(self, monkeypatch, model, grid64):
@@ -382,7 +393,8 @@ class TestWeightsAcrossGrid:
                                           method="kernel", keep_increments=True)
             shifts = girsanov.drift_shift(functools.partial(drift.evaluate, spec),
                                           ens.values, hs, ws, grid_t)
-            w = np.exp(girsanov.stochastic_exponential(shifts, grid_t, ens.increments, hs))
+            w = np.exp(girsanov.component_log_weights(shifts, grid_t, ens.increments,
+                                                      hs).sum(axis=0))
             assert np.all(w > 0)
             se = np.std(w, ddof=1) / math.sqrt(n)
             assert abs(np.mean(w) - 1.0) < 3 * se

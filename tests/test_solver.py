@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import in_lanes, traced_peak
-from cylfbm import cylinder, drift, fbm, solver
+from cylfbm import cylinder, drift, fbm, girsanov, solver
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ class TestPicard:
         x = np.array([0.5])
         errs = []
         for grid, stride in ((fine, 1), (fbm.TimeGrid(1.0, 256), 2)):
-            sub = cylinder.CylEnsemble(d=1, grid=grid, values=noise.values[:, ::stride, :],
+            sub = cylinder.CylEnsemble(grid=grid, values=noise.values[:, ::stride, :],
                                        hursts=noise.hursts, weights=noise.weights)
             sol = solver.picard_solve(fn, x, sub)
             B = sub.values[0]  # (nodes, paths)
@@ -153,8 +153,7 @@ class TestPicard:
         cut = 40
         trunc_vals = noise.values.copy()
         trunc_vals[:, cut + 1 :, :] = 0.0
-        noise_cut = cylinder.CylEnsemble(d=2, grid=grid64, values=trunc_vals,
-                                         hursts=hs, weights=ws)
+        noise_cut = cylinder.CylEnsemble(grid=grid64, values=trunc_vals, hursts=hs, weights=ws)
         a = solver.picard_solve(jump_md, np.zeros(2), noise)
         b = solver.picard_solve(jump_md, np.zeros(2), noise_cut)
         assert np.array_equal(a.paths[:, : cut + 1, :], b.paths[:, : cut + 1, :])
@@ -262,7 +261,7 @@ class TestMalliavinDerivative:
         s = 0.25
         blocks = []
         for grid, stride in ((fine, 1), (fbm.TimeGrid(1.0, 256), 2)):
-            sub = cylinder.CylEnsemble(d=1, grid=grid, values=noise.values[:, ::stride, :],
+            sub = cylinder.CylEnsemble(grid=grid, values=noise.values[:, ::stride, :],
                                        hursts=noise.hursts, weights=noise.weights)
             sol = solver.picard_solve(md_like, np.array([0.2]), sub)
             blocks.append(solver.malliavin_derivative(sol, 128 // stride, 1))
@@ -440,12 +439,25 @@ class TestConvergeExperiment:
                 return out
 
             full = solver.picard_solve(padded, x, noise)
-            view = cylinder.CylEnsemble(d=dd, grid=grid64, values=noise.values[:dd],
+            view = cylinder.CylEnsemble(grid=grid64, values=noise.values[:dd],
                                         hursts=hs, weights=ws)
             trim = solver.picard_solve(md.evaluator, x, view)
             assert np.array_equal(trim.paths, full.paths[:dd])
             assert np.array_equal(full.paths[dd:], x[dd:, None, None] + noise.values[dd:])
 
+
+    def test_no_functional_rejected_before_sampling(self, monkeypatch, sequences, grid64):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(girsanov, "sample_cyl_fbm", no_draw)
+        monkeypatch.setattr(solver, "sample_cyl_fbm", no_draw)
+        with pytest.raises(fbm.DomainError, match="^phi_ids: at least one functional"):
+            solver.converge_experiment(spec, [(1, 0.1), (2, 0.05)], 1.0, [], hs, ws, grid64,
+                                       np.zeros(2), 200, seed=5)
 
     def test_block_memory_peak(self, sequences, grid64):
         # each block's noise and solution go before the next block is drawn

@@ -59,11 +59,17 @@ class TestShuffleEnumeration:
             assert len(s) == math.comb(2 * n, n) <= 4 ** n
 
     def test_blocks_stay_ordered(self):
-        s = verify.shuffle_enumerate(3, 2)
-        for perm in s.permutations:
-            firsts = [p for p in perm if p < 3]
-            seconds = [p for p in perm if p >= 3]
-            assert firsts == sorted(firsts) and seconds == sorted(seconds)
+        # every interleaving once: C(m + n, m) distinct permutations of the
+        # m + n items, each keeping both blocks in order
+        for m, n in ((1, 1), (2, 1), (2, 2), (3, 2)):
+            s = verify.shuffle_enumerate(m, n)
+            assert len(s) == math.comb(m + n, m)
+            assert len(set(s.permutations)) == len(s)
+            for perm in s.permutations:
+                assert sorted(perm) == list(range(m + n))
+                firsts = [p for p in perm if p < m]
+                seconds = [p for p in perm if p >= m]
+                assert firsts == sorted(firsts) and seconds == sorted(seconds)
 
     def test_cap(self):
         with pytest.raises(fbm.DomainError):
