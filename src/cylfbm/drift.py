@@ -378,20 +378,6 @@ def indicator_exponential_family(
                      c_bounds=c_bounds, d_bounds=d_bounds)
 
 
-def _zero_component(t, y: np.ndarray) -> np.ndarray:
-    """Zero values for the states y: a read-only view, nothing allocated."""
-    return np.broadcast_to(0.0, y.shape[1:])
-
-
-def zero_drift(weights: WeightSequence, d_max: int) -> DriftSpec:
-    comps = tuple(
-        DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0)
-        for _ in range(d_max)
-    )
-    zeros = np.zeros(d_max)
-    return DriftSpec(components=comps, weights=weights, c_bounds=zeros, d_bounds=zeros)
-
-
 # ---------------------------------------------------------------------------
 # class validation
 # ---------------------------------------------------------------------------

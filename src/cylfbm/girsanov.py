@@ -230,7 +230,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     weighted average and standard error per functional, the mean weight and
     the effective-sample-size fraction (flagged when below 10%).  A sample
     whose every weight underflows to 0 estimates nothing and is rejected
-    with a DomainError, and so is an empty ``phi_ids``, before any draw.
+    with a DomainError, and so are, before any draw, an empty ``phi_ids``,
+    n_paths < 1 and a drift with fewer than d rows.
 
     Each block of :func:`mc_blocks` (``DEFAULT_BLOCK_SIZE`` paths, read at
     call time) is streamed one path chunk
@@ -254,6 +255,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     phis = [make_functional(phi_id) for phi_id in phi_ids]
     if not phis:
         raise DomainError("phi_ids: at least one functional is required")
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
     x = _start_point(x, d)
     lam = weights.head_array(d)
     eval_fn = drift_eval if drift_eval is not None else functools.partial(
@@ -263,6 +266,8 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     except TypeError as exc:
         raise DomainError("drift_eval must take (node times, states of shape "
                           "(d, n_nodes, m), out=None) and return the drift rows") from exc
+    if probe.shape[0] < d:
+        raise DomainError(f"the drift has {probe.shape[0]} rows, fewer than d = {d}")
     # reject components whose shift b_k / lambda_k is undefined
     for k in range(d):
         if lam[k] == 0.0 and (spec.c_bounds[k] > 0 or abs(float(probe[k, 0, 0])) > 0):

@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cylinder as cylinder_mod
 from . import drift as drift_mod
 from . import girsanov as girsanov_mod
-from .cylinder import CylEnsemble, HurstSequence, WeightSequence, sample_cyl_fbm
+from .cylinder import CylEnsemble, HurstSequence, WeightSequence, child_seed, sample_cyl_fbm
 from .drift import mollify
 from .fbm import (
     DomainError,
@@ -298,22 +299,37 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     """Solve along an approximation schedule on one noise sample and compare
     against the measure-change target for the original drift.
 
-    Each block draws one sample at the largest schedule level d_ref and
-    solves every (truncation level dd, smoothing width) point on it.  Sampling
-    is prefix-stable in the level, so a point solves only its first dd
-    coordinates on a view of the sample; the others carry no drift and stay
-    x + noise exactly.  On the same block a left-rule solve of the raw drift
-    at d_ref is the reference of the paired gap, the mean of
-    phi(X_point) - phi(X_ref), and its standard error.  The reweighting
-    target at d_ref comes from a sample of its own.  Returns the rows (value,
-    target, their standard errors, the gap and the paired gap, per
-    functional; no averaging across functionals) and the target's
-    :class:`~cylfbm.girsanov.EstimatorResult`.  Every solve of a block stops
-    at t and holds only the state there, so a block holds its noise and a
-    few states; the noise is released before the next block is sampled.
+    Each block of :func:`cylfbm.girsanov.mc_blocks` draws one sample at the
+    largest schedule level d_ref and solves every (truncation level dd,
+    smoothing width) point on it.  Sampling is prefix-stable in the level,
+    so a point solves only its first dd coordinates on a view of the sample;
+    the others carry no drift and stay x + noise exactly.  On the same block
+    a left-rule solve of the raw drift at d_ref is the reference of the
+    paired gap, the mean of phi(X_point) - phi(X_ref), and its standard
+    error.  The reweighting target at d_ref comes from a sample of its own.
+    Returns the rows (value, target, their standard errors, the gap and the
+    paired gap, per functional; no averaging across functionals) and the
+    target's :class:`~cylfbm.girsanov.EstimatorResult`.  An empty schedule,
+    a level above ``spec.d_max`` and the estimator's own bad sizes are
+    rejected with a DomainError before any draw.
+
+    A block is streamed in chunks of 3 * :data:`cylinder.PATH_CHUNK` paths
+    (read at call time), sampled into one buffer allocated once per call by
+    the block's per-component Generators, which continue across its chunks.
+    Every solve stops at t, and only the per-path functional values are
+    kept for the block; they enter the running sums once per block.  The
+    kernel construction draws path-major and the chunk is a multiple of
+    ``PATH_CHUNK``, so the rows are those of the whole block at once.  A
+    chunk of noise holds as many floats as the estimator's three chunk
+    buffers, so the target, not the schedule's noise, sets the memory peak.
     """
     schedule = [(int(dd), float(ee)) for dd, ee in schedule]
+    if not schedule:
+        raise DomainError("schedule: at least one (level, width) point is required")
     d_ref = max(dd for dd, _ in schedule)
+    if d_ref > spec.d_max:
+        raise DomainError(f"schedule level {d_ref} exceeds the drift's "
+                          f"{spec.d_max} components")
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
     evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
@@ -323,22 +339,31 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     phis = [girsanov_mod.make_functional(phi_id) for phi_id in phi_ids]
     moments = [(girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
                for _ in schedule]
+    width = min(3 * cylinder_mod.PATH_CHUNK, girsanov_mod.DEFAULT_BLOCK_SIZE, n_paths)
+    buffer = np.empty(d_ref * grid.n_nodes * width)
     blocks = girsanov_mod.mc_blocks(n_paths, run_seed, girsanov_mod.DEFAULT_BLOCK_SIZE)
     for m, block_seed in blocks:
-        noise = sample_cyl_fbm(hursts, weights, d_ref, grid, m, block_seed,
-                               method="kernel")
-        z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
-                             t_index=idx_t).paths[:, -1, :]
-        ref_phi = np.stack([phi(z_ref) for phi in phis])
-        driftless = x[:, None] + noise.values[:, idx_t, :]
-        for (dd, _), fn, (value, paired) in zip(schedule, evaluators, moments):
-            z = driftless.copy()
-            z[:dd] = picard_solve(fn, x, replace(noise, values=noise.values[:dd]),
-                                  t_index=idx_t).paths[:, -1, :]
-            g = np.stack([phi(z) for phi in phis])
+        rngs = [np.random.default_rng(child_seed(block_seed, k)) for k in range(d_ref)]
+        ref_phi = np.empty((len(phis), m))
+        point_phi = np.empty((len(schedule), len(phis), m))
+        for a in range(0, m, width):
+            s = slice(a, min(a + width, m))
+            c = s.stop - s.start
+            noise = sample_cyl_fbm(
+                hursts, weights, d_ref, grid, c, rngs, method="kernel",
+                out=(girsanov_mod._chunk(buffer, (d_ref, grid.n_nodes, c)), None))
+            z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
+                                 t_index=idx_t).paths[:, -1, :]
+            ref_phi[:, s] = [phi(z_ref) for phi in phis]
+            driftless = x[:, None] + noise.values[:, idx_t, :]
+            for (dd, _), fn, g in zip(schedule, evaluators, point_phi):
+                z = driftless.copy()
+                z[:dd] = picard_solve(fn, x, replace(noise, values=noise.values[:dd]),
+                                      t_index=idx_t).paths[:, -1, :]
+                g[:, s] = [phi(z) for phi in phis]
+        for g, (value, paired) in zip(point_phi, moments):
             value.add(g)
             paired.add(g - ref_phi)
-        del noise  # free this block before the next one is sampled
     rows = []
     for (dd, ee), (value, paired) in zip(schedule, moments):
         columns = zip(phi_ids, value.mean.tolist(), value.stderr.tolist(),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cylfbm import cli, cylinder, drift, fbm, girsanov
+from cylfbm import cli, cylinder, drift, fbm, girsanov, solver
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,17 @@ def sequences():
     """The (HurstSequence, WeightSequence) pair of the CLI's default model."""
     hs, ws, _, _ = cli._build_model(cli.load_config({}))
     return hs, ws
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make the sampler bindings of the estimator and the convergence
+    experiment fail, so a test sees that a check runs before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(girsanov, "sample_cyl_fbm", no_draw)
+    monkeypatch.setattr(solver, "sample_cyl_fbm", no_draw)
 
 
 def covariance_se(cov, i, j, n):
@@ -91,6 +103,52 @@ def block_estimator_reference(spec, phi_ids, x, t, hs, ws, d, grid, n_paths, see
         ess_fraction=(float(weights.sum) ** 2 / float(weights.sum_sq)) / n_paths)
 
 
+def block_converge_reference(spec, schedule, t, phi_ids, hs, ws, grid, x, n_paths, seed
+                             ) -> list:
+    """The rows of the convergence experiment with each Monte Carlo block (of
+    ``girsanov.DEFAULT_BLOCK_SIZE`` paths) at once: the block's whole kernel
+    sample at the largest level, full-grid solves read at t (the raw drift,
+    and each schedule point on the first dd coordinates of the sample), one
+    1-D accumulator pair per (point, functional), and the target of
+    :func:`block_estimator_reference`.  The streamed experiment must
+    reproduce them bit for bit."""
+    d_ref = max(dd for dd, _ in schedule)
+    target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
+    target = block_estimator_reference(spec, phi_ids, x, t, hs, ws, d_ref, grid, n_paths,
+                                       target_seed)
+    x = girsanov._start_point(x, d_ref)
+    idx_t = girsanov._node_index(grid, t)
+    phis = {phi_id: girsanov.make_functional(phi_id) for phi_id in phi_ids}
+    moments = {(p, phi_id): (girsanov.RunningMoments(), girsanov.RunningMoments())
+               for p in range(len(schedule)) for phi_id in phi_ids}
+    for m, blk in girsanov.mc_blocks(n_paths, run_seed, girsanov.DEFAULT_BLOCK_SIZE):
+        noise = cylinder.sample_cyl_fbm(hs, ws, d_ref, grid, m, blk, method="kernel")
+        ref = solver.picard_solve(functools.partial(drift.evaluate, spec), x,
+                                  noise).paths[:, idx_t, :]
+        for p, (dd, eps) in enumerate(schedule):
+            z = x[:, None] + noise.values[:, idx_t, :]
+            view = dataclasses.replace(noise, values=noise.values[:dd])
+            z[:dd] = solver.picard_solve(drift.mollify(spec, dd, eps), x,
+                                         view).paths[:, idx_t, :]
+            for phi_id, phi in phis.items():
+                value, paired = moments[p, phi_id]
+                value.add(phi(z))
+                paired.add(phi(z) - phi(ref))
+    rows = []
+    for p, (dd, eps) in enumerate(schedule):
+        for phi_id in phi_ids:
+            value, paired = moments[p, phi_id]
+            tgt, tgt_se = target.estimates[phi_id]
+            rows.append({
+                "d": dd, "eps": eps, "t": t, "phi_id": phi_id,
+                "value": float(value.mean), "stderr": float(value.stderr),
+                "target": tgt, "target_stderr": tgt_se,
+                "gap": float(value.mean) - tgt,
+                "paired_gap": float(paired.mean), "paired_stderr": float(paired.stderr),
+            })
+    return rows
+
+
 def constant_drift(values, weights) -> drift.DriftSpec:
     """Constant drift vector: bounded but not integrable."""
     values = np.asarray(values, dtype=float)
@@ -103,6 +161,19 @@ def constant_drift(values, weights) -> drift.DriftSpec:
     return drift.DriftSpec(components=comps, weights=weights,
                            c_bounds=np.abs(values) / np.where(lam > 0, lam, 1.0),
                            d_bounds=np.full(len(values), np.inf))
+
+
+def _zero_component(t, y: np.ndarray) -> np.ndarray:
+    """Zero values for the states y: a read-only view, nothing allocated."""
+    return np.broadcast_to(0.0, y.shape[1:])
+
+
+def zero_drift(weights, d_max: int) -> drift.DriftSpec:
+    """The zero drift in d_max components, with zero class bounds."""
+    comps = tuple(drift.DriftComponent(fn=_zero_component, deps=(), sup_bound=0.0)
+                  for _ in range(d_max))
+    zeros = np.zeros(d_max)
+    return drift.DriftSpec(components=comps, weights=weights, c_bounds=zeros, d_bounds=zeros)
 
 
 # -- scalar quadrature references for the kernel, independent of the closed

@@ -12,7 +12,7 @@ import pytest
 
 from cylfbm import cli, cylinder, drift, fbm, fraccalc, girsanov, solver, verify
 
-from conftest import covariance_se
+from conftest import covariance_se, zero_drift
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -177,7 +177,7 @@ def test_criterion_07_malliavin_validation(model):
     grid = fbm.TimeGrid(1.0, 128)
     d = 2
     # exactness with zero drift
-    md0 = drift.mollify(drift.zero_drift(ws, d), d, 0.1)
+    md0 = drift.mollify(zero_drift(ws, d), d, 0.1)
     noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, 200, seed=707,
                                     method="kernel", keep_increments=True)
     sol0 = solver.picard_solve(md0, np.zeros(d), noise)

@@ -10,6 +10,7 @@ from conftest import (
     mollified_grad_reference,
     mollified_value_reference,
     structure_eval_reference,
+    zero_drift,
 )
 from cylfbm import cli, cylinder, drift, fbm
 
@@ -80,7 +81,7 @@ class TestFamily:
 
 class TestClassValidation:
     def test_zero_drift_margins_equal_bounds(self, weights):
-        spec = drift.zero_drift(weights, 3)
+        spec = zero_drift(weights, 3)
         report = drift.validate_drift_class(spec, 3, scaling_for(weights, 3))
         assert report.passed
         for e in report.entries:
@@ -244,7 +245,7 @@ class TestErf:
 
 class TestLipschitzFactorization:
     def test_zero_drift_all_zero(self, weights):
-        md = drift.mollify(drift.zero_drift(weights, 2), 2, 0.1)
+        md = drift.mollify(zero_drift(weights, 2), 2, 0.1)
         L, M, G = drift.lipschitz_estimate(md)
         assert np.all(L == 0.0) and np.all(G == 0.0)
 
@@ -349,7 +350,7 @@ class TestNodeTimeContract:
             "raw": functools.partial(drift.evaluate, spec),
             "mollified": drift.mollify(spec, 4, 0.05),
             "truncated": drift.mollify(spec, 2, 0.05),
-            "zero": functools.partial(drift.evaluate, drift.zero_drift(weights, 4)),
+            "zero": functools.partial(drift.evaluate, zero_drift(weights, 4)),
             "constant": functools.partial(drift.evaluate,
                                           constant_drift([0.2, -0.1, 0.0, 0.3], weights)),
         }

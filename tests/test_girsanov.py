@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_estimator_reference, constant_drift, in_lanes, traced_peak
+from conftest import (
+    block_estimator_reference,
+    constant_drift,
+    in_lanes,
+    traced_peak,
+    zero_drift,
+)
 from cylfbm import cylinder, drift, fbm, fraccalc, girsanov, solver
 
 
@@ -90,7 +96,7 @@ def hs_shifted(hs, k):
 class TestWeakSolutionEstimator:
     def test_zero_drift_matches_unweighted_exactly(self, sequences, grid64):
         hs, ws = sequences
-        spec = drift.zero_drift(ws, 2)
+        spec = zero_drift(ws, 2)
         x = np.array([0.2, -0.1])
         res = girsanov.weak_solution_estimator(spec, ["coordinate:1"], x, 1.0,
                                                hs, ws, 2, grid64, 2000, seed=19)
@@ -137,16 +143,24 @@ class TestWeakSolutionEstimator:
             girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(2), 0.513,
                                              hs, ws, 2, grid64, 200, seed=1)
 
-    def test_no_functional_rejected_before_sampling(self, monkeypatch, model, grid64):
+    def test_no_functional_rejected_before_sampling(self, no_sampling, model, grid64):
         hs, ws, spec = model
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("sampled")
-
-        monkeypatch.setattr(girsanov, "sample_cyl_fbm", no_draw)
         with pytest.raises(fbm.DomainError, match="^phi_ids: at least one functional"):
             girsanov.weak_solution_estimator(spec, [], np.zeros(2), 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_no_paths_rejected_before_sampling(self, no_sampling, model, grid64, n_paths):
+        hs, ws, spec = model
+        with pytest.raises(fbm.DomainError, match="^n_paths must be at least 1$"):
+            girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(2), 1.0,
+                                             hs, ws, 2, grid64, n_paths, seed=1)
+
+    def test_level_above_the_drift_rejected_before_sampling(self, no_sampling, model, grid64):
+        hs, ws, spec = model
+        with pytest.raises(fbm.DomainError, match="^the drift has 4 rows, fewer than d = 5$"):
+            girsanov.weak_solution_estimator(spec, ["coordinate:1"], np.zeros(5), 1.0,
+                                             hs, ws, 5, grid64, 200, seed=1)
 
     def test_one_seed_one_sample(self, monkeypatch, model, grid64):
         # a SeedSequence names one sample however often it is used, and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import in_lanes, traced_peak
+from conftest import block_converge_reference, in_lanes, traced_peak, zero_drift
 from cylfbm import cylinder, drift, fbm, girsanov, solver
 
 
@@ -45,7 +45,7 @@ def counted(md, calls):
 class TestPicard:
     def test_zero_drift_exact(self, sequences, noise2):
         _, ws = sequences
-        md = drift.mollify(drift.zero_drift(ws, 2), 2, 0.1)
+        md = drift.mollify(zero_drift(ws, 2), 2, 0.1)
         x = np.array([0.3, -0.2])
         sol = solver.picard_solve(md, x, noise2)
         assert sol.iterations_used == 1
@@ -201,7 +201,7 @@ class TestPicardIterates:
 class TestResidualCurve:
     def test_zero_after_first(self, sequences, noise2):
         _, ws = sequences
-        md = drift.mollify(drift.zero_drift(ws, 2), 2, 0.1)
+        md = drift.mollify(zero_drift(ws, 2), 2, 0.1)
         sol = solver.picard_iterates(md, np.zeros(2), noise2)
         assert sol.residuals[-1] == 0.0
 
@@ -236,7 +236,7 @@ class TestResidualCurve:
 class TestMalliavinDerivative:
     def test_zero_drift_is_weighted_kernel_column(self, sequences, grid64):
         hs, ws = sequences
-        md = drift.mollify(drift.zero_drift(ws, 2), 2, 0.1)
+        md = drift.mollify(zero_drift(ws, 2), 2, 0.1)
         noise = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 30, seed=13,
                                         method="kernel", keep_increments=True)
         sol = solver.picard_solve(md, np.zeros(2), noise)
@@ -344,7 +344,7 @@ class _LinearDrift:
 class TestFdCheck:
     def test_zero_drift_machine_exact(self, sequences, grid64):
         hs, ws = sequences
-        md = drift.mollify(drift.zero_drift(ws, 2), 2, 0.1)
+        md = drift.mollify(zero_drift(ws, 2), 2, 0.1)
         noise = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 50, seed=23,
                                         method="kernel", keep_increments=True)
         sol = solver.picard_solve(md, np.zeros(2), noise)
@@ -445,19 +445,52 @@ class TestConvergeExperiment:
             assert np.array_equal(trim.paths, full.paths[:dd])
             assert np.array_equal(full.paths[dd:], x[dd:, None, None] + noise.values[dd:])
 
-
-    def test_no_functional_rejected_before_sampling(self, monkeypatch, sequences, grid64):
+    def test_no_functional_rejected_before_sampling(self, no_sampling, sequences, grid64):
         hs, ws = sequences
         spec = drift.indicator_exponential_family(ws, 4)
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("sampled")
-
-        monkeypatch.setattr(girsanov, "sample_cyl_fbm", no_draw)
-        monkeypatch.setattr(solver, "sample_cyl_fbm", no_draw)
         with pytest.raises(fbm.DomainError, match="^phi_ids: at least one functional"):
             solver.converge_experiment(spec, [(1, 0.1), (2, 0.05)], 1.0, [], hs, ws, grid64,
                                        np.zeros(2), 200, seed=5)
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_no_paths_rejected_before_sampling(self, no_sampling, sequences, grid64, n_paths):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        with pytest.raises(fbm.DomainError, match="^n_paths must be at least 1$"):
+            solver.converge_experiment(spec, [(1, 0.1), (2, 0.05)], 1.0, ["coordinate:1"],
+                                       hs, ws, grid64, np.zeros(2), n_paths, seed=5)
+
+    def test_empty_schedule_rejected_before_sampling(self, no_sampling, sequences, grid64):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        with pytest.raises(fbm.DomainError, match="^schedule: at least one"):
+            solver.converge_experiment(spec, [], 1.0, ["coordinate:1"], hs, ws, grid64,
+                                       np.zeros(2), 200, seed=5)
+
+    def test_level_above_the_drift_rejected_before_sampling(self, no_sampling, sequences,
+                                                            grid64):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        with pytest.raises(fbm.DomainError,
+                           match="^schedule level 9 exceeds the drift's 4 components$"):
+            solver.converge_experiment(spec, [[9, 0.1]], 1.0, ["coordinate:1"], hs, ws,
+                                       grid64, np.zeros(2), 200, seed=5)
+
+    @pytest.mark.parametrize("n_paths, block_size", [
+        (3073, girsanov.DEFAULT_BLOCK_SIZE),
+        (2 * 3 * cylinder.PATH_CHUNK + 17, girsanov.DEFAULT_BLOCK_SIZE),
+        (7500, 4000), (10_000, 7000)])
+    def test_rows_equal_whole_block_loop(self, monkeypatch, sequences, grid64, n_paths,
+                                         block_size):
+        # the noise is streamed in chunks of 3 * PATH_CHUNK paths, each last
+        # chunk narrow here, and the rows equal those of whole blocks
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        monkeypatch.setattr(girsanov, "DEFAULT_BLOCK_SIZE", block_size)
+        args = (spec, [(1, 0.1), (2, 0.05), (4, 0.025)], 1.0,
+                ["coordinate:2", "clipped_norm:2"], hs, ws, grid64,
+                np.array([0.1, -0.2, 0.0, 0.3]), n_paths, 29)
+        assert solver.converge_experiment(*args)[0] == block_converge_reference(*args)
 
     def test_block_memory_peak(self, sequences, grid64):
         # each block's noise and solution go before the next block is drawn
@@ -472,6 +505,24 @@ class TestConvergeExperiment:
 
         run(50)  # fill the kernel caches
         assert traced_peak(lambda: run(m)) <= 2.0 * d * grid64.n_nodes * m * 8
+
+    def test_memory_peak_is_the_estimators(self, sequences, grid128):
+        # a chunk of the schedule's noise holds as many floats as the
+        # estimator's three chunk buffers, so the target sets the peak
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        d, m = 4, 6000
+        phi_ids = ["coordinate:2", "clipped_norm:2"]
+        schedule = [(1, 0.1), (2, 0.05), (4, 0.025), (4, 0.0125)]
+
+        def converge(n_paths):
+            solver.converge_experiment(spec, schedule, 1.0, phi_ids, hs, ws, grid128,
+                                       np.zeros(d), n_paths, seed=5)
+
+        converge(50)  # fill the kernel caches
+        target = traced_peak(lambda: girsanov.weak_solution_estimator(
+            spec, phi_ids, np.zeros(d), 1.0, hs, ws, d, grid128, m, 5))
+        assert traced_peak(lambda: converge(m)) <= 1.05 * target
 
 
 class TestConvergeSmoothDrift:
