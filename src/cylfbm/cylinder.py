@@ -128,8 +128,9 @@ class CylEnsemble:
     """Sampled weighted ensemble: values (d, n_nodes, n_paths), d and n_paths read off it.
 
     ``increments`` retains the per-component Wiener increments when the
-    kernel construction produced the ensemble (needed by measure-change and
-    perturbation machinery); Cholesky sampling leaves it None.
+    kernel construction produced the ensemble with ``keep_increments`` (the
+    measure change's stochastic integrals read them); Cholesky sampling
+    leaves it None.
     """
 
     grid: TimeGrid

@@ -201,39 +201,6 @@ def kernel_values(H, t: float, u) -> np.ndarray:
     return np.exp(_log_kernel(H, t, u))
 
 
-def kernel_time_cell_integrals(H, s: float, grid: TimeGrid, start_index: int) -> np.ndarray:
-    """Cell integrals of u -> K(u, s) in the first argument.
-
-    Returns kappa with kappa[j] = integral over (t_{start+j}, t_{start+j+1})
-    of K(u, s) du for the cells right of node start_index (where t_start = s).
-    The first cell crosses the u -> s singularity: v = (u - s)^(H+1/2) makes
-    its integrand bounded, and a 64-point Gauss-Legendre rule integrates it;
-    the other cells take a 12-point rule in u.
-    """
-    H = as_hurst(H)
-    nodes = grid.nodes
-    if not np.isclose(nodes[start_index], s):
-        raise DomainError("start_index must be the node at time s")
-    n_right = grid.n_cells - start_index
-    kappa = np.zeros(n_right)
-    if n_right == 0:
-        return kappa
-    q = H + 0.5
-    x, w = gauss_legendre(64)
-    half = 0.5 * (nodes[start_index + 1] - s) ** q
-    log_v = np.log(half * (x + 1.0))
-    lk = _log_kernel(H, s + np.exp(log_v / q), s, log_diff=log_v / q)
-    kappa[0] = half * np.sum(w * np.exp(lk + (1.0 / q - 1.0) * log_v)) / q
-    if n_right > 1:
-        x, w = gauss_legendre(12)
-        left = nodes[start_index + 1 : grid.n_cells]
-        h = grid.step
-        u = 0.5 * h * x[:, None] + left[None, :] + 0.5 * h
-        vals = np.exp(_log_kernel(H, u, s))
-        kappa[1:] = 0.5 * h * np.sum(w[:, None] * vals, axis=0)
-    return kappa
-
-
 # ---------------------------------------------------------------------------
 # kernel matrix
 # ---------------------------------------------------------------------------

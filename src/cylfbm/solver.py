@@ -6,13 +6,13 @@ discretized, by the explicit left rule Y_i = x + B_i + h sum_{j<i} F(t_j, Y_j).
 evaluation per cell.  Global Picard iteration of the same system survives
 only as the contraction diagnostic :func:`picard_iterates`, whose residual
 history :func:`picard_residual_curve` fits.  The derivative of the solution
-map with respect to each driving component is the same rule's linearisation,
-stepped forward in time; a Cameron-Martin bump re-solve validates it by
-finite differences.  The convergence experiment solves in the blocks of
-:func:`cylfbm.girsanov.mc_blocks`: every schedule point and a raw-drift
-reference run on one noise sample per block, each point only in the
-coordinates its drift drives, and every functional's reweighting target is
-priced on one sample of its own.
+map with respect to the sampler's standard normals, for every component and
+base index, comes from one backward sweep of the same rule; a re-solve with
+one of them bumped validates it by finite differences.  The convergence
+experiment solves in the blocks of :func:`cylfbm.girsanov.mc_blocks`: every
+schedule point and a raw-drift reference run on one noise sample per block,
+each point only in the coordinates its drift drives, and every functional's
+reweighting target is priced on one sample of its own.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from . import drift as drift_mod
 from . import girsanov as girsanov_mod
 from .cylinder import CylEnsemble, HurstSequence, WeightSequence, child_seed, sample_cyl_fbm
 from .drift import mollify
-from .fbm import (
-    DomainError,
-    TimeGrid,
-    kernel_matrix,
-    kernel_time_cell_integrals,
-    kernel_values,
-)
+from .fbm import DomainError, TimeGrid, cholesky_factor
 
 
 class PicardConvergenceError(RuntimeError):
@@ -188,62 +182,50 @@ def picard_residual_curve(history, t_end: float) -> ResidualDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# stochastic derivative in a single noise direction
+# stochastic derivative in the sampler's Gaussian frame
 # ---------------------------------------------------------------------------
 
 
-def _step_linear_equation(sol: SolutionEnsemble, j0: int, m_idx: int, g: np.ndarray,
-                          mass: np.ndarray | None = None) -> np.ndarray:
-    """Forward-solve the left-rule linearisation of the solve in direction m.
+def malliavin_derivative(sol: SolutionEnsemble, t_index: int | None = None) -> np.ndarray:
+    """Derivative of the solution at node ``t_index`` (by default the last)
+    with respect to every standard normal that drives it.
 
-    ``g`` holds the noise perturbation at the nodes after s = t_{j0}.  The
-    derivative is G_i = g_i e_m + R_i with R_{j0} = 0 and
-    R_i = R_{i-1} + c_{i-1} J_{i-1}[:, m] + h J_{i-1} R_{i-1}, where J is the
-    drift Jacobian along the path, the rule :func:`picard_solve` applies to
-    the drift.  c is the exact cell mass of a singular g when ``mass`` is
-    given (such as the weighted kernel column), and otherwise h g at the
-    cell's left node, with g(s) = 0 (a bounded bump profile).
+    Component k of the noise is B_k = lambda_k L_k Z_k at the nodes t_1..t_N,
+    L_k the :func:`~cylfbm.fbm.cholesky_factor` of its node covariance: the
+    sampler's Z_k, or the coordinates (lambda_k L_k)^-1 B_k of any other
+    sample.  Entry [c, k, j, p] is dX^c_t / dZ_{k,j} on path p, zero for
+    j >= ``t_index``.  One backward sweep of the left rule gives the response
+    to the noise at every node: rho_n = I, dX_n/dB_l = h rho_{l+1} J_l and
+    rho_l = rho_{l+1} + dX_n/dB_l, with J_l the drift Jacobian at node l;
+    then dX/dZ_k = lambda_k L_k^T dX/dB_k.  This is the exact derivative of
+    the map :func:`picard_solve` computes.  The Cameron-Martin directions
+    e_j of the Z_j are orthonormal, so D_s X_t = sum_j (dX_t/dZ_j) e_j(s) and
+    sum_j |dX_t/dZ_j|^2 is the integral of |D_s X_t|^2 over s.  With zero
+    drift dX_t/dZ_k = lambda_k L_k[t_index - 1] in coordinate k.
     """
     jac = getattr(sol.drift, "gradient_evaluator", None)
     if jac is None:
-        raise DomainError("the derivative equation needs a drift with a Jacobian evaluator")
+        raise DomainError("the derivative needs a drift with a Jacobian evaluator")
     grid = sol.grid
-    h = grid.step
-    d, n_nodes, m = sol.paths.shape
-    c = mass if mass is not None else h * np.concatenate(([0.0], g[:-1]))
-    out = np.zeros((d, n_nodes, m))
-    R = np.zeros((d, m))
-    for i in range(j0, n_nodes - 1):
-        J = jac(grid.nodes[i], sol.paths[:, i, :])  # (d, d, m)
-        R = R + c[i - j0] * J[:, m_idx, :] + h * np.einsum("klp,lp->kp", J, R)
-        out[:, i + 1, :] = R
-    out[m_idx, j0 + 1:, :] += g[:, None]
+    if sol.paths.shape[1] != grid.n_nodes:
+        raise DomainError("the derivative needs the whole path; this solve stopped at one node")
+    n = grid.n_cells if t_index is None else t_index
+    if not 1 <= n <= grid.n_cells:
+        raise DomainError(f"node index {t_index} is outside 1..{grid.n_cells}")
+    d, _, m = sol.paths.shape
+    out = np.zeros((d, d, grid.n_cells, m))
+    rho = np.repeat(np.eye(d)[:, :, None], m, axis=2)
+    out[:, :, n - 1] = rho
+    for l in range(n - 1, 0, -1):  # node 0 holds no noise
+        J = jac(grid.nodes[l], sol.paths[:, l, :])  # (d, d, m)
+        dB = out[:, :, l - 1]
+        np.einsum("cap,akp->ckp", rho, J, out=dB)
+        dB *= grid.step
+        rho += dB
+    for k in range(d):
+        L = cholesky_factor(sol.noise.hursts.value(k + 1), grid)[:n, :n]
+        out[:, k, :n] = sol.noise.weights.value(k + 1) * np.matmul(L.T, out[:, k, :n])
     return out
-
-
-def malliavin_derivative(sol: SolutionEnsemble, s_index: int, m: int) -> np.ndarray:
-    """Derivative of the solution in the direction of driving component m,
-    based at grid node s_index: the left-rule linearisation of the solve,
-    stepped forward in time with the kernel column's exact cell masses.
-
-    Entry [k, i, p] is the k-th state coordinate of the derivative at node i
-    on path p; entries at nodes up to the base index are zero.  With zero
-    drift the derivative equals the weighted kernel column exactly.
-    """
-    grid = sol.grid
-    if not (0 <= s_index < grid.n_cells):
-        raise DomainError("base index must be an interior node with room to the right")
-    if not (1 <= m <= sol.d):
-        raise DomainError("component index out of range")
-    s = grid.nodes[s_index]
-    lam_m = sol.noise.weights.value(m)
-    H_m = sol.noise.hursts.value(m)
-    if s_index == 0:
-        raise DomainError("kernel column is undefined at time 0; pick a node >= 1")
-    kernel_col = kernel_values(H_m, grid.nodes[s_index + 1 :], s)
-    kappa = kernel_time_cell_integrals(H_m, s, grid, s_index)
-    return _step_linear_equation(sol, s_index, m - 1, lam_m * kernel_col,
-                                 mass=lam_m * kappa)
 
 
 @dataclass(frozen=True)
@@ -257,12 +239,12 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
                        bump: float = 1e-4, window_cells: int = 2) -> FdCheckResult:
     """Finite-difference validation of the stochastic derivative.
 
-    Perturbs driving component m by ``bump`` times the Cameron-Martin
-    direction with density 1/window on the ``window_cells`` cells starting
-    at s_index, chains the perturbation through the kernel discretization,
-    re-solves, and compares (X_bumped - X)/bump at the final time against the
-    window-averaged derivative: the left-rule linearisation driven by the
-    same noise response.  They differ only by the bump's second-order term.
+    Bumps the standard normals Z_{m,j} of driving component m on the
+    ``window_cells`` base indices j from s_index by ``bump / window_cells``
+    each, so the noise moves by ``bump`` times lambda_m times the window mean
+    of the columns of L_m.  It re-solves and compares (X_bumped - X)/bump at
+    the final node with the window mean of :func:`malliavin_derivative`.
+    They differ only by the bump's second-order term.
     """
     grid = sol.grid
     if not (1 <= m <= sol.d):
@@ -271,17 +253,15 @@ def malliavin_fd_check(sol: SolutionEnsemble, s_index: int, m: int,
         raise DomainError("bump window must hold at least one cell of the grid")
     if bump == 0:
         raise DomainError("bump size must be nonzero")
-    # noise response at the nodes t_1..t_N to the unit bump
-    km = kernel_matrix(sol.noise.hursts.value(m), grid)
-    profile = sol.noise.weights.value(m) * np.sum(
-        km[:, s_index : s_index + window_cells], axis=1) / window_cells
+    window = slice(s_index, s_index + window_cells)
+    avg = np.mean(malliavin_derivative(sol)[:, m - 1, window], axis=1)
+    L = cholesky_factor(sol.noise.hursts.value(m), grid)
     pert = np.zeros_like(sol.noise.values)
-    pert[m - 1, 1:] = bump * profile[:, None]
+    pert[m - 1, 1:] = bump * sol.noise.weights.value(m) * np.mean(L[:, window], axis=1)[:, None]
     # increments dropped: they would no longer generate the perturbed values
     noise2 = replace(sol.noise, values=sol.noise.values + pert, increments=None)
     sol2 = picard_solve(sol.drift, sol.x0, noise2, t_index=grid.n_cells)
     fd = (sol2.paths[:, -1, :] - sol.paths[:, -1, :]) / bump
-    avg = _step_linear_equation(sol, s_index, m - 1, profile[s_index:])[:, -1, :]
     num = math.sqrt(float(np.mean(np.sum((fd - avg) ** 2, axis=0))))
     den = math.sqrt(float(np.mean(np.sum(avg ** 2, axis=0))))
     rel = num / den if den > 0 else math.inf

@@ -176,16 +176,23 @@ def test_criterion_07_malliavin_validation(model):
     hs, ws, spec = model
     grid = fbm.TimeGrid(1.0, 128)
     d = 2
-    # exactness with zero drift
+    # exactness with zero drift: dX_t/dZ_k is the weighted row lambda_k L_k[t-1]
+    # of the Cholesky factor in coordinate k, and its squared norm over the
+    # base indices is the variance lambda_k^2 t^(2 H_k)
     md0 = drift.mollify(zero_drift(ws, d), d, 0.1)
-    noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, 200, seed=707,
-                                    method="kernel", keep_increments=True)
+    noise = cylinder.sample_cyl_fbm(hs, ws, d, grid, 200, seed=707)
     sol0 = solver.picard_solve(md0, np.zeros(d), noise)
-    j0, m = 32, 1
-    blk = solver.malliavin_derivative(sol0, j0, m)
-    expect = ws.value(m) * fbm.kernel_values(hs.value(m), grid.nodes[j0 + 1 :],
-                                             grid.nodes[j0])
-    exact_gap = float(np.max(np.abs(blk[m - 1, j0 + 1 :, 0] - expect)))
+    gaps = []
+    for n in (32, 128):
+        dz = solver.malliavin_derivative(sol0, n)
+        for k in range(1, d + 1):
+            row = ws.value(k) * fbm.cholesky_factor(hs.value(k), grid)[n - 1]
+            expect = np.zeros((d, grid.n_cells, 1))
+            expect[k - 1] = row[:, None]
+            variance = ws.value(k) ** 2 * grid.nodes[n] ** (2 * hs.value(k))
+            gaps += [np.max(np.abs(dz[:, k - 1] - expect)),
+                     np.max(np.abs(np.sum(dz[:, k - 1] ** 2, axis=(0, 1)) - variance))]
+    exact_gap = float(max(gaps))
     # finite differences on the smooth mollified drift
     md = drift.mollify(spec, d, 0.1)
     sol = solver.picard_solve(md, np.zeros(d), noise)

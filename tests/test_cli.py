@@ -560,10 +560,9 @@ for command in ("girsanov", "simulate", "validate", "solve", "converge", "verify
                            "mc": {{"n_paths": 200, "seed": 3}}}})
     assert cli.run(cfg, out_dir={str(tmp_path)!r} + "/" + command) == cli.EXIT_OK, command
 hs, ws, spec, _ = cli._build_model(cli.load_config({{}}))
-noise = cylinder.sample_cyl_fbm(hs, ws, 2, cylfbm.fbm.TimeGrid(1.0, 32), 50, seed=5,
-                                method="kernel", keep_increments=True)
+noise = cylinder.sample_cyl_fbm(hs, ws, 2, cylfbm.fbm.TimeGrid(1.0, 32), 50, seed=5)
 sol = solver.picard_solve(drift.mollify(spec, 2, 0.1), np.zeros(2), noise)
-assert np.all(np.isfinite(solver.malliavin_derivative(sol, 8, 1)))
+assert np.all(np.isfinite(solver.malliavin_derivative(sol)))
 assert solver.malliavin_fd_check(sol, 8, 2).relative_error < 1e-2
 """
         proc = run_python("-c", script, timeout=300)

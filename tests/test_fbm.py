@@ -213,26 +213,6 @@ class TestKernelMatrix:
             assert M.shape == (n_cells, n_cells)
 
 
-class TestKernelTimeCells:
-    @pytest.mark.parametrize("H", [0.01, 0.08, 0.25, 0.45])
-    @pytest.mark.parametrize("n_cells", [64, 256])
-    def test_singular_cell_matches_adaptive_quadrature(self, H, n_cells):
-        # the first cell after v = (u - s)^(H+1/2), adaptively integrated
-        grid = fbm.TimeGrid(1.0, n_cells)
-        q = H + 0.5
-        for j in (1, n_cells // 2):
-            s = grid.nodes[j]
-
-            def g(v):
-                lk = fbm._log_kernel(H, s + v ** (1.0 / q), s, log_diff=np.log(v) / q)
-                return np.exp(lk + (1.0 / q - 1.0) * np.log(v) - np.log(q))
-
-            ref, _ = integrate.quad(g, 0.0, grid.step ** q, epsabs=1e-13, epsrel=1e-10,
-                                    limit=200)
-            kappa = fbm.kernel_time_cell_integrals(H, s, grid, j)
-            assert kappa[0] == pytest.approx(ref, rel=1e-10, abs=0.0)
-
-
 def kernel_sample(H, grid, n_paths, seed) -> np.ndarray:
     """Kernel-construction paths, node-major with shape (n_nodes, n_paths):
     the kernel matrix times N(0, step) cell increments drawn path-major, as

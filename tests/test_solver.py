@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +28,11 @@ def jump_sol(jump_md, noise2):
     return solver.picard_solve(jump_md, np.zeros(2), noise2)
 
 
-def scalar_noise(H, lam, grid, n_paths, seed):
+def scalar_noise(H, lam, grid, n_paths, seed, method="kernel"):
     hs = cylinder.HurstSequence(H, 0.5)
     ws = cylinder.WeightSequence(lam, 0.5)
-    return cylinder.sample_cyl_fbm(hs, ws, 1, grid, n_paths, seed,
-                                   method="kernel", keep_increments=True)
+    return cylinder.sample_cyl_fbm(hs, ws, 1, grid, n_paths, seed, method=method,
+                                   keep_increments=True)
 
 
 def counted(md, calls):
@@ -235,38 +236,68 @@ class TestResidualCurve:
 
 class TestMalliavinDerivative:
     def test_zero_drift_is_weighted_kernel_column(self, sequences, grid64):
+        # with zero drift the derivative is the weighted row of the Cholesky
+        # factor, the discrete kernel in the sampler's frame; its squared
+        # norm over the base indices is the variance lambda^2 t^2H
         hs, ws = sequences
         md = drift.mollify(zero_drift(ws, 2), 2, 0.1)
-        noise = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 30, seed=13,
-                                        method="kernel", keep_increments=True)
+        noise = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 30, seed=13)
         sol = solver.picard_solve(md, np.zeros(2), noise)
-        j0, m = 16, 1
-        blk = solver.malliavin_derivative(sol, j0, m)
-        s = grid64.nodes[j0]
-        expect = ws.value(m) * fbm.kernel_values(hs.value(m), grid64.nodes[j0 + 1 :], s)
-        assert np.allclose(blk[m - 1, j0 + 1 :, 0], expect, rtol=1e-12)
-        assert np.all(blk[1] == 0.0)  # other component untouched
-        assert np.all(blk[:, : j0 + 1, :] == 0.0)
+        for n in (16, 64):
+            dz = solver.malliavin_derivative(sol, n)
+            assert dz.shape == (2, 2, 64, 30)
+            for k in (1, 2):
+                row = ws.value(k) * fbm.cholesky_factor(hs.value(k), grid64)[n - 1]
+                np.testing.assert_allclose(dz[k - 1, k - 1], np.repeat(row[:, None], 30, axis=1),
+                                           rtol=0.0, atol=1e-12)
+                assert np.all(dz[2 - k, k - 1] == 0.0)  # other coordinate untouched
+                norm2 = np.sum(dz[:, k - 1] ** 2, axis=(0, 1))
+                variance = ws.value(k) ** 2 * grid64.nodes[n] ** (2 * hs.value(k))
+                np.testing.assert_allclose(norm2, variance, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, j", [(1, 16), (2, 32), (1, 48), (2, 60)])
+    def test_z_bump_matches(self, k, j, coupled_sol):
+        # the derivative of the computed map: bumping Z_{k,j} moves component
+        # k of the noise along lambda_k L_k[:, j]; the coupled drift makes
+        # the coordinate other than k respond too
+        sol = coupled_sol
+        grid, bump = sol.grid, 1e-6
+        L = fbm.cholesky_factor(sol.noise.hursts.value(k), grid)
+        values = sol.noise.values.copy()
+        values[k - 1, 1:] += bump * sol.noise.weights.value(k) * L[:, j][:, None]
+        bumped = solver.picard_solve(sol.drift, sol.x0, replace(sol.noise, values=values))
+        fd = (bumped.paths[:, -1] - sol.paths[:, -1]) / bump
+        dz = solver.malliavin_derivative(sol)[:, k - 1, j]
+        for c in (0, 1):
+            assert np.linalg.norm(dz[c]) > 0.0
+            assert np.linalg.norm(fd[c] - dz[c]) <= 1e-6 * np.linalg.norm(dz[c])
+
+    def test_linear_drift_closed_form(self, grid64):
+        # X_n = x + B_n - theta h sum_{l<n} X_l: dX_n/dB_l = -theta h (1 - theta h)^(n-1-l)
+        # for 1 <= l < n and 1 at l = n, and dX_n/dZ = lambda L^T dX_n/dB
+        theta, lam, H = 0.8, 0.7, 0.08
+        h = grid64.step
+        sol = solver.picard_solve(_LinearDrift(theta), np.array([0.2]),
+                                  scalar_noise(H, lam, grid64, 3, seed=41, method="cholesky"))
+        L = fbm.cholesky_factor(H, grid64)
+        for n in (40, 64):
+            l = np.arange(1, n)
+            dB = np.zeros(64)
+            dB[l - 1] = -theta * h * (1.0 - theta * h) ** (n - 1 - l)
+            dB[n - 1] = 1.0
+            dz = solver.malliavin_derivative(sol, n)[0, 0]
+            np.testing.assert_allclose(dz, np.repeat(lam * (L.T @ dB)[:, None], 3, axis=1),
+                                       rtol=0.0, atol=1e-14)
 
     def test_linear_drift_oracle(self):
-        # scalar dX = -theta X dt + lam dB: the derivative solves a linear
-        # equation with closed form lam*(K(t,s) - theta int_s^t e^(-theta(t-u)) K(u,s) du)
-        # The left-rule linearisation is first order, so the check is on the
-        # extrapolation 2 D_512 - D_256, the coarse grid taking the same sample
-        # restricted to every other node
+        # scalar dX = -theta X dt + lam dB: the continuum derivative is
+        # lam*(K(t,s) - theta int_s^t e^(-theta(t-u)) K(u,s) du).  The frame's
+        # D_s X_t = sum_j (dX_t/dZ_j) e_j(s), e(s) = L^-1 K(t_., s), is the
+        # left-rule derivative lam sum_i (dX_t/dB_i) K(t_i, s); its drift sum
+        # misses the singular first cell after s, so it converges at order
+        # H + 1/2, and the error ratio per grid halving tends to 2^(H+1/2)
         theta, lam, H = 0.8, 0.7, 0.08
-        fine = fbm.TimeGrid(1.0, 512)
-        noise = scalar_noise(H, lam, fine, 5, seed=17)
-        md_like = _LinearDrift(theta)  # the drift with its Jacobian evaluator
-        s = 0.25
-        blocks = []
-        for grid, stride in ((fine, 1), (fbm.TimeGrid(1.0, 256), 2)):
-            sub = cylinder.CylEnsemble(grid=grid, values=noise.values[:, ::stride, :],
-                                       hursts=noise.hursts, weights=noise.weights)
-            sol = solver.picard_solve(md_like, np.array([0.2]), sub)
-            blocks.append(solver.malliavin_derivative(sol, 128 // stride, 1))
-        fine_blk, coarse_blk = blocks
-        q = H + 0.5
+        s, q = 0.25, H + 0.5
 
         def oracle(t):
             g = lambda v: np.exp(-theta * (t - (s + v ** (1.0 / q)))) * np.exp(
@@ -276,33 +307,41 @@ class TestMalliavinDerivative:
                                   limit=300)
             return lam * (float(fbm.kernel_values(H, t, s)) - theta * I)
 
-        for i in (136, 256, 384, 512):
-            t = fine.nodes[i]
-            d512, d256 = fine_blk[0, i, 0], coarse_blk[0, i // 2, 0]
-            exact = oracle(t)
-            assert 2 * d512 - d256 == pytest.approx(exact, rel=1e-4)
-            assert 1.8 <= (d256 - exact) / (d512 - exact) <= 2.2
+        times = (0.75, 1.0)
+        exact = [oracle(t) for t in times]
+        errors = []
+        for n_cells in (128, 256, 512, 1024):
+            grid = fbm.TimeGrid(1.0, n_cells)
+            sol = solver.picard_solve(_LinearDrift(theta), np.array([0.2]),
+                                      scalar_noise(H, lam, grid, 1, seed=17, method="cholesky"))
+            e_s = frame_at(sol, s)
+            errors.append([solver.malliavin_derivative(sol, round(t * n_cells))[0, 0, :, 0] @ e_s
+                           - x for t, x in zip(times, exact)])
+        errors = np.array(errors)
+        ratios = errors[:-1] / errors[1:]
+        np.testing.assert_allclose(ratios, 2.0 ** q, rtol=0.02)
 
     def test_series_consistency_two_term(self):
-        # adding the first iterated-integral term reproduces the solved value
-        # up to the next-order remainder; with a constant Jacobian the
-        # remainder scales like (t-s)^(H+3/2) in the elapsed time
+        # adding the first iterated-integral term, as the left-node sum
+        # lam h sum_{j0<l<i} K(t_l, s), reproduces the solved value up to the
+        # next-order remainder; with a constant Jacobian the remainder scales
+        # like (t-s)^(H+3/2) in the elapsed time
         theta, lam, H = 0.8, 0.7, 0.08
         grid = fbm.TimeGrid(1.0, 256)
-        noise = scalar_noise(H, lam, grid, 5, seed=37)
-        md_like = _LinearDrift(theta)
-        base = solver.picard_solve(md_like, np.array([0.2]), noise)
+        base = solver.picard_solve(_LinearDrift(theta), np.array([0.2]),
+                                   scalar_noise(H, lam, grid, 5, seed=37, method="cholesky"))
         j0 = 64
         s = grid.nodes[j0]
-        blk = solver.malliavin_derivative(base, j0, 1)
-        kappa = fbm.kernel_time_cell_integrals(H, s, grid, j0)
+        e_s = frame_at(base, s)
         gaps = []
         spans = (16, 32, 64)
         for span in spans:
             i = j0 + span
+            d_sx = solver.malliavin_derivative(base, i)[0, 0, :, 0] @ e_s
             two_term = lam * float(fbm.kernel_values(H, grid.nodes[i], s)) \
-                - theta * lam * float(np.sum(kappa[: i - j0]))
-            gaps.append(abs(blk[0, i, 0] - two_term))
+                - theta * lam * grid.step * float(np.sum(
+                    fbm.kernel_values(H, grid.nodes[j0 + 1 : i], s)))
+            gaps.append(abs(d_sx - two_term))
         r1, r2 = gaps[1] / gaps[0], gaps[2] / gaps[1]
         expected = 2.0 ** (H + 1.5)
         assert r1 == pytest.approx(expected, rel=0.25)
@@ -312,7 +351,36 @@ class TestMalliavinDerivative:
         noise = scalar_noise(0.08, 0.5, grid64, 5, seed=19)
         sol = solver.picard_solve(lambda t, y: 0.0 * y, np.array([0.0]), noise)
         with pytest.raises(fbm.DomainError):
-            solver.malliavin_derivative(sol, 16, 1)
+            solver.malliavin_derivative(sol)
+
+    @pytest.mark.parametrize("t_index", [0, -1, 65])
+    def test_node_outside_grid_rejected(self, jump_sol, t_index):
+        with pytest.raises(fbm.DomainError, match="outside"):
+            solver.malliavin_derivative(jump_sol, t_index)
+
+    def test_stopped_solve_rejected(self, jump_md, noise2):
+        # a solve stopped at one node holds no path for the sweep to read,
+        # and the check refuses it before any re-solve
+        calls = []
+        drift_fn = counted(jump_md, calls)
+        drift_fn.gradient_evaluator = jump_md.gradient_evaluator
+        sol = solver.picard_solve(drift_fn, np.zeros(2), noise2, t_index=40)
+        calls.clear()
+        with pytest.raises(fbm.DomainError, match="whole path"):
+            solver.malliavin_derivative(sol)
+        with pytest.raises(fbm.DomainError, match="whole path"):
+            solver.malliavin_fd_check(sol, 16, 1)
+        assert calls == []
+
+
+def frame_at(sol, s):
+    """e(s) = L^-1 (K(t_1, s), ..., K(t_N, s)) of a scalar solve, the frame's
+    functions at time s (K vanishes at nodes t_i <= s)."""
+    grid, H = sol.grid, sol.noise.hursts.value(1)
+    later = grid.nodes[1:] > s
+    column = np.zeros(grid.n_cells)
+    column[later] = fbm.kernel_values(H, grid.nodes[1:][later], s)
+    return np.linalg.solve(fbm.cholesky_factor(H, grid), column)
 
 
 class _LinearDrift:
@@ -340,6 +408,29 @@ class _LinearDrift:
         return jac
 
 
+class _CoupledDrift:
+    """The mollified jump drift in two coordinates plus a sin(y) term that
+    feeds each coordinate into the other's drift, with its Jacobian."""
+
+    def __init__(self, md, a):
+        self.md, self.a = md, a
+
+    def __call__(self, t, y):
+        return self.md(t, y) + self.a * np.sin(y[::-1])
+
+    def gradient_evaluator(self, t, y):
+        J = self.md.gradient_evaluator(t, y)
+        J[0, 1] += self.a * np.cos(y[1])
+        J[1, 0] += self.a * np.cos(y[0])
+        return J
+
+
+@pytest.fixture(scope="module")
+def coupled_sol(sequences, jump_md, grid64):
+    hs, ws = sequences
+    noise = cylinder.sample_cyl_fbm(hs, ws, 2, grid64, 200, seed=43)
+    return solver.picard_solve(_CoupledDrift(jump_md, 0.5), np.zeros(2), noise)
+
 
 class TestFdCheck:
     def test_zero_drift_machine_exact(self, sequences, grid64):
@@ -359,6 +450,14 @@ class TestFdCheck:
         coarse = solver.malliavin_fd_check(jump_sol, 16, 1, bump=1e-3)
         fine = solver.malliavin_fd_check(jump_sol, 16, 1, bump=1e-4)
         assert fine.relative_error < coarse.relative_error
+
+    def test_jacobian_checked_before_resolve(self, jump_md, noise2):
+        calls = []
+        sol = solver.picard_solve(counted(jump_md, calls), np.zeros(2), noise2)
+        calls.clear()
+        with pytest.raises(fbm.DomainError, match="Jacobian"):
+            solver.malliavin_fd_check(sol, 16, 1)
+        assert calls == []
 
     @pytest.mark.parametrize("s_index, m, kwargs", [
         (8, 3, {}), (8, 0, {}), (-1, 1, {}), (8, 1, {"window_cells": 0}),
