@@ -226,11 +226,10 @@ def _describe(typ, domain) -> str:
 
 @contextlib.contextmanager
 def _naming(*keys):
-    """Re-raise a constructor's rejection as a ConfigError naming ``keys``
-    (an IndexError is a functional that reads past the state)."""
+    """Re-raise a constructor's rejection as a ConfigError naming ``keys``."""
     try:
         yield
-    except (fbm.DomainError, cylinder.SequenceConstraintError, IndexError) as exc:
+    except (fbm.DomainError, cylinder.SequenceConstraintError) as exc:
         raise ConfigError(f"config key {', '.join(keys)}: {exc}") from None
 
 
@@ -269,7 +268,7 @@ def _check_across(e: dict) -> None:
         raise ConfigError("config key phis: at least one functional is required")
     for phi_id in e["phis"]:
         with _naming("phis", key):
-            girsanov.make_functional(str(phi_id))(np.zeros((dim, 1)))
+            girsanov.make_functional(str(phi_id), dim)
     with _naming("t_eval", "grid.t_end", "grid.n_cells"):
         girsanov._node_index(grid, e["t_eval"])
 

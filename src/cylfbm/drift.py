@@ -185,12 +185,15 @@ def evaluate(spec: DriftSpec, t, y: np.ndarray, out: np.ndarray | None = None) -
     return _evaluate_components(spec.components, 0.0, t, y, out)
 
 
-def _evaluate_components(comps: tuple, eps: float, t, y, out: np.ndarray | None = None
+def _evaluate_components(comps: tuple, eps, t, y, out: np.ndarray | None = None
                          ) -> np.ndarray:
     """The first min(dy, len(comps)) components at mollifier width eps (0 for
     the raw drift) under the time contract of :func:`evaluate`: a closed-form
     component through :func:`_component_values` in its lane's scratch, any
-    other through its ``fn``."""
+    other through its ``fn``.  For a stack of points (:func:`mollify`) the
+    states carry a points axis after the first, and eps holds, per component,
+    the :func:`_point_runs` of the points: a run that drops the component
+    gets 0, and each run that keeps it is one call on that slice."""
     y = np.asarray(y, dtype=float)
     if np.ndim(t) == 0:
         y = np.atleast_2d(y)
@@ -200,10 +203,13 @@ def _evaluate_components(comps: tuple, eps: float, t, y, out: np.ndarray | None 
 
     def work(k, scratch):
         st = comps[k].structure
-        if st is None:
-            out[k] = comps[k].fn(t, y)
-        else:
-            _component_values(st, eps, t, y, out[k], scratch)
+        for s, e in eps[k] if isinstance(eps, tuple) else ((slice(None), eps),):
+            if e is None:
+                out[k, s] = 0.0
+            elif st is None:
+                out[k, s] = comps[k].fn(t, y[:, s])
+            else:
+                _component_values(st, e, t, y[:, s], out[k, s], scratch)
 
     run_component_lanes(len(comps), work, _workspace_size(t, y.shape[1:]), _max_lanes(t))
     return out
@@ -278,8 +284,9 @@ def _component_values(st: JumpExpStructure, eps: float, t, y: np.ndarray,
                       out: np.ndarray | None = None,
                       scratch: np.ndarray | None = None) -> np.ndarray:
     """The component's values at t on states y, its indicator factor smoothed
-    at mollifier width eps (the raw jump at eps = 0), written into ``out``
-    (fresh by default); all workspace is taken from ``scratch``."""
+    at mollifier width eps (the raw jump at eps = 0; for a stack of points, a
+    positive column of one width per point), written into ``out`` (fresh by
+    default); all workspace is taken from ``scratch``."""
     shape = y.shape[1:]
     out = np.empty(shape) if out is None else out
     if scratch is None:
@@ -289,7 +296,7 @@ def _component_values(st: JumpExpStructure, eps: float, t, y: np.ndarray,
     rho = np.abs(y[st.coord], out=out)
     if reg.kind == "halfspace" and reg.axis != st.coord:  # an axis the component does not read
         factor = st.a if 0.0 <= reg.offset else st.b
-    elif eps == 0.0:  # the indicator factor a or b, selected in place
+    elif np.ndim(eps) == 0 and eps == 0.0:  # the indicator factor a or b, selected in place
         if reg.kind == "ball":
             np.less_equal(np.multiply(rho, st.scale, out=tmp), reg.radius, out=inside)
         else:
@@ -515,7 +522,10 @@ class MollifiedDrift:
     node times with Z of shape (d, n_nodes, m), the components then in
     lanes); ``gradient_evaluator(t, Z)`` returns the Jacobian stack (d, d, m)
     at one time.  The evaluator is the driver of :func:`evaluate` at width
-    ``epsilon``, and calling the drift calls it.
+    ``epsilon``, and calling the drift calls it.  A stack of P points has
+    the tuples of their levels and widths as ``d`` and ``epsilon``, maps
+    states of shape (max d, P, m) at one time to as many rows, and has no
+    Jacobian (see :func:`mollify`).
     For the example family the smoothing of the indicator factor is evaluated
     in closed form along the jump's normal coordinate (an error-function
     profile); the damped amplitude is kept pointwise, so the evaluator is
@@ -524,8 +534,8 @@ class MollifiedDrift:
     """
 
     base: DriftSpec
-    d: int
-    epsilon: float
+    d: int | tuple
+    epsilon: float | tuple
     evaluator: object
     gradient_evaluator: object
 
@@ -559,21 +569,54 @@ def _mollified_structure_grad(st: JumpExpStructure, eps: float, t: float,
     return out
 
 
-def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
+def _point_runs(keep: np.ndarray, widths: np.ndarray) -> tuple:
+    """The maximal runs of consecutive points that all keep a component (the
+    mask ``keep``) or all drop it, as (slice, their width column) or
+    (slice, None) when dropped."""
+    cut = [0, *(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), keep.size]
+    return tuple((slice(a, b), widths[a:b] if keep[a] else None) for a, b in zip(cut, cut[1:]))
+
+
+def mollify(spec: DriftSpec, d, eps) -> MollifiedDrift:
     """Gaussian smoothing (unit mass) of width eps > 0 of the first d >= 1
     components of the drift in their d spatial coordinates; the rest are
-    dropped.  Each of the d must be zero or carry its closed-form structure."""
-    if not eps > 0.0:
-        raise DomainError(f"mollifier width must be positive, got {eps}")
-    if d < 1:
-        raise DomainError("truncation level must be >= 1")
-    comps = spec.components[:d]
+    dropped.  Each of the d must be zero or carry its closed-form structure.
+
+    With equal-length sequences d and eps, one entry per point, the result
+    is their stack: one drift on states of shape (max d, P, m) at one time
+    whose row k at point p is component k at width eps[p] if k < d[p] and
+    exactly 0 otherwise, the floats of point p's own drift.  A component
+    runs once per call on each run of consecutive points that keep it,
+    which for points ordered by level is one prefix or suffix of the P
+    axis.  Every point is checked: a finite positive width and an integer
+    level >= 1."""
+    stacked = np.ndim(d) > 0
+    if np.ndim(eps) != np.ndim(d) or stacked and not 0 < len(d) == len(eps):
+        raise DomainError("levels and widths must be two scalars or two equal-length, "
+                          f"non-empty sequences, got {d!r} and {eps!r}")
+    levels, widths = (list(d), list(eps)) if stacked else ([d], [eps])
+    for dd, ee in zip(levels, widths):
+        if not 0.0 < ee < math.inf:
+            raise DomainError(f"mollifier width must be positive and finite, got {ee}")
+        if not float(dd).is_integer():
+            raise DomainError(f"truncation level must be an integer, got {dd}")
+        if dd < 1:
+            raise DomainError("truncation level must be >= 1")
+    levels, widths = tuple(int(dd) for dd in levels), tuple(float(ee) for ee in widths)
+    comps = spec.components[: max(levels)]
     for k, comp in enumerate(comps):
         if comp.structure is None and comp.sup_bound != 0.0:
             raise DomainError(f"component {k + 1} is nonzero and has no closed-form "
                               "structure to truncate and mollify")
+    d, eps = (levels, widths) if stacked else (levels[0], widths[0])
+    kernel_eps = eps
+    if stacked:
+        col = np.array(widths)[:, None]
+        kernel_eps = tuple(_point_runs(np.array(levels) > k, col) for k in range(len(comps)))
 
     def gradient_evaluator(t: float, z: np.ndarray) -> np.ndarray:
+        if stacked:
+            raise DomainError("a stack of points has no Jacobian: mollify each point alone")
         z = np.atleast_2d(np.asarray(z, dtype=float))
         out = np.zeros((d, d, z.shape[1]))
         for k, comp in enumerate(comps):
@@ -582,7 +625,7 @@ def mollify(spec: DriftSpec, d: int, eps: float) -> MollifiedDrift:
         return out
 
     return MollifiedDrift(base=spec, d=d, epsilon=eps,
-                          evaluator=functools.partial(_evaluate_components, comps, eps),
+                          evaluator=functools.partial(_evaluate_components, comps, kernel_eps),
                           gradient_evaluator=gradient_evaluator)
 
 
@@ -598,8 +641,11 @@ def lipschitz_estimate(md: MollifiedDrift, n_samples: int = 2048, seed: int = 0)
     on the jump interface are included since the smoothed-step derivative
     peaks there.  The rank-1 factorization takes L as row maxima and M as the
     normalized column maxima, a conservative over-approximation with
-    L_k * M_i >= measured sup for every pair.
+    L_k * M_i >= measured sup for every pair.  A stack of points, which has
+    no Jacobian, is rejected.
     """
+    if isinstance(md.d, tuple):
+        raise DomainError("a stack of points has no Jacobian: estimate each point alone")
     rng = np.random.default_rng(seed)
     d = md.d
     radius = max(_maximization_box(c) for c in md.base.components[:d])

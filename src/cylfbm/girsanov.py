@@ -84,10 +84,11 @@ def component_log_weights(shifts: np.ndarray, grid: TimeGrid, increments,
 # ---------------------------------------------------------------------------
 
 
-def make_functional(phi_id: str):
+def make_functional(phi_id: str, d: int | None = None):
     """Named functionals for estimator targets.
 
-    "coordinate:<i>" picks the 1-based i-th coordinate (i >= 1);
+    "coordinate:<i>" picks the 1-based i-th coordinate (i >= 1, and i <= d
+    when the state dimension d is given);
     "clipped_norm:<cap>" is the Euclidean norm clipped at a finite cap > 0
     (bounded).
     """
@@ -101,6 +102,8 @@ def make_functional(phi_id: str):
     if kind == "coordinate":
         if num < 1:
             raise DomainError(f"functional {phi_id!r}: coordinates are numbered from 1")
+        if d is not None and num > d:
+            raise DomainError(f"functional {phi_id!r} reads past the {d}-dimensional state")
 
         def phi(z: np.ndarray) -> np.ndarray:
             return z[num - 1]
@@ -230,8 +233,9 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     weighted average and standard error per functional, the mean weight and
     the effective-sample-size fraction (flagged when below 10%).  A sample
     whose every weight underflows to 0 estimates nothing and is rejected
-    with a DomainError, and so are, before any draw, an empty ``phi_ids``,
-    n_paths < 1 and a drift with fewer than d rows.
+    with a DomainError, and so are, before any draw, an empty ``phi_ids``, a
+    functional that reads past the d coordinates, n_paths < 1 and a drift
+    with fewer than d rows.
 
     Each block of :func:`mc_blocks` (``DEFAULT_BLOCK_SIZE`` paths, read at
     call time) is streamed one path chunk
@@ -252,7 +256,7 @@ def weak_solution_estimator(spec: drift_mod.DriftSpec, phi_ids, x, t: float,
     do.  A callable that does not take that form is rejected with a
     DomainError.
     """
-    phis = [make_functional(phi_id) for phi_id in phi_ids]
+    phis = [make_functional(phi_id, d) for phi_id in phi_ids]
     if not phis:
         raise DomainError("phi_ids: at least one functional is required")
     if n_paths < 1:

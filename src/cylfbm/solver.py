@@ -10,8 +10,8 @@ map with respect to the sampler's standard normals, for every component and
 base index, comes from one backward sweep of the same rule; a re-solve with
 one of them bumped validates it by finite differences.  The convergence
 experiment solves in the blocks of :func:`cylfbm.girsanov.mc_blocks`: every
-schedule point and a raw-drift reference run on one noise sample per block,
-each point only in the coordinates its drift drives, and every functional's
+schedule point, stacked over a points axis in one sweep, and a raw-drift
+reference run on one noise sample per block, and every functional's
 reweighting target is priced on one sample of its own.
 """
 
@@ -77,31 +77,34 @@ def picard_solve(drift, x, noise: CylEnsemble, t_index: int | None = None) -> So
     The drift F is any callable (t, states) -> rows, such as a
     :class:`~cylfbm.drift.MollifiedDrift`; its Lipschitz estimate is not
     checked here.  The start point x is padded (or cut) to the noise
-    dimension.  The left rule is explicit: the drift is evaluated once per
-    cell, at its left node, and never at the last node.  The sweep keeps a
-    running drift integral and writes each next state as (x + B_{i+1}) +
-    integral, by default into every node of ``paths``.  With ``t_index`` it
-    stops at that node after ``t_index`` drift evaluations, overwriting one
-    state, so ``paths`` has shape (d, 1, n_paths) and holds node ``t_index``
-    alone.  The sweep leaves no residual, so ``iterations_used`` is 1,
-    ``final_residual`` 0 and ``residuals`` empty.
+    dimension.  The noise values have shape (d, n_nodes, *batch): the paths,
+    or trailing batch axes such as the points axis and paths of a stacked
+    drift, over which x broadcasts.  The left rule is explicit: the drift is
+    evaluated once per cell, at its left node, and never at the last node.
+    The sweep keeps a running drift integral and writes each next state as
+    (x + B_{i+1}) + integral, by default into every node of ``paths``.  With
+    ``t_index`` it stops at that node after ``t_index`` drift evaluations,
+    overwriting one state, so ``paths`` has shape (d, 1, *batch) and holds
+    node ``t_index`` alone.  The sweep leaves no residual, so
+    ``iterations_used`` is 1, ``final_residual`` 0 and ``residuals`` empty.
     """
-    x = girsanov_mod._start_point(x, noise.values.shape[0])
     grid = noise.grid
     B = noise.values
+    x = girsanov_mod._start_point(x, B.shape[0])
+    xb = x.reshape(x.shape + (1,) * (B.ndim - 2))
     full = t_index is None
     n_cells = grid.n_cells if full else t_index
     if not 0 <= n_cells <= grid.n_cells:
         raise DomainError(f"node index {t_index} is outside the grid")
-    paths = np.empty(B.shape if full else (B.shape[0], 1, B.shape[2]))
-    state = paths[:, 0, :]
-    np.add(x[:, None], B[:, 0, :], out=state)
+    paths = np.empty(B.shape if full else B.shape[:1] + (1,) + B.shape[2:])
+    state = paths[:, 0]
+    np.add(xb, B[:, 0], out=state)
     integral = np.zeros_like(state)
     for i in range(n_cells):
         integral += grid.step * drift(grid.nodes[i], state)
         if full:
-            state = paths[:, i + 1, :]
-        np.add(x[:, None], B[:, i + 1, :], out=state)
+            state = paths[:, i + 1]
+        np.add(xb, B[:, i + 1], out=state)
         state += integral
     return SolutionEnsemble(paths=paths, drift=drift, noise=noise, x0=x,
                             iterations_used=1, final_residual=0.0, residuals=())
@@ -282,41 +285,47 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
     Each block of :func:`cylfbm.girsanov.mc_blocks` draws one sample at the
     largest schedule level d_ref and solves every (truncation level dd,
     smoothing width) point on it.  Sampling is prefix-stable in the level,
-    so a point solves only its first dd coordinates on a view of the sample;
-    the others carry no drift and stay x + noise exactly.  On the same block
-    a left-rule solve of the raw drift at d_ref is the reference of the
-    paired gap, the mean of phi(X_point) - phi(X_ref), and its standard
-    error.  The reweighting target at d_ref comes from a sample of its own.
+    so the points share the sample: one solve of the points' stacked
+    :func:`~cylfbm.drift.mollify` drift, on a zero-copy view of the sample
+    broadcast over a points axis, calls each component once per step for
+    all the points that keep it.  A point's coordinates past its dd carry
+    no drift and stay x + noise exactly.  On the same block a left-rule
+    solve of the raw drift at d_ref is the reference of the paired gap, the
+    mean of phi(X_point) - phi(X_ref), and its standard error.  The
+    reweighting target at d_ref comes from a sample of its own.
     Returns the rows (value, target, their standard errors, the gap and the
     paired gap, per functional; no averaging across functionals) and the
     target's :class:`~cylfbm.girsanov.EstimatorResult`.  An empty schedule,
-    a level above ``spec.d_max`` and the estimator's own bad sizes are
+    a point that :func:`~cylfbm.drift.mollify` rejects, a level above
+    ``spec.d_max`` and the estimator's own bad sizes and functionals are
     rejected with a DomainError before any draw.
 
     A block is streamed in chunks of 3 * :data:`cylinder.PATH_CHUNK` paths
     (read at call time), sampled into one buffer allocated once per call by
     the block's per-component Generators, which continue across its chunks.
-    Every solve stops at t, and only the per-path functional values are
-    kept for the block; they enter the running sums once per block.  The
-    kernel construction draws path-major and the chunk is a multiple of
-    ``PATH_CHUNK``, so the rows are those of the whole block at once.  A
+    Both solves of a chunk, the stack and the reference, stop at t, and
+    only the per-path functional values are kept for the block; they enter
+    the running sums once per block.  The kernel construction draws
+    path-major and the chunk is a multiple of ``PATH_CHUNK``, so the rows
+    are those of the whole block at once.  A
     chunk of noise holds as many floats as the estimator's three chunk
     buffers, so the target, not the schedule's noise, sets the memory peak.
     """
-    schedule = [(int(dd), float(ee)) for dd, ee in schedule]
+    schedule = list(schedule)
     if not schedule:
         raise DomainError("schedule: at least one (level, width) point is required")
-    d_ref = max(dd for dd, _ in schedule)
+    stack = mollify(spec, [dd for dd, _ in schedule], [ee for _, ee in schedule])
+    schedule = list(zip(stack.d, stack.epsilon))
+    d_ref = max(stack.d)
     if d_ref > spec.d_max:
         raise DomainError(f"schedule level {d_ref} exceeds the drift's "
                           f"{spec.d_max} components")
     target_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
-    evaluators = [mollify(spec, dd, ee).evaluator for dd, ee in schedule]
     target = girsanov_mod.weak_solution_estimator(
         spec, phi_ids, x, t, hursts, weights, d_ref, grid, n_paths, target_seed)
     idx_t = girsanov_mod._node_index(grid, t)
     x = girsanov_mod._start_point(x, d_ref)
-    phis = [girsanov_mod.make_functional(phi_id) for phi_id in phi_ids]
+    phis = [girsanov_mod.make_functional(phi_id, d_ref) for phi_id in phi_ids]
     moments = [(girsanov_mod.RunningMoments(), girsanov_mod.RunningMoments())
                for _ in schedule]
     width = min(3 * cylinder_mod.PATH_CHUNK, girsanov_mod.DEFAULT_BLOCK_SIZE, n_paths)
@@ -335,12 +344,12 @@ def converge_experiment(spec: drift_mod.DriftSpec, schedule, t: float, phi_ids,
             z_ref = picard_solve(lambda tt, yy: drift_mod.evaluate(spec, tt, yy), x, noise,
                                  t_index=idx_t).paths[:, -1, :]
             ref_phi[:, s] = [phi(z_ref) for phi in phis]
-            driftless = x[:, None] + noise.values[:, idx_t, :]
-            for (dd, _), fn, g in zip(schedule, evaluators, point_phi):
-                z = driftless.copy()
-                z[:dd] = picard_solve(fn, x, replace(noise, values=noise.values[:dd]),
-                                      t_index=idx_t).paths[:, -1, :]
-                g[:, s] = [phi(z) for phi in phis]
+            points = np.broadcast_to(noise.values[:, :, None],
+                                     (d_ref, grid.n_nodes, len(schedule), c))
+            z = picard_solve(stack.evaluator, x, replace(noise, values=points),
+                             t_index=idx_t).paths[:, -1]
+            for p, g in enumerate(point_phi):
+                g[:, s] = [phi(z[:, p]) for phi in phis]
         for g, (value, paired) in zip(point_phi, moments):
             value.add(g)
             paired.add(g - ref_phi)

@@ -241,6 +241,14 @@ class TestRunBasics:
         assert f"config key {field}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_functional_past_the_state_named(self, tmp_path, capsys):
+        rc, err = run_main(tmp_path, capsys, {
+            "command": "converge", "mc": {"n_paths": 100}, "grid": {"n_cells": 16},
+            "schedule": [[1, 0.1], [2, 0.05]], "phis": ["coordinate:5"]})
+        assert rc == cli.EXIT_CONFIG
+        assert "config key phis, schedule: functional 'coordinate:5' reads past the " \
+            "2-dimensional state" in err
+
     def test_rejected_at_run_leaves_no_directory(self, tmp_path, capsys):
         # the sequence constraints reject when the configuration loads, so
         # before any output directory exists

@@ -331,6 +331,65 @@ class TestFusedEvaluation:
                 assert np.array_equal(grad[k], mollified_grad_reference(st, 0.05, t, z, d))
 
 
+class TestStackedPoints:
+    """A stack of (level, width) points is one drift on states with a points
+    axis: each point's rows are its own drift's floats, and 0 past its
+    level."""
+
+    # unsorted, with two points at level 4 and a level not at either end
+    LEVELS = [2, 4, 1, 4, 3]
+    WIDTHS = [0.05, 0.025, 0.1, 0.0125, 0.2]
+
+    @pytest.mark.parametrize("region", sorted(TestFusedEvaluation.REGIONS))
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_rows_are_each_points_own_drift(self, weights, region, t):
+        spec = drift.indicator_exponential_family(
+            weights, 5, region=TestFusedEvaluation.REGIONS[region],
+            decay_first=0.7, decay_ratio=0.9, proj_scale_ratio=4.5)
+        stack = drift.mollify(spec, self.LEVELS, self.WIDTHS)
+        assert (stack.d, stack.epsilon) == (tuple(self.LEVELS), tuple(self.WIDTHS))
+        y = TestFusedEvaluation.states(4)
+        rng = np.random.default_rng(8)
+        z = y[:, None, :] + 0.1 * rng.standard_normal((4, len(self.LEVELS), 1))
+        out = stack.evaluator(t, z)
+        assert out.shape == z.shape
+        for p, (dd, eps) in enumerate(zip(self.LEVELS, self.WIDTHS)):
+            own = drift.mollify(spec, dd, eps).evaluator(t, np.ascontiguousarray(z[:dd, p]))
+            assert np.array_equal(out[:dd, p], own)
+            assert np.all(out[dd:, p] == 0.0) and not np.any(np.signbit(out[dd:, p]))
+
+    def test_points_in_level_order_run_each_component_once(self, monkeypatch, jump_spec):
+        calls = []
+        monkeypatch.setattr(drift, "_component_values", lambda st, eps, t, y, out, scratch:
+                            calls.append((st.coord, y.shape[1], eps.shape)))
+        z = np.zeros((4, 4, 3))
+        drift.mollify(jump_spec, [1, 2, 4, 4], [0.1, 0.05, 0.025, 0.0125]).evaluator(0.5, z)
+        assert calls == [(0, 4, (4, 1)), (1, 3, (3, 1)), (2, 2, (2, 1)), (3, 2, (2, 1))]
+
+    def test_zero_components_stack(self, weights):
+        stack = drift.mollify(zero_drift(weights, 3), [3, 1], [0.1, 0.2])
+        assert np.array_equal(stack.evaluator(0.3, np.ones((3, 2, 5))), np.zeros((3, 2, 5)))
+
+    def test_stack_has_no_jacobian(self, jump_spec):
+        stack = drift.mollify(jump_spec, [1, 2], [0.1, 0.05])
+        with pytest.raises(fbm.DomainError, match="no Jacobian"):
+            stack.gradient_evaluator(0.5, np.zeros((2, 2, 3)))
+        with pytest.raises(fbm.DomainError, match="no Jacobian"):
+            drift.lipschitz_estimate(stack)
+
+    @pytest.mark.parametrize("d, eps", [
+        (2, float("inf")), ([1, 2], [0.1, float("inf")]), ([1, 2], [0.1, float("nan")]),
+        ([2, 1], [0.1, 0.0]), (2.7, 0.1), ([1, 2.7], [0.1, 0.05]), ([1, 2], [0.1]),
+        ([1], 0.1), (1, [0.1]), ([], []), ([1, 0], [0.1, 0.05])])
+    def test_every_point_checked(self, jump_spec, d, eps):
+        with pytest.raises(fbm.DomainError):
+            drift.mollify(jump_spec, d, eps)
+
+    def test_integral_float_level_accepted(self, jump_spec):
+        assert drift.mollify(jump_spec, 2.0, 0.1).d == 2
+        assert drift.mollify(jump_spec, [2.0, 1], [0.1, 0.2]).d == (2, 1)
+
+
 class TestNodeTimeContract:
     """At a vector of node times with states of shape (dy, n_nodes, m), a
     drift equals its per-node calls stacked along the node axis, bit for

@@ -149,6 +149,14 @@ class TestWeakSolutionEstimator:
             girsanov.weak_solution_estimator(spec, [], np.zeros(2), 1.0,
                                              hs, ws, 2, grid64, 200, seed=1)
 
+    def test_functional_past_the_state_rejected_before_sampling(self, no_sampling, model,
+                                                               grid64):
+        hs, ws, spec = model
+        with pytest.raises(fbm.DomainError, match="^functional 'coordinate:3' reads past "
+                           "the 2-dimensional state$"):
+            girsanov.weak_solution_estimator(spec, ["coordinate:1", "coordinate:3"],
+                                             np.zeros(2), 1.0, hs, ws, 2, grid64, 200, seed=1)
+
     @pytest.mark.parametrize("n_paths", [0, -3])
     def test_no_paths_rejected_before_sampling(self, no_sampling, model, grid64, n_paths):
         hs, ws, spec = model
@@ -383,6 +391,12 @@ class TestFunctionals:
         phi = girsanov.make_functional("clipped_norm:2")
         z = np.array([[3.0, 0.1], [4.0, 0.2]])
         assert np.allclose(phi(z), [2.0, np.hypot(0.1, 0.2)])
+
+    def test_coordinate_within_the_dimension(self):
+        z = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(girsanov.make_functional("coordinate:2", 2)(z), [3.0, 4.0])
+        with pytest.raises(fbm.DomainError, match="reads past the 2-dimensional state"):
+            girsanov.make_functional("coordinate:3", 2)
 
     def test_unknown_rejected(self):
         with pytest.raises(fbm.DomainError):

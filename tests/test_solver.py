@@ -191,6 +191,30 @@ class TestPicard:
         assert np.max(np.abs(sol.paths - expect)) < 1e-12
 
 
+class TestStackedSolve:
+    @pytest.mark.parametrize("t_index", [None, 0, 40])
+    def test_points_view_equals_per_point_solves(self, sequences, grid64, t_index):
+        # one sweep of a stacked drift over a broadcast points axis gives each
+        # point's own solve bit for bit in its driven coordinates, and
+        # x + noise in the others
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        points = [(2, 0.05), (4, 0.025), (1, 0.1), (4, 0.0125)]
+        noise = cylinder.sample_cyl_fbm(hs, ws, 4, grid64, 300, seed=41, method="kernel")
+        x = np.array([0.1, -0.2, 0.0, 0.3])
+        stack = drift.mollify(spec, [dd for dd, _ in points], [ee for _, ee in points])
+        view = np.broadcast_to(noise.values[:, :, None], (4, grid64.n_nodes, 4, 300))
+        sol = solver.picard_solve(stack, x, replace(noise, values=view), t_index=t_index)
+        nodes = slice(None) if t_index is None else slice(t_index, t_index + 1)
+        assert sol.paths.shape == (4, grid64.n_nodes if t_index is None else 1, 4, 300)
+        for p, (dd, eps) in enumerate(points):
+            own = solver.picard_solve(drift.mollify(spec, dd, eps), x,
+                                      replace(noise, values=noise.values[:dd]), t_index=t_index)
+            assert np.array_equal(sol.paths[:dd, :, p], own.paths)
+            assert np.array_equal(sol.paths[dd:, :, p],
+                                  x[dd:, None, None] + noise.values[dd:, nodes])
+
+
 class TestPicardIterates:
     def test_nonconvergence_carries_history(self, noise2):
         fn = lambda t, y: 60.0 * y  # expansive; the iteration cannot settle
@@ -574,6 +598,43 @@ class TestConvergeExperiment:
                            match="^schedule level 9 exceeds the drift's 4 components$"):
             solver.converge_experiment(spec, [[9, 0.1]], 1.0, ["coordinate:1"], hs, ws,
                                        grid64, np.zeros(2), 200, seed=5)
+
+    @pytest.mark.parametrize("schedule", [[(2.7, 0.1)], [(1, 0.1), (2, float("inf"))]])
+    def test_bad_point_rejected_before_sampling(self, no_sampling, sequences, grid64,
+                                                schedule):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        with pytest.raises(fbm.DomainError):
+            solver.converge_experiment(spec, schedule, 1.0, ["coordinate:1"], hs, ws,
+                                       grid64, np.zeros(2), 200, seed=5)
+
+    def test_functional_past_the_state_rejected_before_sampling(self, no_sampling,
+                                                               sequences, grid64):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        with pytest.raises(fbm.DomainError,
+                           match="^functional 'coordinate:5' reads past the 2-dimensional"):
+            solver.converge_experiment(spec, [(1, 0.1), (2, 0.05)], 1.0, ["coordinate:5"],
+                                       hs, ws, grid64, np.zeros(2), 200, seed=5)
+
+    def test_one_stacked_and_one_reference_solve_per_chunk(self, monkeypatch, sequences,
+                                                           grid64):
+        hs, ws = sequences
+        spec = drift.indicator_exponential_family(ws, 4)
+        shapes = []
+        solve = solver.picard_solve
+
+        def logged(fn, x, noise, t_index=None):
+            shapes.append(noise.values.shape)
+            return solve(fn, x, noise, t_index)
+
+        monkeypatch.setattr(solver, "picard_solve", logged)
+        solver.converge_experiment(spec, [(1, 0.1), (2, 0.05), (4, 0.025)], 1.0,
+                                   ["coordinate:2"], hs, ws, grid64, np.zeros(4),
+                                   3 * cylinder.PATH_CHUNK + 5, seed=5)
+        n = grid64.n_nodes
+        c = 3 * cylinder.PATH_CHUNK
+        assert shapes == [(4, n, c), (4, n, 3, c), (4, n, 5), (4, n, 3, 5)]
 
     @pytest.mark.parametrize("n_paths, block_size", [
         (3073, girsanov.DEFAULT_BLOCK_SIZE),
